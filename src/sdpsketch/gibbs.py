@@ -78,9 +78,7 @@ class GibbsDescription:
             self._v_rows = np.zeros((self.n, self.r_tilde), dtype=np.complex128)
             self._vm_rows = np.zeros((self.n, self.r_tilde), dtype=np.complex128)
             self._filled = np.zeros(self.n, dtype=bool)
-        missing = np.unique(indices)
-        missing = missing[~self._filled[missing]]
-        for i in missing:
+        for i in np.unique(indices[~self._filled[indices]]):
             row = self.basis.row(int(i))
             self._v_rows[i] = row
             self._vm_rows[i] = row @ self._core

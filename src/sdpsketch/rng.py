@@ -22,11 +22,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the given seed and integer path."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
 
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive `count` child generators in a fixed order.
-
-    Children are independent of each other and of later use of `rng`;
-    consuming them out of order does not change what each one produces.
-    """
-    return rng.spawn(count)

@@ -138,6 +138,27 @@ class TestQueriesAgainstDense:
         singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
         assert np.allclose(bulk, singles, atol=1e-13)
 
+    def test_bulk_entries_with_repeats_lazy_and_filled(self, monkeypatch):
+        _, g = candidate(seed=74)
+        fresh = GibbsDescription(n=g.n, beta=g.beta, basis=g.basis,
+                                 surrogate=g.surrogate)
+        # Keep operator() from filling every row, so bulk_entries takes
+        # the lazy path that fills only the rows it touches.
+        monkeypatch.setattr(fresh, "frobenius_norm", lambda: g.frobenius_norm())
+        op = fresh.operator()
+        assert fresh._filled is None
+        rows = np.array([0, 3, 5, 5, 12, 3, 0, 15, 5])
+        cols = np.array([1, 3, 0, 5, 9, 3, 1, 0, 12])
+        lazy = op.bulk_entries(rows, cols)
+        assert set(np.flatnonzero(fresh._filled)) == {0, 1, 3, 5, 9, 12, 15}
+        singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
+        assert np.allclose(lazy, singles, atol=1e-13)
+        monkeypatch.undo()
+        fresh.frobenius_norm()
+        assert fresh._filled.all()
+        assert np.array_equal(op.bulk_entries(rows, cols), lazy)
+        assert np.array_equal(g.operator().bulk_entries(rows, cols), lazy)
+
 
 class TestTraceEstimates:
     def test_constraint_trace_matches_dense(self):

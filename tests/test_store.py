@@ -303,10 +303,38 @@ class TestUpdatesAndViews:
     def test_set_entry_invalidates_flat_table(self):
         store = build({(0, 0): 1.0}, n=2, rank_hint=1)
         store._flat_table()
+        store.sample_entries(8, rngmod.substream(0, 1, 8))
         store.set_entry(1, 1, 2.0)
         rows, cols, vals, cum = store._flat_table()
         assert rows.shape[0] == 2
         assert float(cum[-1]) == pytest.approx(5.0, rel=1e-15)
+        got_r, got_c, _ = store.sample_entries(4096, rngmod.substream(0, 1, 9))
+        u = rngmod.substream(0, 1, 9).random(4096) * float(cum[-1])
+        want = np.searchsorted(cum, u, side="right")
+        assert np.array_equal(got_r, rows[want])
+        assert np.array_equal(got_c, cols[want])
+        assert set(got_r.tolist()) == {0, 1}
+
+    def test_rebuild_drops_guide_table(self):
+        store = build({(0, 0): 1.0, (1, 1): 2.0}, n=2, rank_hint=1)
+        store.sample_entries(8, rngmod.substream(0, 1, 10))
+        flat, guide = store._flat, store._guide
+        store.rebuild()
+        assert store._flat is None and store._guide is None
+        store.sample_entries(8, rngmod.substream(0, 1, 10))
+        assert store._flat is not flat and store._guide is not guide
+
+    def test_zero_mass_bulk_draws(self):
+        rng = rngmod.substream(0, 1, 11)
+        with pytest.raises(ZeroMassError):
+            build({}, n=2, rank_hint=1).sample_entries(4, rng)
+        with pytest.raises(ZeroMassError):
+            build({(0, 0): 0.0, (0, 1): 0.0}, n=2, rank_hint=1).sample_entries(4, rng)
+        store = build({(0, 1): 1.0}, n=2, rank_hint=1)
+        store.sample_entries(4, rng)
+        store.set_entry(0, 1, 0.0)
+        with pytest.raises(ZeroMassError):
+            store.sample_entries(4, rng)
 
     def test_negated_view_laws(self):
         rng = rngmod.substream(0, rngmod.INSTANCE, 60)
@@ -331,6 +359,79 @@ class TestUpdatesAndViews:
         assert np.array_equal(rows_v, rows_s)
         assert np.array_equal(cols_v, cols_s)
         assert np.array_equal(vals_v, -vals_s)
+
+
+class FixedUniforms:
+    """Stand-in generator whose ``random`` returns prescribed uniforms."""
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    def random(self, size: int) -> np.ndarray:
+        assert size == self.x.shape[0]
+        return self.x.copy()
+
+
+def uniforms_hitting(targets: np.ndarray, total: float) -> np.ndarray:
+    """Uniforms in [0, 1) that the store scales onto the targets.
+
+    ``x * total`` equals the target wherever ``target / total`` or one of
+    its float neighbours reaches it exactly, and lies within an ulp of it
+    elsewhere.
+    """
+    x = targets / total
+    for y in (np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+        x = np.where((x * total != targets) & (y * total == targets), y, x)
+    return x[(x >= 0.0) & (x < 1.0)]
+
+
+class TestBulkDrawExactness:
+    """Bulk draws return exactly ``searchsorted(cum, u, "right")``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=2000),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+        span=st.floats(min_value=0.0, max_value=30.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_guide_lookup_equals_searchsorted(self, size, zero_frac, span, seed):
+        gen = np.random.default_rng(seed)
+        weights = 10.0 ** (span * (gen.random(size) - 0.5))
+        weights[gen.random(size) < zero_frac] = 0.0
+        if not weights.any():
+            weights[-1] = 1.0
+        # A diagonal store's flat table lists the weights in order.
+        store = build(
+            {(k, k): float(np.sqrt(w)) for k, w in enumerate(weights)},
+            n=size,
+            rank_hint=1,
+        )
+        rows, cols, _, cum = store._flat_table()
+        total = float(cum[-1])
+        scale = store._guide_table()[0]
+        buckets = round(scale * total)
+        edges = np.concatenate([
+            np.arange(buckets + 1) * (total / buckets),
+            np.arange(buckets + 1) / scale,
+        ])
+        targets = np.concatenate([cum, edges, gen.random(4096) * total])
+        targets = np.concatenate([
+            targets,
+            np.nextafter(targets, -np.inf),
+            np.nextafter(targets, np.inf),
+        ])
+        x = uniforms_hitting(targets, total)
+        want = np.searchsorted(cum, x * total, side="right")
+        got_r, got_c, got_v = store.sample_entries(x.shape[0], FixedUniforms(x))
+        assert np.array_equal(got_r, rows[want])
+        assert np.array_equal(got_c, cols[want])
+        neg_r, neg_c, neg_v = NegatedView(store).sample_entries(
+            x.shape[0], FixedUniforms(x)
+        )
+        assert np.array_equal(neg_r, got_r)
+        assert np.array_equal(neg_c, got_c)
+        assert np.array_equal(neg_v, -got_v)
 
 
 class TestFileFormat:
