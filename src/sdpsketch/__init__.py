@@ -46,7 +46,6 @@ _LAZY = {
     "decompose": "spectral",
     "GibbsDescription": "gibbs",
     "make_gibbs": "gibbs",
-    "query_solution_entry": "gibbs",
     "estimate_constraint_trace": "gibbs",
     "FeasibilityProblem": "solver",
     "OptimizationProblem": "solver",

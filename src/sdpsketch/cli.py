@@ -363,7 +363,6 @@ def _run_oracle(args) -> int:
 def _run_entry(args) -> int:
     from . import manifest as man
     from . import report as rep
-    from .gibbs import query_solution_entry
     from .store import NegatedView, file_sha256
 
     loaded = rep.load_report(args.report)
@@ -400,7 +399,7 @@ def _run_entry(args) -> int:
             f"error: indices must lie in [1, {loaded.dimension}]", file=sys.stderr
         )
         return 2
-    z = query_solution_entry(candidate, args.row - 1, args.col - 1)
+    z = candidate.query(args.row - 1, args.col - 1)
     print(f"{rep.fmt(z.real)} {rep.fmt(z.imag)}")
     return 0
 

@@ -24,8 +24,9 @@ class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
     Immutable in meaning; internal caches only memoize basis rows.  Entry
-    queries cost O(p tau) on the first touch of a row and O(r_tilde)
-    after.
+    queries cost O(p tau) on the first touch of a row in the basis
+    support and O(r_tilde) after; rows off the support are exactly zero
+    and are never rebuilt.
     """
 
     def __init__(
@@ -77,7 +78,9 @@ class GibbsDescription:
         if self._v_rows is None:
             self._v_rows = np.zeros((self.n, self.r_tilde), dtype=np.complex128)
             self._vm_rows = np.zeros((self.n, self.r_tilde), dtype=np.complex128)
-            self._filled = np.zeros(self.n, dtype=bool)
+            # Rows off the basis support are exactly zero, so they start filled.
+            self._filled = np.ones(self.n, dtype=bool)
+            self._filled[self.basis.support()] = False
         for i in np.unique(indices[~self._filled[indices]]):
             row = self.basis.row(int(i))
             self._v_rows[i] = row
@@ -101,12 +104,18 @@ class GibbsDescription:
         return self._entry_gibbs(i, j)
 
     def frobenius_norm(self) -> float:
-        """Exact Frobenius norm of the candidate."""
+        """Exact Frobenius norm of the candidate.
+
+        Reads the Gram matrix of the basis rows in the basis support only,
+        so it costs O(|support| p tau), independent of n.
+        """
         if self.uniform_fallback:
             return 1.0 / float(np.sqrt(self.n))
         if self._fro is None:
-            self._ensure_rows(np.arange(self.n))
-            gram = self._v_rows.conj().T @ self._v_rows
+            support = self.basis.support()
+            self._ensure_rows(support)
+            rows = self._v_rows[support]
+            gram = rows.conj().T @ rows
             sq = float(
                 np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram))
             )
@@ -153,11 +162,6 @@ def make_gibbs(v: BasisSketch, s: SpectralSurrogate, beta: float) -> GibbsDescri
             f"eigensystem size {s.r_tilde} does not match basis size {v.r_tilde}"
         )
     return GibbsDescription(n=v.ms.n, beta=beta, basis=v, surrogate=s)
-
-
-def query_solution_entry(g: GibbsDescription, i: int, j: int) -> complex:
-    """Entry (i, j) of the candidate density operator."""
-    return g.query(i, j)
 
 
 def estimate_constraint_trace(

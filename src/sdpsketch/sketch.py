@@ -5,8 +5,10 @@ the row-conditional entry distribution, and the resulting rescaled p-by-p
 core is decomposed; singular directions whose squared value falls below a
 fixed fraction of the core's summand mass are discarded.  The surviving
 basis is kept succinctly: sampled row indices, their probabilities, the
-singular values, and the small left vectors.  Full basis columns are
-reconstructed entry by entry on demand and never materialized here.
+singular values, and the small left vectors.  Basis rows are rebuilt from
+the stores on demand and never materialized here.  A row can be nonzero
+only on the union of the sampled rows' stored supports (`support`), so
+callers that need every nonzero row fill that many, not n.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptySketch, InternalError, ShapeError, ZeroMassError
-from .store import SumTree
+from .store import NegatedView, SumTree
 
 
 class MatrixSum:
@@ -158,7 +160,7 @@ class BasisSketch:
     A column k is V(:, k) = S^dagger u_k / sigma_k for the implicit
     rescaled row sketch S; entries are reconstructed from the stores on
     demand at O(p tau) cost each.  The n-by-r_tilde matrix itself is
-    never stored.
+    never stored, and rows off `support()` are exactly zero.
     """
 
     def __init__(self, ms, rows, row_probs, singular_values, left_vectors):
@@ -180,6 +182,7 @@ class BasisSketch:
             raise InternalError("sampled row probabilities must be positive")
         # 1 / sqrt(p P_i) row rescaling, shared by every entry query.
         self._scale = 1.0 / np.sqrt(self.p * self.row_probs)
+        self._support = None
 
     @property
     def n(self) -> int:
@@ -191,6 +194,28 @@ class BasisSketch:
         for s in self.ms.summands:
             acc += s.row_gather(i, self.rows)
         return acc
+
+    def support(self) -> np.ndarray:
+        """Sorted indices of the basis rows that can be nonzero.
+
+        Row V(i, :) combines conj(A(i_s, i)) over sampled rows i_s and
+        summands A, so it vanishes unless i is stored in some sampled row
+        of some summand.  Each distinct sampled row of each distinct
+        store is read once: repeated summands and sign-flipped views of
+        one store share their supports.  Memoized.
+        """
+        if self._support is None:
+            stores = {}
+            for s in self.ms.summands:
+                while isinstance(s, NegatedView):
+                    s = s.base
+                stores.setdefault(id(s), s)
+            distinct = np.unique(self.rows)
+            parts = [np.zeros(0, dtype=np.int64)]
+            for store in stores.values():
+                parts.extend(store.row_support(int(i))[0] for i in distinct)
+            self._support = np.unique(np.concatenate(parts))
+        return self._support
 
     def row(self, i: int) -> np.ndarray:
         """All r_tilde basis entries V(i, :) in one pass over the samples."""

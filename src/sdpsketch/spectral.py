@@ -23,11 +23,6 @@ from .trace import EstimatorConfig, QueryableOperator, estimate_trace_product
 SPECTRUM_SLACK = 0.5
 
 
-def default_core_precision(eps: float, rank: int) -> float:
-    """Worst-case total error budget eps / (400 rank^2) for the compression."""
-    return eps / (400.0 * rank**2)
-
-
 @dataclass(frozen=True)
 class SpectralSurrogate:
     """Eigenvectors and descending real eigenvalues of the compressed matrix."""
@@ -71,14 +66,21 @@ def estimate_vav(
     estimated to eps_s / (r_tilde tau) with failure probability
     2 delta / (tau (r_tilde^2 + r_tilde)).  Cost grows with
     (r_tilde tau / eps_s)^2, so callers at desk scale pass a per-entry
-    budget scaled up accordingly.
+    budget scaled up accordingly.  Only the basis rows in `v.support()`
+    are filled; the rest are exactly zero, so the fill costs
+    O(|support| p tau), independent of n.
     """
     r = v.r_tilde
     tau = ms.tau
     if r == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    dense_cols = v.rows_dense(range(v.n))
-    col_norms = np.sqrt((np.abs(dense_cols) ** 2).sum(axis=0))
+    support = v.support()
+    support_rows = v.rows_dense(support)
+    col_norms = np.sqrt((np.abs(support_rows) ** 2).sum(axis=0))
+    # Indexed by global row for the per-sample lookups; np.zeros is lazily
+    # zeroed, so rows off the support cost nothing until a sample reads them.
+    dense_cols = np.zeros((v.n, r), dtype=np.complex128)
+    dense_cols[support] = support_rows
     eps_entry = eps_s / (r * tau)
     delta_entry = 2.0 * delta / (tau * (r**2 + r))
     cfg = EstimatorConfig(eps=eps_entry, delta=delta_entry)
@@ -121,19 +123,3 @@ def decompose(core: np.ndarray, basis: Optional[BasisSketch] = None) -> Spectral
         )
     u, d = linalg.eigh(core)
     return SpectralSurrogate(u=u, d=d, basis=basis)
-
-
-def spectral_approximation(
-    v: BasisSketch,
-    ms: MatrixSum,
-    eps: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> SpectralSurrogate:
-    """Compression plus decomposition at the worst-case error budget.
-
-    Uses the full eps / (400 rank^2) target; sample counts explode for
-    small eps, so this entry point suits only tiny demonstrations.
-    """
-    core = estimate_vav(v, ms, default_core_precision(eps, ms.rank), delta, rng)
-    return decompose(core, basis=v)

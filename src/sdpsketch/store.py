@@ -76,9 +76,13 @@ class SumTree:
         return self.nodes[self.capacity : self.capacity + self.size]
 
     def rebuild(self) -> None:
-        """Recompute every internal node from the leaf layer."""
-        for node in range(self.capacity - 1, 0, -1):
-            self.nodes[node] = self.nodes[2 * node] + self.nodes[2 * node + 1]
+        """Recompute every internal node from the leaf layer, level by level."""
+        nodes = self.nodes
+        lo = self.capacity >> 1
+        while lo >= 1:
+            hi = 2 * lo
+            nodes[lo:hi] = nodes[2 * lo : 2 * hi : 2] + nodes[2 * lo + 1 : 2 * hi : 2]
+            lo >>= 1
 
     def update(self, i: int, weight: float) -> None:
         """Set leaf ``i`` and rewrite its path to the root."""
@@ -107,14 +111,11 @@ class SumTree:
 
     def max_sum_defect(self) -> float:
         """Largest relative child-sum discrepancy over internal nodes."""
-        worst = 0.0
-        for node in range(1, self.capacity):
-            expect = self.nodes[2 * node] + self.nodes[2 * node + 1]
-            err = abs(self.nodes[node] - expect)
-            if err > 0.0:
-                ref = max(abs(expect), 1.0)
-                worst = max(worst, err / ref)
-        return worst
+        nodes, cap = self.nodes, self.capacity
+        expect = nodes[2 : 2 * cap : 2] + nodes[3 : 2 * cap : 2]
+        err = np.abs(nodes[1:cap] - expect)
+        rel = np.where(err > 0.0, err / np.maximum(np.abs(expect), 1.0), 0.0)
+        return float(rel.max(initial=0.0))
 
     def depth(self) -> int:
         return self.capacity.bit_length() - 1
@@ -488,11 +489,16 @@ class SampledMatrix:
 
     @classmethod
     def load(cls, path: str) -> "SampledMatrix":
-        """Read the 1-based upper-triangle text format."""
+        """Read the 1-based upper-triangle text format.
+
+        Every malformed line raises `ManifestError` (or `HermiticityError`
+        for an imaginary diagonal) naming ``path:line``.
+        """
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read()
         header = None
         entries = []
+        lines = []
         for lineno, line in enumerate(raw.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -507,6 +513,10 @@ class SampledMatrix:
                     header = (int(fields[1]), int(fields[3]))
                 except ValueError as exc:
                     raise ManifestError(f"{path}:{lineno}: bad header numbers") from exc
+                if min(header) < 1:
+                    raise ManifestError(
+                        f"{path}:{lineno}: dimension and rank must be positive"
+                    )
                 continue
             if len(fields) != 4:
                 raise ManifestError(f"{path}:{lineno}: expected 'i j re im'")
@@ -521,14 +531,33 @@ class SampledMatrix:
                 raise ManifestError(
                     f"{path}:{lineno}: lower-triangle entry ({i}, {j}); list the upper triangle only"
                 )
+            if j > header[0]:
+                raise ManifestError(
+                    f"{path}:{lineno}: entry ({i}, {j}) outside [1, {header[0]}]"
+                )
+            if i == j and abs(im) > HERMITICITY_TOL:
+                raise HermiticityError(
+                    f"{path}:{lineno}: diagonal entry ({i}, {i}) has imaginary part {im!r}"
+                )
             entries.append((i - 1, j - 1, complex(re, im)))
+            lines.append(lineno)
         if header is None:
             raise ManifestError(f"{path}: missing header line")
         n, rank_hint = header
         try:
             return cls.build(entries, n, rank_hint)
-        except (IndexError, HermiticityError, ValueError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            # With indices checked above, build only rejects a repeated
+            # key; name its lines here rather than track keys per line.
+            first = {}
+            for lineno, (i, j, _) in zip(lines, entries):
+                if (i, j) in first:
+                    raise ManifestError(
+                        f"{path}:{lineno}: duplicate entry ({i + 1}, {j + 1}), "
+                        f"first listed on line {first[i, j]}"
+                    ) from exc
+                first[i, j] = lineno
+            raise
 
 
 class NegatedView:

@@ -682,7 +682,7 @@ def test_criterion_10_witness_round_trip(capsys):
 # 11. reports do not depend on the thread-count hint
 
 
-def test_criterion_11_thread_count_determinism(capsys, tmp_path):
+def test_criterion_11_thread_count_determinism(capsys, tmp_path, src_env):
     t0 = time.monotonic()
     problem, _ = planted_one_update(12, 0.25, substream(150, 1))
     manifest = tmp_path / "instance.man"
@@ -712,6 +712,7 @@ def test_criterion_11_thread_count_determinism(capsys, tmp_path):
             ],
             capture_output=True,
             timeout=50,
+            env=src_env,
         )
         outputs.append(proc.stdout)
         codes.append(proc.returncode)

@@ -1,0 +1,178 @@
+"""Basis support: rows off it are zero, and its passes do not grow with n."""
+
+import numpy as np
+import pytest
+
+from sdpsketch.gibbs import estimate_constraint_trace, make_gibbs
+from sdpsketch.instances import random_low_rank, random_matrix_sum
+from sdpsketch.rng import substream
+from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
+from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
+from sdpsketch.store import NegatedView, SampledMatrix
+from sdpsketch.trace import EstimatorConfig, QueryableOperator, estimate_trace_product
+
+
+def embedded(block_store, coords, n):
+    """The store's entries relabelled k -> coords[k] in dimension n."""
+    entries = []
+    for a in range(block_store.n):
+        cols, vals = block_store.row_support(a)
+        entries += [(coords[a], coords[b], v) for b, v in zip(cols, vals) if b >= a]
+    return SampledMatrix.build(entries, n, block_store.rank_hint)
+
+
+def random_sparse_store(n, k, rng):
+    """Rank-2 store on k random coordinates of dimension n."""
+    coords = np.sort(rng.choice(n, k, replace=False))
+    return embedded(random_low_rank(k, 2, rng), coords, n)
+
+
+def random_description(ms, p, r, rng):
+    """A basis description with arbitrary sampled rows, empty rows included."""
+    rows = rng.integers(ms.n, size=p)
+    probs = rng.random(p) + 0.1
+    left = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
+    return BasisSketch(ms, rows, probs, np.sort(rng.random(r) + 0.5)[::-1], left)
+
+
+def count_rows(monkeypatch):
+    """Route BasisSketch.row through a counter; returns the count list."""
+    calls = [0]
+    original = BasisSketch.row
+
+    def counted(self, i):
+        calls[0] += 1
+        return original(self, i)
+
+    monkeypatch.setattr(BasisSketch, "row", counted)
+    return calls
+
+
+class TestRowsOffSupport:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_off_support_are_zero(self, seed):
+        rng = substream(seed, 90)
+        n = int(rng.integers(8, 60))
+        a, b = (random_sparse_store(n, int(rng.integers(2, n // 2)), rng) for _ in range(2))
+        ms = MatrixSum([a, NegatedView(b), a, NegatedView(NegatedView(a))], rank=2)
+        v = random_description(ms, p=int(rng.integers(1, 30)), r=3, rng=rng)
+        support = v.support()
+        expect = set()
+        for s in ms.summands:
+            for i in v.rows:
+                expect.update(s.row_support(int(i))[0].tolist())
+        assert support.tolist() == sorted(expect)
+        off = np.ones(n, dtype=bool)
+        off[support] = False
+        assert not np.any(v.rows_dense(range(n))[off])
+        assert v.support() is support
+
+    def test_sketched_basis_rows_off_support_are_zero(self):
+        rng = substream(91, 1)
+        a, b = (random_sparse_store(200, 6, rng) for _ in range(2))
+        ms = MatrixSum([a, b, a], rank=2)
+        v = build_sketch(ms, SketchParams(p=60, gamma=1e-9), substream(91, 2))
+        off = np.ones(ms.n, dtype=bool)
+        off[v.support()] = False
+        assert off.sum() >= 188
+        assert not np.any(v.rows_dense(range(ms.n))[off])
+
+
+class TestIndependentOfN:
+    def passes(self, n, coords, monkeypatch):
+        """Basis row fills of one round on the instance embedded at size n.
+
+        The basis description is sketched once at the smallest size and
+        relabelled, so both sizes share every sampled row.  The exponent
+        lives on the first 12 coordinates; the constraint whose trace is
+        estimated shares 6 of them and has 6 more.
+        """
+        rng = substream(92, 1)
+        blocks = [random_low_rank(12, 2, rng) for _ in range(3)]
+        small = [embedded(s, coords[1000][:12], 1000) for s in blocks[:2]]
+        base = build_sketch(
+            MatrixSum([small[0], NegatedView(small[1]), small[0]], rank=2),
+            SketchParams(p=80, gamma=1e-9),
+            substream(92, 2),
+        )
+        stores = [embedded(s, coords[n][:12], n) for s in blocks[:2]]
+        constraint = embedded(blocks[2], coords[n][6:], n)
+        ms = MatrixSum([stores[0], NegatedView(stores[1]), stores[0]], rank=2)
+        relabel = dict(zip(coords[1000].tolist(), coords[n].tolist()))
+        rows = np.array([relabel[int(i)] for i in base.rows])
+        v = BasisSketch(ms, rows, base.row_probs, base.singular_values, base.left_vectors)
+        calls = count_rows(monkeypatch)
+        core = estimate_vav(v, ms, eps_s=0.5 * v.r_tilde * ms.tau, delta=0.1,
+                            rng=substream(92, 3))
+        vav_calls = calls[0]
+        s = decompose(core)
+        g = make_gibbs(v, SpectralSurrogate(u=s.u, d=s.d), beta=1.0)
+        fro = g.frobenius_norm()
+        fro_calls = calls[0] - vav_calls
+        estimate_constraint_trace(g, constraint, 0.2, 0.1, substream(92, 4))
+        trace_calls = calls[0] - vav_calls - fro_calls
+        monkeypatch.undo()
+        return v, vav_calls, fro_calls, trace_calls, fro
+
+    def test_row_fills_do_not_grow_with_n(self, monkeypatch):
+        rng = substream(92, 5)
+        small = rng.choice(1000, 18, replace=False)
+        # Order-preserving relabelling into the larger dimension.
+        coords = {1000: small, 100_000: small * 100 + 7}
+        (v_s, *calls_s, fro_s), (v_b, *calls_b, fro_b) = (
+            self.passes(n, coords, monkeypatch) for n in (1000, 100_000)
+        )
+        vav_calls, fro_calls, trace_calls = calls_s
+        assert calls_b == calls_s
+        assert len(v_s.support()) == len(v_b.support()) <= 12
+        assert vav_calls <= len(v_s.support())
+        assert fro_calls <= len(v_s.support())
+        # Samples off the support read known-zero rows without a rebuild.
+        assert trace_calls == 0
+        assert fro_b == pytest.approx(fro_s, rel=1e-12)
+
+
+def all_rows_vav(v, ms, eps_s, delta, rng):
+    """estimate_vav with every one of the n basis rows filled."""
+    r, tau = v.r_tilde, ms.tau
+    dense_cols = v.rows_dense(range(v.n))
+    col_norms = np.sqrt((np.abs(dense_cols) ** 2).sum(axis=0))
+    cfg = EstimatorConfig(eps=eps_s / (r * tau), delta=2.0 * delta / (tau * (r**2 + r)))
+    pairs = [(i, j) for i in range(r) for j in range(i, r)]
+    streams = rng.spawn(len(pairs) * tau)
+    out = np.zeros((r, r), dtype=np.complex128)
+    pos = 0
+    for i, j in pairs:
+        oracle = QueryableOperator(
+            n=v.n,
+            entry=None,
+            fro_bound=float(col_norms[j] * col_norms[i]),
+            hermitian=(i == j),
+            bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
+        )
+        total = 0j
+        for summand in ms.summands:
+            total += estimate_trace_product(summand, oracle, cfg, streams[pos])
+            pos += 1
+        out[i, j] = total
+        if i != j:
+            out[j, i] = total.conjugate()
+    return 0.5 * (out + out.conj().T)
+
+
+class TestDenseBitEqual:
+    def test_dense_passes_equal_all_rows_reference(self):
+        ms = random_matrix_sum(32, tau=2, rank=2, rng=substream(93, 1))
+        ms = MatrixSum(ms.summands + [NegatedView(ms.summands[0])], rank=2)
+        v = build_sketch(ms, SketchParams(p=120, gamma=1e-6), substream(93, 2))
+        assert np.array_equal(v.support(), np.arange(32))
+        args = (v, ms, 0.3 * v.r_tilde * ms.tau, 0.1)
+        core = estimate_vav(*args, rng=substream(93, 3))
+        assert np.array_equal(core, all_rows_vav(*args, rng=substream(93, 3)))
+
+        s = decompose(core)
+        g = make_gibbs(v, SpectralSurrogate(u=s.u, d=s.d), beta=2.0)
+        rows = v.rows_dense(range(32))
+        gram = rows.conj().T @ rows
+        sq = float(np.real(np.trace(g._core @ gram @ g._core.conj().T @ gram)))
+        assert g.frobenius_norm() == float(np.sqrt(max(sq, 0.0)))

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, report bytes, and the entry query."""
 
-import os
 import shutil
 import subprocess
 import sys
@@ -137,7 +136,7 @@ class TestFeastest:
 
 
 class TestDeterminism:
-    def test_identical_bytes_across_runs_and_threads(self, work, tmp_path):
+    def test_identical_bytes_across_runs_and_threads(self, work, tmp_path, src_env):
         outs = []
         for k, threads in enumerate(("1", "4")):
             out = str(tmp_path / f"det{k}.rep")
@@ -146,6 +145,7 @@ class TestDeterminism:
                  work["plant"], *FAST, "--threads", threads, "--out", out],
                 capture_output=True,
                 text=True,
+                env=src_env,
             )
             assert r.returncode == 0, r.stderr
             outs.append(open(out, "rb").read())
@@ -260,7 +260,27 @@ class TestErrorPaths:
         code, _ = run_cli(["feastest", work["slack"], "--p", "100"])
         assert code == 2
 
-    def test_console_script_is_installed(self, work, tmp_path):
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("n 4 rank 1\n1 1 1 0\n3 5 1 0\n", 3),
+            ("n 4 rank 1\n1 1 1 0\n2 3 1 0\n1 1 2 0\n", 4),
+        ],
+        ids=["index_past_n", "duplicate_entry"],
+    )
+    def test_malformed_matrix_file(self, tmp_path, capsys, body, line):
+        man = tmp_path / "m.man"
+        write_feasibility_manifest(
+            str(man), [random_low_rank(4, 1, substream(156, 1))], [1.5], 0.25,
+            with_hashes=False,
+        )
+        (tmp_path / "constraint_0.mat").write_text(body)
+        code, _ = run_cli(["feastest", str(man), *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'constraint_0.mat'}:{line}: ")
+
+    def test_console_script_is_installed(self, work, tmp_path, src_env):
         """The `sdpsketch` script that pyproject.toml declares runs `feastest`.
 
         The launcher is the one an installer writes for the declared target,
@@ -280,12 +300,8 @@ class TestErrorPaths:
             ".load()())\n"
         )
         launcher.chmod(0o755)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(CHECKOUT / "src"), env.get("PYTHONPATH")])
-        )
         argv = ["feastest", work["slack"], *FAST]
-        r = subprocess.run([str(launcher), *argv], capture_output=True, env=env)
+        r = subprocess.run([str(launcher), *argv], capture_output=True, env=src_env)
         assert r.returncode == 0, r.stderr.decode()
         assert r.stdout.startswith(b"sdpsketch-report 1\n")
 

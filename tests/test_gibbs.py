@@ -8,7 +8,6 @@ from sdpsketch.gibbs import (
     GibbsDescription,
     estimate_constraint_trace,
     make_gibbs,
-    query_solution_entry,
 )
 from sdpsketch.instances import random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_realize, dense_solution
@@ -66,7 +65,7 @@ class TestUniformFallback:
         assert g.uniform_fallback and g.r_tilde == 0
         assert g.query(2, 2) == complex(0.2)
         assert g.query(0, 3) == 0j
-        assert query_solution_entry(g, 4, 4) == complex(0.2)
+        assert g.query(4, 4) == complex(0.2)
 
     def test_norms_and_eta(self):
         g = GibbsDescription.uniform(4)

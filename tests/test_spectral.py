@@ -11,9 +11,7 @@ from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import (
     SpectralSurrogate,
     decompose,
-    default_core_precision,
     estimate_vav,
-    spectral_approximation,
 )
 
 
@@ -114,13 +112,3 @@ class TestEndToEndSpectrum:
         s = decompose(core, basis=v)
         assert s.d[0] > 0.5
         assert s.d[1] < -0.5
-
-    def test_worst_case_entry_point_at_toy_scale(self):
-        ms, v = sketched_sum(n=6, tau=1, rank=1, p=30, seed=48)
-        s = spectral_approximation(ms=ms, v=v, eps=5.0, delta=0.1,
-                                   rng=substream(48, 3))
-        exact = np.linalg.eigvalsh(dense_vav(v, ms))[::-1]
-        assert np.abs(s.d - exact).max() <= 0.05
-
-    def test_default_precision_frozen_value(self):
-        assert default_core_precision(0.2, 2) == 0.2 / 1600.0

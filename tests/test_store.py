@@ -137,6 +137,30 @@ class TestSumTree:
         assert tree.total == pytest.approx(sum(weights), rel=1e-12, abs=1e-300)
 
     @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+            min_size=0,
+            max_size=70,
+        ),
+        st.floats(min_value=-1e-9, max_value=1e-9),
+    )
+    def test_level_rebuild_equals_node_loop(self, weights, jitter):
+        tree = SumTree(weights)
+        nodes = tree.nodes.copy()
+        for node in range(tree.capacity - 1, 0, -1):
+            nodes[node] = nodes[2 * node] + nodes[2 * node + 1]
+        assert np.array_equal(tree.nodes, nodes)
+
+        tree.nodes[1 : tree.capacity] *= 1.0 + jitter
+        worst = 0.0
+        for node in range(1, tree.capacity):
+            expect = tree.nodes[2 * node] + tree.nodes[2 * node + 1]
+            err = abs(tree.nodes[node] - expect)
+            if err > 0.0:
+                worst = max(worst, err / max(abs(expect), 1.0))
+        assert tree.max_sum_defect() == worst
+
+    @given(
         st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=33),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -472,6 +496,30 @@ class TestFileFormat:
         path = tmp_path / "bad.mat"
         path.write_text("rows 2 cols 2\n")
         with pytest.raises(ManifestError):
+            SampledMatrix.load(str(path))
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("n 3 rank 1\n1 1 1 0\n2 4 1 0\n", ":3: entry (2, 4) outside [1, 3]"),
+            (
+                "n 3 rank 1\n1 2 1 0\n\n1 2 1 0\n",
+                ":4: duplicate entry (1, 2), first listed on line 2",
+            ),
+            ("# dims\nn 0 rank 1\n", ":2: dimension and rank must be positive"),
+        ],
+    )
+    def test_load_names_file_and_line(self, tmp_path, body, where):
+        path = tmp_path / "bad.mat"
+        path.write_text(body)
+        with pytest.raises(ManifestError) as info:
+            SampledMatrix.load(str(path))
+        assert str(info.value) == f"{path}{where}"
+
+    def test_load_rejects_imaginary_diagonal_with_line(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_text("n 2 rank 1\n1 2 1 0\n2 2 1 0.5\n")
+        with pytest.raises(HermiticityError, match=f"^{path}:3: "):
             SampledMatrix.load(str(path))
 
     def test_load_accepts_comments_and_blanks(self, tmp_path):
