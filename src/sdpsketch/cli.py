@@ -9,11 +9,12 @@ Subcommands:
     entry     reprint one witness entry from a saved report
 
 Exit codes are the only success channel: 0 feasible (or a value was
-bracketed), 1 infeasible, 2 any error.  Reports go to stdout or --out
-and are byte-deterministic for a fixed seed; math kernels are pinned to
-one thread at startup, so --threads is accepted as a scheduling hint
-but never changes results.  Only stdlib imports happen at module level
-so the pinning runs before numpy loads.
+bracketed), 1 infeasible, 2 any error, including an unexpected
+exception, which prints one "error: internal: ..." line.  Reports go to
+stdout or --out and are byte-deterministic for a fixed seed; math
+kernels are pinned to one thread at startup, so --threads is accepted
+as a scheduling hint but never changes results.  Only stdlib imports
+happen at module level so the pinning runs before numpy loads.
 """
 from __future__ import annotations
 
@@ -43,15 +44,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--epsilon", type=float, default=None, help="override the manifest's slack"
     )
-    parser.add_argument("--p", type=int, default=None, help="explicit sketch row count")
     parser.add_argument(
-        "--gamma", type=float, default=None, help="explicit singular-value floor"
+        "--p",
+        type=int,
+        default=None,
+        help="explicit sketch row count (default: scaled from eps, tau and rank)",
     )
     parser.add_argument(
-        "--preset",
-        choices=("worstcase", "scaled"),
-        default="scaled",
-        help="sketch parameter preset when --p/--gamma are not given",
+        "--gamma", type=float, default=None, help="explicit singular-value floor"
     )
     parser.add_argument(
         "--beta-scale", type=float, default=0.25, help="Gibbs exponent scale (times eps)"
@@ -117,20 +117,20 @@ def _config(args):
 
     if (args.p is None) != (args.gamma is None):
         raise ConfigError("--p and --gamma must be given together")
+    sketch = None
     if args.p is not None:
+        if args.p < 1:
+            raise ConfigError(f"--p must be positive, got {args.p}")
+        if not args.gamma > 0:
+            raise ConfigError(f"--gamma must be positive, got {args.gamma}")
         sketch = SketchParams(p=args.p, gamma=args.gamma)
-        preset = "explicit"
-    else:
-        sketch = args.preset
-        preset = args.preset
-    config = SolverConfig(
+    return SolverConfig(
         seed=args.seed,
         t_override=args.max_iters,
         sketch=sketch,
         delta_total=args.delta,
         beta_scale=args.beta_scale,
     )
-    return config, preset
 
 
 def _emit(args, report) -> None:
@@ -144,29 +144,43 @@ def _emit(args, report) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(command, args, problem_n, m, eps, config, preset, rounds, sha):
-    from .report import RunReport
+def _finish(args, command, n, m, eps, config, outcome, seconds, witness_from=None, **fields):
+    """Emit the report of a solving subcommand and return its exit code.
 
-    return RunReport(
+    `outcome` gives the verdict, iterations and violations; the witness
+    comes from `witness_from`, a feasible outcome, when there is one.
+    `seconds` holds the load and solve times; `fields` are the
+    subcommand's own report fields.
+    """
+    from . import report as rep
+    from .store import file_sha256
+
+    report = rep.RunReport(
         command=command,
-        dimension=problem_n,
+        dimension=n,
         seed=config.seed,
         epsilon=eps,
         constraints=m,
-        rounds=rounds,
+        rounds=config.round_budget(n, eps),
         beta_scale=config.beta_scale,
         delta_total=config.delta_total,
-        preset=preset,
+        preset="scaled" if args.p is None else "explicit",
         sketch_p=args.p,
         sketch_gamma=args.gamma,
-        manifest_sha=sha,
+        manifest_sha=file_sha256(args.manifest),
+        verdict=outcome.verdict,
+        iterations=outcome.iterations_used,
+        violations=list(outcome.violation_log),
+        **fields,
     )
-
-
-def _budget(config, n, eps) -> int:
-    from .solver import default_round_budget
-
-    return config.t_override if config.t_override is not None else default_round_budget(n, eps)
+    if witness_from is not None:
+        report.witness = rep.dump_witness(
+            witness_from.witness, [j for _, j, _ in witness_from.violation_log]
+        )
+    if args.timings:
+        report.timings = list(zip(("load", "solve"), seconds))
+    _emit(args, report)
+    return 0 if outcome.feasible or witness_from is not None else 1
 
 
 def _override_eps(problem, eps_flag):
@@ -181,9 +195,7 @@ def _override_eps(problem, eps_flag):
 
 def _run_feastest(args) -> int:
     from . import manifest as man
-    from . import report as rep
     from . import solver
-    from .store import file_sha256
 
     parsed = man.load_manifest(args.manifest)
     if parsed.kind == "optimize":
@@ -191,41 +203,22 @@ def _run_feastest(args) -> int:
     timer = time.perf_counter()
     problem = _override_eps(man.load_feasibility(args.manifest), args.epsilon)
     load_seconds = time.perf_counter() - timer
-    config, preset = _config(args)
+    config = _config(args)
     timer = time.perf_counter()
     outcome = solver.test_feasibility(problem, config)
     solve_seconds = time.perf_counter() - timer
-    report = _base_report(
-        "feastest",
-        args,
-        problem.n,
-        problem.m,
-        problem.eps,
-        config,
-        preset,
-        _budget(config, problem.n, problem.eps),
-        file_sha256(args.manifest),
+    return _finish(
+        args, "feastest", problem.n, problem.m, problem.eps, config, outcome,
+        (load_seconds, solve_seconds),
+        witness_from=outcome if outcome.feasible else None,
     )
-    report.verdict = outcome.verdict
-    report.iterations = outcome.iterations_used
-    report.violations = list(outcome.violation_log)
-    if outcome.feasible:
-        report.witness = rep.dump_witness(
-            outcome.witness, [j for _, j, _ in outcome.violation_log]
-        )
-    if args.timings:
-        report.timings = [("load", load_seconds), ("solve", solve_seconds)]
-    _emit(args, report)
-    return 0 if outcome.feasible else 1
 
 
 def _run_shadow(args) -> int:
     from . import manifest as man
-    from . import report as rep
     from . import rng as rngmod
     from . import solver
     from .gibbs import estimate_constraint_trace
-    from .store import file_sha256
 
     timer = time.perf_counter()
     effects, values, eps = man.load_shadow(args.manifest)
@@ -233,7 +226,7 @@ def _run_shadow(args) -> int:
         eps = args.epsilon
     problem = solver.shadow_to_feasibility(effects, values, eps)
     load_seconds = time.perf_counter() - timer
-    config, preset = _config(args)
+    config = _config(args)
     timer = time.perf_counter()
     outcome = solver.test_feasibility(problem, config)
     estimates = []
@@ -251,43 +244,24 @@ def _run_shadow(args) -> int:
                 )
             )
     solve_seconds = time.perf_counter() - timer
-    report = _base_report(
-        "shadow",
-        args,
-        problem.n,
-        problem.m,
-        eps,
-        config,
-        preset,
-        _budget(config, problem.n, eps),
-        file_sha256(args.manifest),
+    return _finish(
+        args, "shadow", problem.n, problem.m, eps, config, outcome,
+        (load_seconds, solve_seconds),
+        witness_from=outcome if outcome.feasible else None,
+        estimates=estimates,
     )
-    report.verdict = outcome.verdict
-    report.iterations = outcome.iterations_used
-    report.violations = list(outcome.violation_log)
-    report.estimates = estimates
-    if outcome.feasible:
-        report.witness = rep.dump_witness(
-            outcome.witness, [j for _, j, _ in outcome.violation_log]
-        )
-    if args.timings:
-        report.timings = [("load", load_seconds), ("solve", solve_seconds)]
-    _emit(args, report)
-    return 0 if outcome.feasible else 1
 
 
 def _run_optimize(args) -> int:
     from . import manifest as man
-    from . import report as rep
     from . import solver
-    from .store import file_sha256
 
     timer = time.perf_counter()
     problem, eps = man.load_optimization(args.manifest)
     if args.epsilon is not None:
         eps = args.epsilon
     load_seconds = time.perf_counter() - timer
-    config, preset = _config(args)
+    config = _config(args)
     captured: dict = {}
 
     def tracking(fp, cfg):
@@ -299,65 +273,32 @@ def _run_optimize(args) -> int:
     timer = time.perf_counter()
     value, final = solver.optimize(problem, eps, config, feasibility=tracking)
     solve_seconds = time.perf_counter() - timer
-    report = _base_report(
-        "optimize",
-        args,
-        problem.n,
-        len(problem.constraints) + 1,
-        eps,
-        config,
-        preset,
-        _budget(config, problem.n, eps),
-        file_sha256(args.manifest),
+    return _finish(
+        args, "optimize", problem.n, len(problem.constraints) + 1, eps, config, final,
+        (load_seconds, solve_seconds),
+        witness_from=captured.get("outcome"),
+        value=value,
+        calls=math.ceil(math.log2(1.0 / eps)),
     )
-    report.value = value
-    report.calls = math.ceil(math.log2(1.0 / eps))
-    report.verdict = final.verdict
-    report.iterations = final.iterations_used
-    report.violations = list(final.violation_log)
-    best = captured.get("outcome")
-    if best is not None:
-        report.witness = rep.dump_witness(
-            best.witness, [j for _, j, _ in best.violation_log]
-        )
-    if args.timings:
-        report.timings = [("load", load_seconds), ("solve", solve_seconds)]
-    _emit(args, report)
-    return 0 if best is not None else 1
 
 
 def _run_oracle(args) -> int:
     from . import manifest as man
     from . import oracle
-    from .store import file_sha256
 
     timer = time.perf_counter()
     problem = _override_eps(man.load_feasibility(args.manifest), args.epsilon)
     load_seconds = time.perf_counter() - timer
-    config, preset = _config(args)
+    config = _config(args)
     timer = time.perf_counter()
     outcome = oracle.dense_mmw(
         problem, t_override=config.t_override, beta_scale=config.beta_scale
     )
     solve_seconds = time.perf_counter() - timer
-    report = _base_report(
-        "oracle",
-        args,
-        problem.n,
-        problem.m,
-        problem.eps,
-        config,
-        preset,
-        _budget(config, problem.n, problem.eps),
-        file_sha256(args.manifest),
+    return _finish(
+        args, "oracle", problem.n, problem.m, problem.eps, config, outcome,
+        (load_seconds, solve_seconds),
     )
-    report.verdict = outcome.verdict
-    report.iterations = outcome.iterations_used
-    report.violations = list(outcome.violation_log)
-    if args.timings:
-        report.timings = [("load", load_seconds), ("solve", solve_seconds)]
-    _emit(args, report)
-    return 0 if outcome.feasible else 1
 
 
 def _run_entry(args) -> int:
@@ -410,11 +351,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SdpSketchError as exc:
+    except (SdpSketchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Exit 1 is reserved for a computed "infeasible" verdict.
+        message = str(exc).replace("\n", " ")
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

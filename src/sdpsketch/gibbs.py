@@ -132,10 +132,9 @@ class GibbsDescription:
 
             return QueryableOperator(
                 n=self.n,
-                entry=lambda i, j: complex(inv_n) if i == j else 0j,
+                bulk_entries=bulk_uniform,
                 fro_bound=1.0 / float(np.sqrt(self.n)),
                 hermitian=True,
-                bulk_entries=bulk_uniform,
             )
 
         def bulk_gibbs(rows, cols):
@@ -146,10 +145,9 @@ class GibbsDescription:
 
         return QueryableOperator(
             n=self.n,
-            entry=self.query,
+            bulk_entries=bulk_gibbs,
             fro_bound=self.frobenius_norm() * (1.0 + _BOUND_SLACK),
             hermitian=True,
-            bulk_entries=bulk_gibbs,
         )
 
 

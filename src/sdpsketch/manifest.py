@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import ManifestError
 from .solver import FeasibilityProblem, OptimizationProblem, shadow_to_feasibility
-from .store import SampledMatrix, file_sha256
+from .store import SampledMatrix, file_sha256, read_text
 
 KINDS = ("feasibility", "optimize", "shadow")
 _SCALARS = ("dimension", "epsilon", "rp", "rd")
@@ -73,59 +73,58 @@ def load_manifest(path: str) -> Manifest:
     cost = None
     effects: list[tuple[str, float]] = []
     hashes: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            key = tokens[0]
-            if kind is None:
-                if key != "kind":
-                    raise ManifestError(f"{path}:{lineno}: first entry must be 'kind', got {key!r}")
-                if len(tokens) != 2 or tokens[1] not in KINDS:
-                    raise ManifestError(
-                        f"{path}:{lineno}: kind must be one of {', '.join(KINDS)}"
-                    )
-                kind = tokens[1]
-                continue
-            if key == "kind":
-                raise ManifestError(f"{path}:{lineno}: duplicate 'kind' entry")
-            elif key in _SCALARS:
-                if len(tokens) != 2:
-                    raise ManifestError(f"{path}:{lineno}: {key} takes exactly one value")
-                if key in scalars:
-                    raise ManifestError(f"{path}:{lineno}: duplicate {key!r} entry")
-                scalars[key] = _parse_float(tokens[1], path, lineno, key)
-            elif key == "constraint":
-                if kind == "shadow":
-                    raise ManifestError(f"{path}:{lineno}: shadow manifests use 'effect' lines")
-                if len(tokens) != 3:
-                    raise ManifestError(f"{path}:{lineno}: constraint takes <path> <bound>")
-                constraints.append((tokens[1], _parse_float(tokens[2], path, lineno, "bound")))
-            elif key == "cost":
-                if kind != "optimize":
-                    raise ManifestError(f"{path}:{lineno}: 'cost' only belongs in optimize manifests")
-                if cost is not None:
-                    raise ManifestError(f"{path}:{lineno}: duplicate 'cost' entry")
-                if len(tokens) != 2:
-                    raise ManifestError(f"{path}:{lineno}: cost takes exactly one path")
-                cost = tokens[1]
-            elif key == "effect":
-                if kind != "shadow":
-                    raise ManifestError(f"{path}:{lineno}: 'effect' only belongs in shadow manifests")
-                if len(tokens) != 3:
-                    raise ManifestError(f"{path}:{lineno}: effect takes <path> <value>")
-                value = _parse_float(tokens[2], path, lineno, "effect value")
-                if not -1.0 <= value <= 1.0:
-                    raise ManifestError(f"{path}:{lineno}: effect value outside [-1, 1]: {value}")
-                effects.append((tokens[1], value))
-            elif key == "sha256":
-                if len(tokens) != 3:
-                    raise ManifestError(f"{path}:{lineno}: sha256 takes <path> <digest>")
-                hashes[tokens[1]] = tokens[2].lower()
-            else:
-                raise ManifestError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        key = tokens[0]
+        if kind is None:
+            if key != "kind":
+                raise ManifestError(f"{path}:{lineno}: first entry must be 'kind', got {key!r}")
+            if len(tokens) != 2 or tokens[1] not in KINDS:
+                raise ManifestError(
+                    f"{path}:{lineno}: kind must be one of {', '.join(KINDS)}"
+                )
+            kind = tokens[1]
+            continue
+        if key == "kind":
+            raise ManifestError(f"{path}:{lineno}: duplicate 'kind' entry")
+        elif key in _SCALARS:
+            if len(tokens) != 2:
+                raise ManifestError(f"{path}:{lineno}: {key} takes exactly one value")
+            if key in scalars:
+                raise ManifestError(f"{path}:{lineno}: duplicate {key!r} entry")
+            scalars[key] = _parse_float(tokens[1], path, lineno, key)
+        elif key == "constraint":
+            if kind == "shadow":
+                raise ManifestError(f"{path}:{lineno}: shadow manifests use 'effect' lines")
+            if len(tokens) != 3:
+                raise ManifestError(f"{path}:{lineno}: constraint takes <path> <bound>")
+            constraints.append((tokens[1], _parse_float(tokens[2], path, lineno, "bound")))
+        elif key == "cost":
+            if kind != "optimize":
+                raise ManifestError(f"{path}:{lineno}: 'cost' only belongs in optimize manifests")
+            if cost is not None:
+                raise ManifestError(f"{path}:{lineno}: duplicate 'cost' entry")
+            if len(tokens) != 2:
+                raise ManifestError(f"{path}:{lineno}: cost takes exactly one path")
+            cost = tokens[1]
+        elif key == "effect":
+            if kind != "shadow":
+                raise ManifestError(f"{path}:{lineno}: 'effect' only belongs in shadow manifests")
+            if len(tokens) != 3:
+                raise ManifestError(f"{path}:{lineno}: effect takes <path> <value>")
+            value = _parse_float(tokens[2], path, lineno, "effect value")
+            if not -1.0 <= value <= 1.0:
+                raise ManifestError(f"{path}:{lineno}: effect value outside [-1, 1]: {value}")
+            effects.append((tokens[1], value))
+        elif key == "sha256":
+            if len(tokens) != 3:
+                raise ManifestError(f"{path}:{lineno}: sha256 takes <path> <digest>")
+            hashes[tokens[1]] = tokens[2].lower()
+        else:
+            raise ManifestError(f"{path}:{lineno}: unknown key {key!r}")
     if kind is None:
         raise ManifestError(f"{path}: empty manifest")
     for required in ("dimension", "epsilon"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EmptySketch, InternalError, ShapeError, ZeroMassError
+from .errors import ConfigError, EmptySketch, InternalError, ShapeError, ZeroMassError
 from .store import NegatedView, SumTree
 
 
@@ -88,13 +88,6 @@ class SketchParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
     @classmethod
-    def worstcase(cls, tau: int, rank: int, eps: float) -> "SketchParams":
-        """Worst-case analysis preset (astronomical p; kept for reference)."""
-        p = math.ceil(2e20 * tau**12 * rank**19 / eps**6)
-        gamma = eps**2 / (3e6 * tau**2 * rank**6)
-        return cls(p=p, gamma=gamma)
-
-    @classmethod
     def scaled(cls, tau: int, rank: int, eps: float) -> "SketchParams":
         """Desk-scale preset with the same shape in tau, rank, eps."""
         p = math.ceil(50 * tau**2 * rank**2 / eps**2)
@@ -158,7 +151,7 @@ class BasisSketch:
     """Succinct description of approximate singular columns.
 
     A column k is V(:, k) = S^dagger u_k / sigma_k for the implicit
-    rescaled row sketch S; entries are reconstructed from the stores on
+    rescaled row sketch S; rows are reconstructed from the stores on
     demand at O(p tau) cost each.  The n-by-r_tilde matrix itself is
     never stored, and rows off `support()` are exactly zero.
     """
@@ -180,20 +173,13 @@ class BasisSketch:
             )
         if np.any(self.row_probs <= 0.0):
             raise InternalError("sampled row probabilities must be positive")
-        # 1 / sqrt(p P_i) row rescaling, shared by every entry query.
+        # 1 / sqrt(p P_i) row rescaling, shared by every row query.
         self._scale = 1.0 / np.sqrt(self.p * self.row_probs)
         self._support = None
 
     @property
     def n(self) -> int:
         return self.ms.n
-
-    def _conj_sum_row(self, i: int) -> np.ndarray:
-        """conj(A(i_s, i)) over sampled rows s, via Hermitian mirror rows."""
-        acc = np.zeros(self.p, dtype=np.complex128)
-        for s in self.ms.summands:
-            acc += s.row_gather(i, self.rows)
-        return acc
 
     def support(self) -> np.ndarray:
         """Sorted indices of the basis rows that can be nonzero.
@@ -221,17 +207,12 @@ class BasisSketch:
         """All r_tilde basis entries V(i, :) in one pass over the samples."""
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} outside [0, {self.n})")
-        weights = self._conj_sum_row(i) * self._scale
+        # conj(A(i_s, i)) over sampled rows s, via Hermitian mirror rows.
+        acc = np.zeros(self.p, dtype=np.complex128)
+        for s in self.ms.summands:
+            acc += s.row_gather(i, self.rows)
+        weights = acc * self._scale
         return (weights @ self.left_vectors) / self.singular_values
-
-    def entry(self, i: int, k: int) -> complex:
-        """Single basis entry V(i, k)."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} outside [0, {self.n})")
-        if not 0 <= k < self.r_tilde:
-            raise IndexError(f"column {k} outside [0, {self.r_tilde})")
-        weights = self._conj_sum_row(i) * self._scale
-        return complex((weights @ self.left_vectors[:, k]) / self.singular_values[k])
 
     def rows_dense(self, indices) -> np.ndarray:
         """Stack of basis rows for the given indices (len(indices), r_tilde)."""
@@ -247,9 +228,15 @@ def build_sketch(
     """Sample, rescale, decompose, and filter; return the surviving basis.
 
     Only entries of each summand at sampled (row, column) positions are
-    read.  Raises EmptySketch when the filter removes every direction.
+    read.  Raises EmptySketch when the filter removes every direction,
+    and ConfigError, before any p-by-p array exists, when p exceeds the
+    dense size cap.
     """
     p = params.p
+    if p > linalg.MAX_DENSE_DIM:
+        raise ConfigError(
+            f"sketch size p={p} exceeds the dense size cap {linalg.MAX_DENSE_DIM}"
+        )
     rows, row_probs = sample_rows(ms, p, rng)
     cols = sample_cols(ms, rows, p, rng)
 

@@ -84,27 +84,29 @@ class OptimizationProblem:
         return self.cost.n
 
 
+# Per-entry precision of the compressed-matrix estimate, scaled by
+# r_tilde tau into its Frobenius budget.  The worst-case total-error
+# schedule, eps / (400 r^2 r_tilde tau), is far too expensive at desk scale.
+VAV_ENTRY_PRECISION = 0.05
+
+
 @dataclass
 class SolverConfig:
     """Knobs for one feasibility run.
 
     eps_est and margin default to eps/4 and eps/2 and must satisfy
     eps_est + margin < eps, so a round that passes every check leaves
-    true traces strictly inside the eps slack.  vav_entry_precision is
-    the per-entry budget for the compressed-matrix estimate; the
-    worst-case total-error schedule is available by setting it to
-    eps / (400 r^2 r_tilde tau) but is far too expensive at desk scale.
+    true traces strictly inside the eps slack.  sketch=None takes
+    SketchParams.scaled for each round's summand count.
     """
 
     seed: int = 0
     t_override: Optional[int] = None
-    sketch: object = "scaled"
+    sketch: Optional[SketchParams] = None
     delta_total: float = 1.0 / 6.0
     eps_est: Optional[float] = None
     margin: Optional[float] = None
     beta_scale: float = 0.25
-    vav_entry_precision: float = 0.05
-    vav_delta: Optional[float] = None
 
     def resolved(self, eps: float) -> tuple[float, float]:
         eps_est = eps / 4.0 if self.eps_est is None else self.eps_est
@@ -119,20 +121,20 @@ class SolverConfig:
             raise ConfigError(f"delta_total must lie in (0, 1), got {self.delta_total}")
         if self.beta_scale <= 0:
             raise ConfigError(f"beta_scale must be positive, got {self.beta_scale}")
-        if self.vav_entry_precision <= 0:
-            raise ConfigError("vav_entry_precision must be positive")
         if self.t_override is not None and self.t_override < 1:
             raise ConfigError(f"t_override must be positive, got {self.t_override}")
         return eps_est, margin
 
+    def round_budget(self, n: int, eps: float) -> int:
+        """t_override when set, else the regret-analysis budget."""
+        if self.t_override is not None:
+            return self.t_override
+        return default_round_budget(n, eps)
+
     def sketch_params(self, tau: int, rank: int, eps: float) -> SketchParams:
-        if isinstance(self.sketch, SketchParams):
+        if self.sketch is not None:
             return self.sketch
-        if self.sketch == "scaled":
-            return SketchParams.scaled(tau, rank, eps)
-        if self.sketch == "worstcase":
-            return SketchParams.worstcase(tau, rank, eps)
-        raise ConfigError(f"unknown sketch preset {self.sketch!r}")
+        return SketchParams.scaled(tau, rank, eps)
 
 
 @dataclass
@@ -171,10 +173,13 @@ def _rebuild_candidate(
         )
     except EmptySketch:
         return GibbsDescription.uniform(problem.n)
-    eps_s = config.vav_entry_precision * basis.r_tilde * ms.tau
-    delta = config.delta_total if config.vav_delta is None else config.vav_delta
+    eps_s = VAV_ENTRY_PRECISION * basis.r_tilde * ms.tau
     core = estimate_vav(
-        basis, ms, eps_s, delta, rngmod.substream(config.seed, rngmod.CORE, round_index)
+        basis,
+        ms,
+        eps_s,
+        config.delta_total,
+        rngmod.substream(config.seed, rngmod.CORE, round_index),
     )
     surrogate = decompose(core, basis=basis)
     return make_gibbs(basis, surrogate, config.beta_scale * problem.eps)
@@ -185,16 +190,13 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
 
     Constraints are scanned in index order and the first estimate beyond
     bound + margin triggers the update; a full clean scan returns the
-    current candidate as witness.  All randomness derives from
-    config.seed through keyed substreams, so outcomes are reproducible
-    regardless of scheduling.
+    current candidate as witness.  A violation in the last round ends
+    the run infeasible, so no candidate is built after it.  All
+    randomness derives from config.seed through keyed substreams, so
+    outcomes are reproducible regardless of scheduling.
     """
     eps_est, margin = config.resolved(problem.eps)
-    rounds = (
-        config.t_override
-        if config.t_override is not None
-        else default_round_budget(problem.n, problem.eps)
-    )
+    rounds = config.round_budget(problem.n, problem.eps)
     delta_call = config.delta_total / (rounds * problem.m)
     candidate = GibbsDescription.uniform(problem.n)
     violations: list[tuple[int, int, float]] = []
@@ -222,7 +224,8 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
         j, zeta = hit
         violations.append((t, j, zeta))
         chosen.append(j)
-        candidate = _rebuild_candidate(problem, config, chosen, t)
+        if t < rounds:
+            candidate = _rebuild_candidate(problem, config, chosen, t)
     return FeasibilityOutcome(
         verdict="infeasible",
         witness=None,

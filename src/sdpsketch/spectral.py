@@ -95,12 +95,9 @@ def estimate_vav(
 
         oracle = QueryableOperator(
             n=v.n,
-            entry=lambda a, b, _i=i, _j=j: complex(
-                dense_cols[a, _j] * np.conj(dense_cols[b, _i])
-            ),
+            bulk_entries=bulk,
             fro_bound=float(col_norms[j] * col_norms[i]),
             hermitian=(i == j),
-            bulk_entries=bulk,
         )
         total = 0j
         for summand in ms.summands:

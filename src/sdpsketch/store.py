@@ -72,9 +72,6 @@ class SumTree:
         self.touches += 1
         return float(self.nodes[self.capacity + i])
 
-    def leaf_weights(self) -> np.ndarray:
-        return self.nodes[self.capacity : self.capacity + self.size]
-
     def rebuild(self) -> None:
         """Recompute every internal node from the leaf layer, level by level."""
         nodes = self.nodes
@@ -116,9 +113,6 @@ class SumTree:
         err = np.abs(nodes[1:cap] - expect)
         rel = np.where(err > 0.0, err / np.maximum(np.abs(expect), 1.0), 0.0)
         return float(rel.max(initial=0.0))
-
-    def depth(self) -> int:
-        return self.capacity.bit_length() - 1
 
 
 class _Row:
@@ -464,9 +458,6 @@ class SampledMatrix:
                 worst = max(worst, err / max(abs(row.tree.nodes[1]), 1.0))
         return worst
 
-    def tree_depth(self) -> int:
-        return self._norm_tree.depth()
-
     @property
     def nnz(self) -> int:
         return sum(row.cols.shape[0] for row in self._rows.values())
@@ -494,8 +485,7 @@ class SampledMatrix:
         Every malformed line raises `ManifestError` (or `HermiticityError`
         for an imaginary diagonal) naming ``path:line``.
         """
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
+        raw = read_text(path)
         header = None
         entries = []
         lines = []
@@ -620,3 +610,20 @@ def file_sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def read_text(path: str) -> str:
+    """A text file decoded as UTF-8, line ends read as text mode reads them.
+
+    Invalid bytes raise `ManifestError` naming ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(
+            f"{path}:{line}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,59 +19,45 @@ from .errors import ShapeError, ZeroMassError
 
 # Samples per vectorized block; fixed so results do not depend on memory.
 _CHUNK = 1 << 18
+# Median/mean schedule: ceil(18 ln(1/delta)) batches of
+# ceil(6 ||A||_F^2 ||B||_F^2 / eps^2) samples each.
+_COUNT_SCALE = 18.0
+_SIZE_SCALE = 6.0
 
 
 @dataclass(frozen=True)
 class QueryableOperator:
     """Entry-oracle view of a matrix for the B side of Tr[A B].
 
-    `fro_bound` must dominate the true Frobenius norm.  `bulk_entries`,
-    when given, evaluates entry arrays in one call and must agree with
-    `entry` pointwise.  `hermitian` enables the real-result fast path.
+    `bulk_entries(rows, cols)` returns the entries at paired index arrays
+    in one call.  `fro_bound` must dominate the true Frobenius norm.
+    `hermitian` enables the real-result fast path.
     """
 
     n: int
-    entry: Callable[[int, int], complex]
+    bulk_entries: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fro_bound: float
     hermitian: bool = False
-    bulk_entries: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if self.bulk_entries is not None:
-            return np.asarray(self.bulk_entries(rows, cols), dtype=np.complex128)
-        return np.array(
-            [self.entry(int(i), int(j)) for i, j in zip(rows, cols)],
-            dtype=np.complex128,
-        )
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Additive error target and failure probability for one estimate.
-
-    `count_scale` and `size_scale` are the derivation constants for the
-    median/mean schedule; the defaults give ceil(18 ln(1/delta)) batches
-    of ceil(6 ||A||_F^2 ||B||_F^2 / eps^2) samples.
-    """
+    """Additive error target and failure probability for one estimate."""
 
     eps: float
     delta: float
-    count_scale: float = 18.0
-    size_scale: float = 6.0
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.count_scale <= 0 or self.size_scale <= 0:
-            raise ValueError("derivation constants must be positive")
 
     def batch_count(self) -> int:
-        return max(1, math.ceil(self.count_scale * math.log(1.0 / self.delta)))
+        return max(1, math.ceil(_COUNT_SCALE * math.log(1.0 / self.delta)))
 
     def batch_size(self, a_fro_sq: float, b_fro_sq: float) -> int:
-        return max(1, math.ceil(self.size_scale * a_fro_sq * b_fro_sq / self.eps**2))
+        return max(1, math.ceil(_SIZE_SCALE * a_fro_sq * b_fro_sq / self.eps**2))
 
 
 def estimate_trace_product(
@@ -104,7 +90,7 @@ def estimate_trace_product(
         while done < size:
             step = min(_CHUNK, size - done)
             rows, cols, vals = a.sample_entries(step, child)
-            bvals = b.evaluate(cols, rows)
+            bvals = b.bulk_entries(cols, rows)
             acc += complex((bvals * (a_fro_sq / np.conj(vals))).sum())
             done += step
         means[batch] = acc / size

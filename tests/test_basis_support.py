@@ -145,10 +145,9 @@ def all_rows_vav(v, ms, eps_s, delta, rng):
     for i, j in pairs:
         oracle = QueryableOperator(
             n=v.n,
-            entry=None,
+            bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
             fro_bound=float(col_norms[j] * col_norms[i]),
             hermitian=(i == j),
-            bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
         )
         total = 0j
         for summand in ms.summands:

@@ -263,10 +263,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "body, line",
         [
-            ("n 4 rank 1\n1 1 1 0\n3 5 1 0\n", 3),
-            ("n 4 rank 1\n1 1 1 0\n2 3 1 0\n1 1 2 0\n", 4),
+            (b"n 4 rank 1\n1 1 1 0\n3 5 1 0\n", 3),
+            (b"n 4 rank 1\n1 1 1 0\n2 3 1 0\n1 1 2 0\n", 4),
+            (b"n 4 rank 1\n1 1 1 0 # caf\xc3\xa9\n2 3 1 0 # \xff\n", 3),
         ],
-        ids=["index_past_n", "duplicate_entry"],
+        ids=["index_past_n", "duplicate_entry", "invalid_utf8"],
     )
     def test_malformed_matrix_file(self, tmp_path, capsys, body, line):
         man = tmp_path / "m.man"
@@ -274,11 +275,71 @@ class TestErrorPaths:
             str(man), [random_low_rank(4, 1, substream(156, 1))], [1.5], 0.25,
             with_hashes=False,
         )
-        (tmp_path / "constraint_0.mat").write_text(body)
+        (tmp_path / "constraint_0.mat").write_bytes(body)
         code, _ = run_cli(["feastest", str(man), *FAST])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'constraint_0.mat'}:{line}: ")
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--p", "0", "--gamma", "1e-6"], "--p"), (["--p", "10", "--gamma", "-1"], "--gamma")],
+        ids=["p_zero", "gamma_negative"],
+    )
+    def test_bad_sketch_flag_names_the_flag(self, work, capsys, flags, named):
+        code, text = run_cli(["feastest", work["slack"], *flags])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"error: {named} must be positive")
+
+    def test_p_above_dense_cap_exits_two(self, work, capsys, monkeypatch):
+        from sdpsketch import linalg
+
+        # Lowered so that a missing check costs megabytes, not gigabytes.
+        monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 100)
+        code, _ = run_cli(
+            ["feastest", work["bad"], "--p", "101", "--gamma", "1e-8",
+             "--max-iters", "2", "--seed", "3"]
+        )
+        assert code == 2
+        assert "exceeds the dense size cap 100" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_two(self, work, capsys, monkeypatch):
+        from sdpsketch import solver
+
+        def broken(problem, config):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(solver, "test_feasibility", broken)
+        code, text = run_cli(["feastest", work["slack"], *FAST])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "error: internal: RuntimeError: first line second line\n"
+
+    def test_utf8_comments_load(self, tmp_path):
+        mat = random_low_rank(4, 1, substream(156, 1))
+        man = tmp_path / "u.man"
+        write_feasibility_manifest(str(man), [mat], [1.5], 0.25, with_hashes=False)
+        path = tmp_path / "constraint_0.mat"
+        path.write_text("# résumé\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        man.write_text("# Größe ✓\n" + man.read_text(encoding="utf-8"), encoding="utf-8")
+        code, text = run_cli(["feastest", str(man), *FAST])
+        assert code == 0
+        assert parse(text).verdict == "feasible"
+
+    def test_invalid_utf8_in_manifest_names_line(self, tmp_path, capsys):
+        man = tmp_path / "m.man"
+        write_feasibility_manifest(
+            str(man), [random_low_rank(4, 1, substream(156, 1))], [1.5], 0.25,
+            with_hashes=False,
+        )
+        lines = man.read_bytes().split(b"\n")
+        lines[2] += b" # \xff"
+        man.write_bytes(b"\n".join(lines))
+        code, _ = run_cli(["feastest", str(man), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {man}:3: ")
 
     def test_console_script_is_installed(self, work, tmp_path, src_env):
         """The `sdpsketch` script that pyproject.toml declares runs `feastest`.
@@ -310,3 +371,25 @@ class TestErrorPaths:
             s = subprocess.run([installed, *argv], capture_output=True)
             assert s.returncode == 0, s.stderr.decode()
             assert s.stdout == r.stdout, f"{installed} differs from the checkout"
+
+
+class TestScripts:
+    """The experiment scripts run end to end on small inputs."""
+
+    @pytest.mark.parametrize(
+        "script, args",
+        [
+            ("planted_demo.py", ["--n", "12", "--m", "2", "--rounds", "2", "--p", "100"]),
+            ("sketch_quality.py", ["--n", "16", "--grid", "50", "--trials", "1"]),
+        ],
+    )
+    def test_script_runs(self, script, args, src_env, tmp_path):
+        r = subprocess.run(
+            [sys.executable, str(CHECKOUT / "scripts" / script), *args],
+            capture_output=True,
+            text=True,
+            env=src_env,
+            cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout

@@ -89,11 +89,6 @@ class TestSketchParams:
         assert sp.gamma == 0.25 / 480.0
         assert SketchParams.scaled(tau=1, rank=1, eps=0.5).p == 200
 
-    def test_worstcase_preset_is_astronomical(self):
-        sp = SketchParams.worstcase(tau=1, rank=1, eps=0.5)
-        assert sp.p > 1e21
-        assert sp.gamma == 0.25 / 3e6
-
     def test_presets_shrink_gamma_with_accuracy(self):
         loose = SketchParams.scaled(tau=1, rank=2, eps=0.5)
         tight = SketchParams.scaled(tau=1, rank=2, eps=0.1)
@@ -107,6 +102,29 @@ class TestSketchParams:
             SketchParams(p=10, gamma=0.0)
         with pytest.raises(ValueError):
             SketchParams(p=10, gamma=-1.0)
+
+
+class TestDenseCap:
+    def test_p_above_cap_rejected_before_allocation(self, monkeypatch):
+        import tracemalloc
+
+        from sdpsketch import linalg
+        from sdpsketch.errors import ConfigError
+
+        # A lowered cap keeps a regression cheap: p = 800 would allocate
+        # about 40 p^2 = 25.6 MB of p-by-p arrays before the SVD rejects it.
+        monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 799)
+        ms = MatrixSum([random_low_rank(8, 2, substream(29, 1))], rank=2)
+        params = SketchParams.scaled(tau=1, rank=2, eps=0.5)
+        assert params.p == 800
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="dense size cap 799"):
+                build_sketch(ms, params, substream(29, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRowSampling:
@@ -279,7 +297,7 @@ class TestBuildSketch:
         assert db.shape == (12, v.r_tilde)
         for i in range(12):
             assert np.allclose(v.row(i), db[i], atol=1e-10)
-        assert v.entry(3, 0) == pytest.approx(complex(db[3, 0]), abs=1e-10)
+        assert v.row(3)[0] == pytest.approx(complex(db[3, 0]), abs=1e-10)
         assert np.allclose(v.rows_dense([2, 7, 7]), db[[2, 7, 7]], atol=1e-10)
 
     def test_row_and_entry_bounds(self):
@@ -287,7 +305,9 @@ class TestBuildSketch:
         with pytest.raises(IndexError):
             v.row(8)
         with pytest.raises(IndexError):
-            v.entry(0, v.r_tilde)
+            v.row(-1)
+        with pytest.raises(IndexError):
+            v.row(0)[v.r_tilde]
 
     def test_left_vectors_orthonormal(self):
         _, v = self.make(n=16, p=80, seed=28)

@@ -89,17 +89,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(beta_scale=0.0).resolved(0.2)
         with pytest.raises(ConfigError):
-            SolverConfig(vav_entry_precision=0.0).resolved(0.2)
-        with pytest.raises(ConfigError):
             SolverConfig(t_override=0).resolved(0.2)
 
     def test_sketch_dispatch(self):
         explicit = SketchParams(p=33, gamma=0.5)
         assert SolverConfig(sketch=explicit).sketch_params(2, 2, 0.5) is explicit
-        assert SolverConfig(sketch="scaled").sketch_params(2, 2, 0.5).p == 3200
-        assert SolverConfig(sketch="worstcase").sketch_params(1, 1, 0.5).p > 1e21
-        with pytest.raises(ConfigError):
-            SolverConfig(sketch="fancy").sketch_params(1, 1, 0.5)
+        assert SolverConfig().sketch_params(2, 2, 0.5) == SketchParams.scaled(2, 2, 0.5)
+        assert SolverConfig().sketch_params(2, 2, 0.5).p == 3200
 
 
 class TestTrivialVerdicts:
@@ -180,6 +176,26 @@ class TestUpdateLoop:
         out = run_feasibility(problem, cfg)
         assert not out.feasible
         assert out.iterations_used == 3
+
+    def test_no_candidate_built_after_last_violation(self, monkeypatch):
+        from sdpsketch import solver
+
+        calls = []
+        real = solver.build_sketch
+
+        def counting(ms, params, rng):
+            calls.append(ms.tau)
+            return real(ms, params, rng)
+
+        monkeypatch.setattr(solver, "build_sketch", counting)
+        problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
+        cfg = SolverConfig(seed=1, t_override=3,
+                           sketch=SketchParams(p=150, gamma=1e-8))
+        out = run_feasibility(problem, cfg)
+        assert out.verdict == "infeasible"
+        assert len(out.violation_log) == 3
+        # One rebuild per violation except the last, whose candidate is never used.
+        assert calls == [1, 2]
 
     def test_runs_are_reproducible(self):
         problem, _ = planted_one_update(16, eps=0.25, rng=substream(89, 1))

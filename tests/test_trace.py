@@ -22,10 +22,9 @@ def hermitian_store(n: int, key: int) -> SampledMatrix:
 def operator_from_dense(arr: np.ndarray, hermitian: bool = False) -> QueryableOperator:
     return QueryableOperator(
         n=arr.shape[0],
-        entry=lambda i, j: complex(arr[i, j]),
+        bulk_entries=lambda rows, cols: arr[rows, cols],
         fro_bound=float(np.linalg.norm(arr)),
         hermitian=hermitian,
-        bulk_entries=lambda rows, cols: arr[rows, cols],
     )
 
 
