@@ -117,12 +117,18 @@ def _config(args):
 
     if (args.p is None) != (args.gamma is None):
         raise ConfigError("--p and --gamma must be given together")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if not 0 < args.beta_scale < math.inf:
+        raise ConfigError(
+            f"--beta-scale must be positive and finite, got {args.beta_scale}"
+        )
     sketch = None
     if args.p is not None:
         if args.p < 1:
             raise ConfigError(f"--p must be positive, got {args.p}")
-        if not args.gamma > 0:
-            raise ConfigError(f"--gamma must be positive, got {args.gamma}")
+        if not 0 < args.gamma < math.inf:
+            raise ConfigError(f"--gamma must be positive and finite, got {args.gamma}")
         sketch = SketchParams(p=args.p, gamma=args.gamma)
     return SolverConfig(
         seed=args.seed,

@@ -171,10 +171,11 @@ def estimate_constraint_trace(
 ) -> float:
     """Estimate Tr[A rho] for the candidate rho to additive eps.
 
-    The Monte-Carlo budget targets eps / 5; the remainder of the error
-    allowance covers the gap between the candidate and the ideal Gibbs
-    state it approximates.  Both operands are Hermitian, so the estimate
-    is real.
+    The trace estimator's budget targets eps / 5 (a store no larger than
+    its sampling plan is summed exactly, with no error); the remainder of
+    the error allowance covers the gap between the candidate and the
+    ideal Gibbs state it approximates.  Both operands are Hermitian, so
+    the estimate is real.
     """
     cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
     zeta = estimate_trace_product(a, g.operator(), cfg, rng)

@@ -84,8 +84,8 @@ class SketchParams:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
     @classmethod
     def scaled(cls, tau: int, rank: int, eps: float) -> "SketchParams":

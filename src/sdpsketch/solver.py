@@ -119,8 +119,12 @@ class SolverConfig:
             )
         if not 0 < self.delta_total < 1:
             raise ConfigError(f"delta_total must lie in (0, 1), got {self.delta_total}")
-        if self.beta_scale <= 0:
-            raise ConfigError(f"beta_scale must be positive, got {self.beta_scale}")
+        if not 0 < self.beta_scale < math.inf:
+            raise ConfigError(
+                f"beta_scale must be positive and finite, got {self.beta_scale}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.t_override is not None and self.t_override < 1:
             raise ConfigError(f"t_override must be positive, got {self.t_override}")
         return eps_est, margin

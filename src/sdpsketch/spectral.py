@@ -1,9 +1,11 @@
 """Eigenstructure of the constraint sum compressed into the sketched basis.
 
 Each entry of the compressed matrix is a trace against a rank-one outer
-product of basis columns and is estimated summand by summand through the
-randomized trace estimator; only the upper triangle is estimated and the
-mirror is filled by conjugation before an exact eigendecomposition.
+product of basis columns and is computed summand by summand through the
+trace estimator, which sums a summand exactly when it stores no more
+entries than its sampling plan would draw and samples it otherwise; only
+the upper triangle is computed and the mirror is filled by conjugation
+before an exact eigendecomposition.
 Working with the compressed matrix directly, rather than squaring through
 a singular-value route, preserves eigenvalue signs.
 """
@@ -64,8 +66,9 @@ def estimate_vav(
     the summed constraint A.  The budget is split as in the error
     analysis: each of the tau summand contributions to each entry is
     estimated to eps_s / (r_tilde tau) with failure probability
-    2 delta / (tau (r_tilde^2 + r_tilde)).  Cost grows with
-    (r_tilde tau / eps_s)^2, so callers at desk scale pass a per-entry
+    2 delta / (tau (r_tilde^2 + r_tilde)).  Cost per contribution grows
+    with (r_tilde tau / eps_s)^2 up to the summand's stored-entry count,
+    where it is summed exactly, so callers at desk scale pass a per-entry
     budget scaled up accordingly.  Only the basis rows in `v.support()`
     are filled; the rest are exactly zero, so the fill costs
     O(|support| p tau), independent of n.

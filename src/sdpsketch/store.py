@@ -15,7 +15,8 @@ The result equals ``searchsorted(cum, u, side="right")`` exactly for every
 uniform ``u``.  The step count is fixed per table by the most crowded
 bucket, not by the table's size: two or three steps on dense random
 tables, five on a 32-by-32 rank-one projector, whose many small entries
-share a few buckets.
+share a few buckets.  `entries` exposes the same flat table for query
+access to every stored entry.
 
 Input data lists one triangle only; the store mirrors the conjugate so the
 matrix is Hermitian by construction.  Indices are 0-based in this API; the
@@ -331,6 +332,14 @@ class SampledMatrix:
             self._flat = (r, c, v, cum)
         return self._flat
 
+    def entries(self):
+        """Row indices, column indices and values of every stored entry.
+
+        Views of the cached flat table, in row-major order; do not mutate.
+        """
+        r, c, v, _ = self._flat_table()
+        return r, c, v
+
     def _guide_table(self):
         """Bucket-to-index guide over the flat table's cumulative masses.
 
@@ -460,7 +469,7 @@ class SampledMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(row.cols.shape[0] for row in self._rows.values())
+        return int(self._flat_table()[0].shape[0])
 
     # -- text format ---------------------------------------------------
 
@@ -573,6 +582,10 @@ class NegatedView:
     def query(self, i: int, j: int) -> complex:
         return -self.base.query(i, j)
 
+    @property
+    def nnz(self) -> int:
+        return self.base.nnz
+
     def row_norm(self, i: int) -> float:
         return self.base.row_norm(i)
 
@@ -591,6 +604,10 @@ class NegatedView:
 
     def row_gather(self, i: int, cols: np.ndarray) -> np.ndarray:
         return -self.base.row_gather(i, cols)
+
+    def entries(self):
+        r, c, v = self.base.entries()
+        return r, c, -v
 
     def sample_row(self, rng: np.random.Generator) -> int:
         return self.base.sample_row(rng)

@@ -1,4 +1,4 @@
-"""Randomized estimation of Tr[A B] from sampling access to A.
+"""Estimation of Tr[A B] from sample-and-query access to A.
 
 One sample draws a position (i, j) of A with probability
 |A(i, j)|^2 / ||A||_F^2 and evaluates B(j, i) ||A||_F^2 / conj(A(i, j)),
@@ -6,6 +6,11 @@ which is unbiased for Tr[A B] with variance at most ||A||_F^2 ||B||_F^2.
 Samples are averaged within batches sized by Chebyshev and the batch means
 are combined by a coordinate-wise median (real and imaginary parts
 separately) to reach the requested failure probability.
+
+When A stores no more entries than that plan would draw, the estimate is
+instead the exact sum of A(i, j) B(j, i) over the stored entries: one
+B-query per entry, zero error, and never more queries than sampling, so
+the cost of one call is min(nnz(A), planned draws).
 """
 from __future__ import annotations
 
@@ -69,9 +74,11 @@ def estimate_trace_product(
     """Estimate Tr[A B] to within cfg.eps with probability 1 - cfg.delta.
 
     `a` is a sampling store (SampledMatrix or a view of one); `b` is an
-    entry oracle with a declared norm bound.  Batches use independent
-    child streams of `rng`, so the result is a fixed function of the seed
-    regardless of evaluation order.
+    entry oracle with a declared norm bound.  A store with at most as
+    many entries as the sampling plan draws is summed exactly, and `rng`
+    goes unused; otherwise batches use independent child streams of
+    `rng`, so the result is a fixed function of the seed regardless of
+    evaluation order.
     """
     if a.n != b.n:
         raise ShapeError(f"operand dimensions differ: {a.n} vs {b.n}")
@@ -80,6 +87,29 @@ def estimate_trace_product(
         return 0j
     if b.fro_bound == 0.0:
         raise ZeroMassError("B declares zero Frobenius norm but A has mass")
+    planned = cfg.batch_count() * cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
+    if a.nnz <= planned:
+        rows, cols, vals = a.entries()
+        result = complex((vals * b.bulk_entries(cols, rows)).sum())
+    else:
+        result = _sampled_trace_product(a, b, cfg, rng)
+    if getattr(a, "hermitian", False) and b.hermitian:
+        result = complex(result.real, 0.0)
+    return result
+
+
+def _sampled_trace_product(
+    a,
+    b: QueryableOperator,
+    cfg: EstimatorConfig,
+    rng: np.random.Generator,
+) -> complex:
+    """Median of batch means of the one-sample estimator of Tr[A B].
+
+    Assumes A has mass and B a nonzero norm bound.  Returns the complex
+    median; the Hermitian real-part rule is the caller's.
+    """
+    a_fro = a.frobenius_norm()
     a_fro_sq = a_fro * a_fro
     count = cfg.batch_count()
     size = cfg.batch_size(a_fro_sq, b.fro_bound**2)
@@ -94,7 +124,4 @@ def estimate_trace_product(
             acc += complex((bvals * (a_fro_sq / np.conj(vals))).sum())
             done += step
         means[batch] = acc / size
-    result = complex(np.median(means.real), np.median(means.imag))
-    if getattr(a, "hermitian", False) and b.hermitian:
-        result = complex(result.real, 0.0)
-    return result
+    return complex(np.median(means.real), np.median(means.imag))

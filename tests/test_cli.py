@@ -3,6 +3,7 @@
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,24 @@ class TestErrorPaths:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith(f"error: {named} must be positive")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "--seed must be nonnegative, got -1"),
+            (["--beta-scale", "inf"], "--beta-scale must be positive and finite, got inf"),
+            (["--beta-scale", "nan"], "--beta-scale must be positive and finite, got nan"),
+            (["--p", "10", "--gamma", "inf"], "--gamma must be positive and finite, got inf"),
+        ],
+        ids=["seed_negative", "beta_scale_inf", "beta_scale_nan", "gamma_inf"],
+    )
+    def test_bad_flag_value_names_the_flag(self, work, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(["feastest", work["slack"], *flags])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_p_above_dense_cap_exits_two(self, work, capsys, monkeypatch):
         from sdpsketch import linalg

@@ -1,5 +1,7 @@
 """Row-sampled sketching: mixture laws, the rescaled core, and filtering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,11 @@ class TestSketchParams:
             SketchParams(p=10, gamma=0.0)
         with pytest.raises(ValueError):
             SketchParams(p=10, gamma=-1.0)
+
+    def test_gamma_must_be_finite(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                SketchParams(p=10, gamma=bad)
 
 
 class TestDenseCap:

@@ -1,5 +1,7 @@
 """Feasibility loop: configuration, verdicts, updates, and the outer search."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,13 @@ class TestSolverConfig:
             SolverConfig(beta_scale=0.0).resolved(0.2)
         with pytest.raises(ConfigError):
             SolverConfig(t_override=0).resolved(0.2)
+
+    def test_nonfinite_scale_and_negative_seed(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="beta_scale"):
+                SolverConfig(beta_scale=bad).resolved(0.2)
+        with pytest.raises(ConfigError, match="seed"):
+            SolverConfig(seed=-1).resolved(0.2)
 
     def test_sketch_dispatch(self):
         explicit = SketchParams(p=33, gamma=0.5)

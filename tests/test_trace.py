@@ -6,9 +6,18 @@ import pytest
 
 from sdpsketch import rng as rngmod
 from sdpsketch.errors import ShapeError, ZeroMassError
+from sdpsketch.instances import planted_infeasible
 from sdpsketch.oracle import dense_store
-from sdpsketch.store import SampledMatrix
-from sdpsketch.trace import EstimatorConfig, QueryableOperator, estimate_trace_product
+from sdpsketch.sketch import SketchParams
+from sdpsketch.solver import SolverConfig
+from sdpsketch.solver import test_feasibility as run_feasibility
+from sdpsketch.store import NegatedView, SampledMatrix
+from sdpsketch.trace import (
+    EstimatorConfig,
+    QueryableOperator,
+    _sampled_trace_product,
+    estimate_trace_product,
+)
 
 
 def hermitian_store(n: int, key: int) -> SampledMatrix:
@@ -26,6 +35,40 @@ def operator_from_dense(arr: np.ndarray, hermitian: bool = False) -> QueryableOp
         fro_bound=float(np.linalg.norm(arr)),
         hermitian=hermitian,
     )
+
+
+def random_operator(n: int, key: int, hermitian: bool = False) -> QueryableOperator:
+    rng = rngmod.substream(key, rngmod.INSTANCE, 104)
+    arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if hermitian:
+        arr = arr + arr.conj().T
+    return operator_from_dense(arr / np.linalg.norm(arr, 2), hermitian=hermitian)
+
+
+def planned_draws(store, b: QueryableOperator, cfg: EstimatorConfig) -> int:
+    a_fro = store.frobenius_norm()
+    return cfg.batch_count() * cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
+
+
+class CountingStore:
+    """Store view that reports a chosen entry count and counts its draws."""
+
+    def __init__(self, base, nnz: int):
+        self.base = base
+        self.n = base.n
+        self.hermitian = base.hermitian
+        self.nnz = nnz
+        self.draws = 0
+
+    def frobenius_norm(self) -> float:
+        return self.base.frobenius_norm()
+
+    def entries(self):
+        return self.base.entries()
+
+    def sample_entries(self, size, rng):
+        self.draws += size
+        return self.base.sample_entries(size, rng)
 
 
 def enumerated_expectation(store: SampledMatrix, arr: np.ndarray) -> complex:
@@ -82,6 +125,8 @@ class TestExactExpectation:
 
 
 class TestEstimator:
+    """Stores this small are summed exactly, so sampling is tested directly."""
+
     def test_unbiased_and_within_eps(self):
         store = hermitian_store(8, 9)
         dense_a = dense_store(store)
@@ -93,7 +138,7 @@ class TestEstimator:
         cfg = EstimatorConfig(eps=0.2, delta=0.05)
         hits = 0
         for trial in range(50):
-            est = estimate_trace_product(
+            est = _sampled_trace_product(
                 store, b, cfg, rngmod.substream(trial, rngmod.TRACE, 0, 0)
             )
             if abs(est - truth) <= 0.2:
@@ -121,19 +166,25 @@ class TestEstimator:
         arr = dense_store(hermitian_store(6, 14))
         b = operator_from_dense(arr, hermitian=True)
         cfg = EstimatorConfig(eps=0.3, delta=0.2)
-        first = estimate_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
-        second = estimate_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
-        other = estimate_trace_product(store, b, cfg, rngmod.substream(3, 1, 5))
+        first = _sampled_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
+        second = _sampled_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
+        other = _sampled_trace_product(store, b, cfg, rngmod.substream(3, 1, 5))
         assert first == second
         assert first != other
 
     def test_hermitian_pair_is_exactly_real(self):
-        store = hermitian_store(6, 15)
+        # The real-part rule follows both branches in estimate_trace_product,
+        # so the sampled branch is reached there by reporting more entries
+        # than the plan draws.
+        base = hermitian_store(6, 15)
         arr = dense_store(hermitian_store(6, 16))
         b = operator_from_dense(arr, hermitian=True)
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
+        store = CountingStore(base, planned_draws(base, b, cfg) + 1)
         est = estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 6))
+        assert store.draws > 0
         assert est.imag == 0.0
+        assert est.real == _sampled_trace_product(base, b, cfg, rngmod.substream(0, 1, 6)).real
 
     def test_zero_matrix_short_circuits(self):
         store = SampledMatrix.build([], n=4, rank_hint=1)
@@ -154,3 +205,66 @@ class TestEstimator:
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         with pytest.raises(ShapeError):
             estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 9))
+
+
+class TestExactBranch:
+    @pytest.mark.parametrize("negated", [False, True], ids=["store", "negated_view"])
+    def test_matches_dense_trace(self, negated):
+        base = SampledMatrix.build(
+            [(0, 0, 0.5), (0, 3, 1 - 2j), (2, 5, 0.25j), (4, 4, -1.5), (6, 1, 2.0)],
+            n=7,
+            rank_hint=3,
+        )
+        store = NegatedView(base) if negated else base
+        b = random_operator(7, 19)
+        arr = b.bulk_entries(*np.indices((7, 7)))
+        truth = complex(np.trace(dense_store(store) @ arr))
+        est = estimate_trace_product(
+            store, b, EstimatorConfig(eps=0.3, delta=0.2), rngmod.substream(0, 1, 10)
+        )
+        assert abs(est - truth) <= 1e-12 * max(1.0, abs(truth))
+
+    def test_independent_of_stream(self):
+        store = hermitian_store(6, 20)
+        b = random_operator(6, 21)
+        cfg = EstimatorConfig(eps=0.3, delta=0.2)
+        first = estimate_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
+        other = estimate_trace_product(store, b, cfg, rngmod.substream(3, 1, 5))
+        assert first == other
+        truth = complex(np.trace(dense_store(store) @ b.bulk_entries(*np.indices((6, 6)))))
+        assert abs(first - truth) <= 1e-12 * max(1.0, abs(truth))
+
+    def test_hermitian_pair_is_exactly_real(self):
+        store = hermitian_store(6, 22)
+        b = random_operator(6, 23, hermitian=True)
+        est = estimate_trace_product(
+            store, b, EstimatorConfig(eps=0.5, delta=0.2), rngmod.substream(0, 1, 11)
+        )
+        assert est.imag == 0.0
+
+    @pytest.mark.parametrize("extra, sampled", [(0, False), (1, True)],
+                             ids=["nnz_equals_plan", "nnz_above_plan"])
+    def test_threshold_is_the_planned_draw_count(self, extra, sampled):
+        base = hermitian_store(6, 24)
+        b = random_operator(6, 25)
+        cfg = EstimatorConfig(eps=0.5, delta=0.2)
+        plan = planned_draws(base, b, cfg)
+        store = CountingStore(base, plan + extra)
+        estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 12))
+        assert store.draws == (plan if sampled else 0)
+
+    def test_small_feasibility_run_draws_nothing(self, monkeypatch):
+        draws = []
+        original = SampledMatrix.sample_entries
+
+        def counting(self, size, rng):
+            draws.append(size)
+            return original(self, size, rng)
+
+        monkeypatch.setattr(SampledMatrix, "sample_entries", counting)
+        problem = planted_infeasible(32, eps=0.3, rng=rngmod.substream(9, 1))
+        cfg = SolverConfig(seed=9, t_override=4, sketch=SketchParams(p=200, gamma=1e-8))
+        out = run_feasibility(problem, cfg)
+        assert out.verdict == "infeasible"
+        assert out.iterations_used == 4
+        assert draws == []
