@@ -119,6 +119,8 @@ def _config(args):
         raise ConfigError("--p and --gamma must be given together")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be positive, got {args.threads}")
     if not 0 < args.beta_scale < math.inf:
         raise ConfigError(
             f"--beta-scale must be positive and finite, got {args.beta_scale}"

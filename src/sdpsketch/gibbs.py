@@ -24,9 +24,9 @@ class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
     Immutable in meaning; internal caches only memoize basis rows.  Entry
-    queries cost O(p tau) on the first touch of a row in the basis
-    support and O(r_tilde) after; rows off the support are exactly zero
-    and are never rebuilt.
+    queries cost O(distinct rows x distinct stores) on the first touch of
+    a row in the basis support and O(r_tilde) after; rows off the support
+    are exactly zero and are never rebuilt.
     """
 
     def __init__(
@@ -107,7 +107,8 @@ class GibbsDescription:
         """Exact Frobenius norm of the candidate.
 
         Reads the Gram matrix of the basis rows in the basis support only,
-        so it costs O(|support| p tau), independent of n.
+        so it costs O(|support| x distinct rows x distinct stores),
+        independent of n.
         """
         if self.uniform_fallback:
             return 1.0 / float(np.sqrt(self.n))

@@ -1,14 +1,19 @@
 """Approximate singular basis of a sum of sampled matrices.
 
 Rows are drawn from the summand-weighted row distribution, columns from
-the row-conditional entry distribution, and the resulting rescaled p-by-p
-core is decomposed; singular directions whose squared value falls below a
-fixed fraction of the core's summand mass are discarded.  The surviving
-basis is kept succinctly: sampled row indices, their probabilities, the
-singular values, and the small left vectors.  Basis rows are rebuilt from
-the stores on demand and never materialized here.  A row can be nonzero
-only on the union of the sampled rows' stored supports (`support`), so
-callers that need every nonzero row fill that many, not n.
+the row-conditional entry distribution, and the singular directions of
+the resulting rescaled p-by-p core are computed; those whose squared
+value falls below a fixed fraction of the core's summand mass are
+discarded.  Repeated sampled rows are identical core rows and repeated
+columns identical core columns, so the core is assembled and decomposed
+on the distinct sampled rows and columns only, weighted by the square
+root of each multiplicity; no p-by-p array exists.  The surviving basis
+is kept succinctly: sampled row indices, their probabilities, the
+singular values, and the small left vectors.  Basis rows are rebuilt
+from the stores on demand and never materialized here, at O(distinct
+rows x distinct stores) each.  A row can be nonzero only on the union of
+the sampled rows' stored supports (`support`), so callers that need
+every nonzero row fill that many, not n.
 """
 from __future__ import annotations
 
@@ -27,6 +32,11 @@ class MatrixSum:
 
     Carries the declared per-summand rank bound; per-summand spectral
     norms are assumed at most 1 by the caller and not verified here.
+    `terms` groups the summands by underlying store, `NegatedView`
+    unwrapped: one ``(store, count, coef)`` per distinct store, in order
+    of first appearance, where ``count`` is how often the store occurs
+    and ``coef`` the sum of its signs.  Squared magnitudes scale by
+    ``count`` and values by ``coef``.
     """
 
     def __init__(self, summands, rank: int):
@@ -44,6 +54,14 @@ class MatrixSum:
         self.rank = rank
         self.n = n
         self._mass_tree = SumTree([s.frobenius_norm() ** 2 for s in self.summands])
+        grouped = {}
+        for s in self.summands:
+            sign = 1
+            while isinstance(s, NegatedView):
+                s, sign = s.base, -sign
+            store, count, coef = grouped.get(id(s), (s, 0, 0))
+            grouped[id(s)] = (store, count + 1, coef + sign)
+        self.terms = list(grouped.values())
 
     @property
     def tau(self) -> int:
@@ -55,7 +73,7 @@ class MatrixSum:
 
     def row_mass(self, i: int) -> float:
         """Sum of squared row norms over summands."""
-        return sum(s.row_mass(i) for s in self.summands)
+        return sum(count * store.row_mass(i) for store, count, _ in self.terms)
 
     def row_probability(self, i: int) -> float:
         """Mixture row probability: row_mass(i) / total_mass()."""
@@ -110,13 +128,12 @@ def sample_rows(
     if total <= 0.0:
         raise ZeroMassError("matrix sum has zero Frobenius mass")
     rows = np.zeros(p, dtype=np.int64)
-    probs = np.zeros(p, dtype=np.float64)
     for t in range(p):
         k = ms.sample_summand(rng)
-        i = ms.summands[k].sample_row(rng)
-        rows[t] = i
-        probs[t] = ms.row_mass(i) / total
-    return rows, probs
+        rows[t] = ms.summands[k].sample_row(rng)
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    probs = np.array([ms.row_mass(int(i)) for i in distinct]) / total
+    return rows, probs[inverse]
 
 
 def sample_cols(
@@ -132,10 +149,14 @@ def sample_cols(
     if rows.shape[0] != p:
         raise ShapeError(f"need exactly p={p} sampled rows, got {rows.shape[0]}")
     cols = np.zeros(p, dtype=np.int64)
+    # Per-summand weights and their total, once per distinct row.
+    row_weights = {}
     for s in range(p):
         i = int(rows[rng.integers(p)])
-        weights = [su.row_mass(i) for su in ms.summands]
-        row_total = sum(weights)
+        if i not in row_weights:
+            weights = [su.row_mass(i) for su in ms.summands]
+            row_weights[i] = (weights, sum(weights))
+        weights, row_total = row_weights[i]
         if row_total <= 0.0:
             raise ZeroMassError(f"row {i} has zero mass across summands")
         u = rng.random() * row_total
@@ -152,8 +173,9 @@ class BasisSketch:
 
     A column k is V(:, k) = S^dagger u_k / sigma_k for the implicit
     rescaled row sketch S; rows are reconstructed from the stores on
-    demand at O(p tau) cost each.  The n-by-r_tilde matrix itself is
-    never stored, and rows off `support()` are exactly zero.
+    demand at O(distinct rows x distinct stores) cost each.  The
+    n-by-r_tilde matrix itself is never stored, and rows off `support()`
+    are exactly zero.
     """
 
     def __init__(self, ms, rows, row_probs, singular_values, left_vectors):
@@ -173,8 +195,14 @@ class BasisSketch:
             )
         if np.any(self.row_probs <= 0.0):
             raise InternalError("sampled row probabilities must be positive")
-        # 1 / sqrt(p P_i) row rescaling, shared by every row query.
-        self._scale = 1.0 / np.sqrt(self.p * self.row_probs)
+        # Sampled rows with the same index share every row query, so their
+        # left vectors, rescaled by 1 / sqrt(p P_i), are summed once here.
+        self._distinct_rows, inverse = np.unique(self.rows, return_inverse=True)
+        scale = 1.0 / np.sqrt(self.p * self.row_probs)
+        self._folded = np.zeros(
+            (self._distinct_rows.shape[0], self.r_tilde), dtype=np.complex128
+        )
+        np.add.at(self._folded, inverse, self.left_vectors * scale[:, np.newaxis])
         self._support = None
 
     @property
@@ -187,19 +215,12 @@ class BasisSketch:
         Row V(i, :) combines conj(A(i_s, i)) over sampled rows i_s and
         summands A, so it vanishes unless i is stored in some sampled row
         of some summand.  Each distinct sampled row of each distinct
-        store is read once: repeated summands and sign-flipped views of
-        one store share their supports.  Memoized.
+        store (`MatrixSum.terms`) is read once.  Memoized.
         """
         if self._support is None:
-            stores = {}
-            for s in self.ms.summands:
-                while isinstance(s, NegatedView):
-                    s = s.base
-                stores.setdefault(id(s), s)
-            distinct = np.unique(self.rows)
             parts = [np.zeros(0, dtype=np.int64)]
-            for store in stores.values():
-                parts.extend(store.row_support(int(i))[0] for i in distinct)
+            for store, _, _ in self.ms.terms:
+                parts.extend(store.row_support(int(i))[0] for i in self._distinct_rows)
             self._support = np.unique(np.concatenate(parts))
         return self._support
 
@@ -207,12 +228,11 @@ class BasisSketch:
         """All r_tilde basis entries V(i, :) in one pass over the samples."""
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} outside [0, {self.n})")
-        # conj(A(i_s, i)) over sampled rows s, via Hermitian mirror rows.
-        acc = np.zeros(self.p, dtype=np.complex128)
-        for s in self.ms.summands:
-            acc += s.row_gather(i, self.rows)
-        weights = acc * self._scale
-        return (weights @ self.left_vectors) / self.singular_values
+        # conj(A(i_s, i)) over distinct sampled rows, via Hermitian mirror rows.
+        acc = np.zeros(self._distinct_rows.shape[0], dtype=np.complex128)
+        for store, _, coef in self.ms.terms:
+            acc += coef * store.row_gather(i, self._distinct_rows)
+        return (acc @ self._folded) / self.singular_values
 
     def rows_dense(self, indices) -> np.ndarray:
         """Stack of basis rows for the given indices (len(indices), r_tilde)."""
@@ -227,10 +247,13 @@ def build_sketch(
 ) -> BasisSketch:
     """Sample, rescale, decompose, and filter; return the surviving basis.
 
-    Only entries of each summand at sampled (row, column) positions are
-    read.  Raises EmptySketch when the filter removes every direction,
-    and ConfigError, before any p-by-p array exists, when p exceeds the
-    dense size cap.
+    Only entries of each distinct store at distinct sampled (row, column)
+    positions are read.  With multiplicities m_r and m_c, the p-by-p core
+    K equals P_r C P_c^T for the distinct core C and 0/1 selectors P_r,
+    P_c, so K has the singular values of W = C * sqrt(m_r m_c^T) and left
+    vectors U[inverse] / sqrt(m_r), and rank at most min(distinct rows,
+    distinct cols).  Raises EmptySketch when the filter removes every
+    direction, and ConfigError when p exceeds the dense size cap.
     """
     p = params.p
     if p > linalg.MAX_DENSE_DIM:
@@ -240,32 +263,34 @@ def build_sketch(
     rows, row_probs = sample_rows(ms, p, rng)
     cols = sample_cols(ms, rows, p, rng)
 
-    row_mass = np.array([ms.row_mass(int(i)) for i in rows], dtype=np.float64)
-    # Squared magnitudes per summand at the sampled grid, and their sum.
-    sq = np.zeros((p, p), dtype=np.float64)
-    vals = np.zeros((p, p), dtype=np.complex128)
-    for s in ms.summands:
-        g = np.zeros((p, p), dtype=np.complex128)
-        for t in range(p):
-            g[t] = s.row_gather(int(rows[t]), cols)
-        vals += g
-        sq += np.abs(g) ** 2
+    urows, first, rinv, m_r = np.unique(
+        rows, return_index=True, return_inverse=True, return_counts=True
+    )
+    ucols, m_c = np.unique(cols, return_counts=True)
+    # Signed values and count-weighted squared magnitudes per distinct store.
+    sq = np.zeros((urows.shape[0], ucols.shape[0]), dtype=np.float64)
+    vals = np.zeros(sq.shape, dtype=np.complex128)
+    for store, count, coef in ms.terms:
+        g = np.array([store.row_gather(int(i), ucols) for i in urows])
+        vals += coef * g
+        sq += count * np.abs(g) ** 2
+    row_mass = np.array([ms.row_mass(int(i)) for i in urows], dtype=np.float64)
     cond = sq / row_mass[:, np.newaxis]
-    col_probs = cond.mean(axis=0)
+    col_probs = (m_r[:, np.newaxis] * cond).sum(axis=0) / p
     if np.any(col_probs <= 0.0):
         raise InternalError("sampled column probabilities must be positive")
 
-    denom = p * np.sqrt(np.outer(row_probs, col_probs))
-    core = vals / denom
-    core_mass = float((sq / denom**2).sum())
+    denom = p * np.sqrt(np.outer(row_probs[first], col_probs))
+    mult = np.outer(m_r, m_c)
+    core_mass = float((mult * sq / denom**2).sum())
 
-    u, sigma, _ = linalg.svd(core)
+    u, sigma, _ = linalg.svd(vals / denom * np.sqrt(mult))
     r_hat = min(p, ms.tau * ms.rank)
     sigma = sigma[:r_hat]
-    u = u[:, :r_hat]
     keep = sigma**2 >= params.gamma * core_mass
     if not bool(keep.any()):
         raise EmptySketch(
-            f"all {r_hat} leading directions fell below gamma={params.gamma}"
+            f"all {sigma.shape[0]} leading directions fell below gamma={params.gamma}"
         )
-    return BasisSketch(ms, rows, row_probs, sigma[keep], u[:, keep])
+    left = u[:, : sigma.shape[0]][:, keep] / np.sqrt(m_r)[:, np.newaxis]
+    return BasisSketch(ms, rows, row_probs, sigma[keep], left[rinv])

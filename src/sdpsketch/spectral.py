@@ -71,7 +71,7 @@ def estimate_vav(
     where it is summed exactly, so callers at desk scale pass a per-entry
     budget scaled up accordingly.  Only the basis rows in `v.support()`
     are filled; the rest are exactly zero, so the fill costs
-    O(|support| p tau), independent of n.
+    O(|support| x distinct rows x distinct stores), independent of n.
     """
     r = v.r_tilde
     tau = ms.tau

@@ -300,8 +300,13 @@ class TestErrorPaths:
             (["--beta-scale", "inf"], "--beta-scale must be positive and finite, got inf"),
             (["--beta-scale", "nan"], "--beta-scale must be positive and finite, got nan"),
             (["--p", "10", "--gamma", "inf"], "--gamma must be positive and finite, got inf"),
+            (["--threads", "0"], "--threads must be positive, got 0"),
+            (["--threads", "-1"], "--threads must be positive, got -1"),
         ],
-        ids=["seed_negative", "beta_scale_inf", "beta_scale_nan", "gamma_inf"],
+        ids=[
+            "seed_negative", "beta_scale_inf", "beta_scale_nan", "gamma_inf",
+            "threads_zero", "threads_negative",
+        ],
     )
     def test_bad_flag_value_names_the_flag(self, work, capsys, flags, message):
         with warnings.catch_warnings():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sdpsketch import linalg
 from sdpsketch.errors import EmptySketch, InternalError, ShapeError
 from sdpsketch.instances import random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_basis, dense_realize, dense_sketch_rows
@@ -65,6 +66,16 @@ class TestMatrixSum:
         ms = MatrixSum([a, NegatedView(a)], rank=1)
         assert ms.query(0, 1) == 0j
         assert ms.total_mass() == pytest.approx(16.0)  # masses do not cancel
+
+    def test_terms_group_summands_by_store(self):
+        a = build({(0, 1): 2.0}, 3)
+        b = build({(2, 2): 1.0}, 3)
+        ms = MatrixSum([a, b, NegatedView(a), NegatedView(NegatedView(b)), a], rank=1)
+        assert [(id(s), c, k) for s, c, k in ms.terms] == [(id(a), 3, 1), (id(b), 2, 2)]
+        for i in range(3):
+            assert ms.row_mass(i) == pytest.approx(
+                sum(s.row_mass(i) for s in ms.summands), rel=1e-15
+            )
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ShapeError):
@@ -347,3 +358,110 @@ class TestBuildSketch:
                 ms, v.rows, v.row_probs,
                 v.singular_values, v.left_vectors[:-1],
             )
+
+
+def pxp_core(ms, rows, row_probs, cols):
+    """The p-by-p rescaled core and its summand mass, one summand at a time."""
+    p = rows.shape[0]
+    sq = np.zeros((p, p))
+    vals = np.zeros((p, p), dtype=np.complex128)
+    for s in ms.summands:
+        g = np.array([s.row_gather(int(i), cols) for i in rows])
+        vals += g
+        sq += np.abs(g) ** 2
+    row_mass = np.array([ms.row_mass(int(i)) for i in rows])
+    col_probs = (sq / row_mass[:, np.newaxis]).mean(axis=0)
+    denom = p * np.sqrt(np.outer(row_probs, col_probs))
+    return vals / denom, float((sq / denom**2).sum())
+
+
+def repeated_sum(cancel: bool) -> MatrixSum:
+    """A repeated, sign-flipped store: A + B + A - A, or the cancelling A - A."""
+    a = random_low_rank(10, 2, substream(32, 1))
+    if cancel:
+        return MatrixSum([a, NegatedView(a)], rank=2)
+    b = random_low_rank(10, 2, substream(32, 2))
+    return MatrixSum([a, b, a, NegatedView(a)], rank=2)
+
+
+class TestDistinctCore:
+    """The core on distinct rows and columns against the p-by-p formula."""
+
+    @pytest.mark.parametrize("cancel", [False, True], ids=["mixed", "cancelling"])
+    def test_matches_pxp_core(self, monkeypatch, cancel):
+        ms = repeated_sum(cancel)
+        rng = substream(33, 1)
+        rows, probs = sample_rows(ms, 120, rng)
+        cols = sample_cols(ms, rows, 120, rng)
+        assert np.unique(rows).shape[0] <= 10
+        core, core_mass = pxp_core(ms, rows, probs, cols)
+        ref_u, ref_sigma, _ = np.linalg.svd(core)
+        seen = []
+
+        def spy(*args):
+            seen.append(sample_cols(*args))
+            return seen[-1]
+
+        monkeypatch.setattr("sdpsketch.sketch.sample_cols", spy)
+        gamma = 1e-12
+        if cancel:
+            assert not np.any(ref_sigma)
+            with pytest.raises(EmptySketch):
+                build_sketch(ms, SketchParams(p=120, gamma=gamma), substream(33, 1))
+            return
+        v = build_sketch(ms, SketchParams(p=120, gamma=gamma), substream(33, 1))
+        assert np.array_equal(v.rows, rows)
+        assert np.array_equal(v.row_probs, probs)
+        assert np.array_equal(seen[0], cols)
+        k = v.r_tilde
+        assert k == int((ref_sigma[: ms.tau * ms.rank] ** 2 >= gamma * core_mass).sum())
+        assert np.allclose(v.singular_values, ref_sigma[:k], rtol=1e-10, atol=0)
+        ref_proj = ref_u[:, :k] @ ref_u[:, :k].conj().T
+        proj = v.left_vectors @ v.left_vectors.conj().T
+        assert np.abs(proj - ref_proj).max() <= 1e-10
+        # A floor between the second and third squared values keeps two,
+        # which holds only if the core mass matches too.
+        gamma = ref_sigma[1] * ref_sigma[2] / core_mass
+        v = build_sketch(ms, SketchParams(p=120, gamma=gamma), substream(33, 1))
+        assert v.r_tilde == 2
+
+    def test_basis_rows_match_p_form(self):
+        ms = repeated_sum(cancel=False)
+        v = build_sketch(ms, SketchParams(p=120, gamma=1e-12), substream(34, 1))
+        assert np.unique(v.rows).shape[0] < v.p
+        scale = 1.0 / np.sqrt(v.p * v.row_probs)
+        for i in range(ms.n):
+            mirror = np.array([np.conj(ms.query(int(r), i)) for r in v.rows])
+            expect = (mirror * scale) @ v.left_vectors / v.singular_values
+            assert np.abs(v.row(i) - expect).max() <= 1e-12
+
+    def test_large_p_stays_small(self):
+        import tracemalloc
+
+        # One p-by-p complex array at p = 5,000 is 400 MB.
+        ms = MatrixSum([random_low_rank(32, 2, substream(35, 1))], rank=2)
+        tracemalloc.start()
+        try:
+            v = build_sketch(ms, SketchParams(p=5000, gamma=1e-6), substream(35, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.p == 5000
+        assert peak < 16 << 20
+
+    def test_svd_sees_only_the_distinct_grid(self, monkeypatch):
+        ms = MatrixSum([random_low_rank(32, 2, substream(36, 1))], rank=2)
+        rng = substream(36, 2)
+        rows, _ = sample_rows(ms, 5000, rng)
+        cols = sample_cols(ms, rows, 5000, rng)
+        shapes = []
+        original = linalg.svd
+
+        def spy(a):
+            shapes.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "svd", spy)
+        build_sketch(ms, SketchParams(p=5000, gamma=1e-6), substream(36, 2))
+        assert shapes == [(np.unique(rows).shape[0], np.unique(cols).shape[0])]
+        assert max(shapes[0]) <= 32
