@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "SampledMatrix": "store",
     "NegatedView": "store",
-    "SumTree": "store",
     "QueryableOperator": "trace",
     "EstimatorConfig": "trace",
     "estimate_trace_product": "trace",

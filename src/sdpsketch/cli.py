@@ -125,6 +125,12 @@ def _config(args):
         raise ConfigError(
             f"--beta-scale must be positive and finite, got {args.beta_scale}"
         )
+    if args.max_iters is not None and args.max_iters < 1:
+        raise ConfigError(f"--max-iters must be positive, got {args.max_iters}")
+    if not 0 < args.delta < 1:
+        raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
+    if args.epsilon is not None and not 0 < args.epsilon < 1:
+        raise ConfigError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     sketch = None
     if args.p is not None:
         if args.p < 1:
@@ -208,10 +214,10 @@ def _run_feastest(args) -> int:
     parsed = man.load_manifest(args.manifest)
     if parsed.kind == "optimize":
         return _run_optimize(args)
+    config = _config(args)
     timer = time.perf_counter()
     problem = _override_eps(man.load_feasibility(args.manifest), args.epsilon)
     load_seconds = time.perf_counter() - timer
-    config = _config(args)
     timer = time.perf_counter()
     outcome = solver.test_feasibility(problem, config)
     solve_seconds = time.perf_counter() - timer
@@ -228,13 +234,13 @@ def _run_shadow(args) -> int:
     from . import solver
     from .gibbs import estimate_constraint_trace
 
+    config = _config(args)
     timer = time.perf_counter()
     effects, values, eps = man.load_shadow(args.manifest)
     if args.epsilon is not None:
         eps = args.epsilon
     problem = solver.shadow_to_feasibility(effects, values, eps)
     load_seconds = time.perf_counter() - timer
-    config = _config(args)
     timer = time.perf_counter()
     outcome = solver.test_feasibility(problem, config)
     estimates = []
@@ -264,12 +270,12 @@ def _run_optimize(args) -> int:
     from . import manifest as man
     from . import solver
 
+    config = _config(args)
     timer = time.perf_counter()
     problem, eps = man.load_optimization(args.manifest)
     if args.epsilon is not None:
         eps = args.epsilon
     load_seconds = time.perf_counter() - timer
-    config = _config(args)
     captured: dict = {}
 
     def tracking(fp, cfg):
@@ -294,10 +300,10 @@ def _run_oracle(args) -> int:
     from . import manifest as man
     from . import oracle
 
+    config = _config(args)
     timer = time.perf_counter()
     problem = _override_eps(man.load_feasibility(args.manifest), args.epsilon)
     load_seconds = time.perf_counter() - timer
-    config = _config(args)
     timer = time.perf_counter()
     outcome = oracle.dense_mmw(
         problem, t_override=config.t_override, beta_scale=config.beta_scale

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, EmptySketch, InternalError, ShapeError, ZeroMassError
-from .store import NegatedView, SumTree
+from .store import NegatedView
 
 
 class MatrixSum:
@@ -53,7 +53,7 @@ class MatrixSum:
         self.summands = list(summands)
         self.rank = rank
         self.n = n
-        self._mass_tree = SumTree([s.frobenius_norm() ** 2 for s in self.summands])
+        self._mass_prefix = np.cumsum([s.frobenius_norm() ** 2 for s in self.summands])
         grouped = {}
         for s in self.summands:
             sign = 1
@@ -69,7 +69,7 @@ class MatrixSum:
 
     def total_mass(self) -> float:
         """Sum of squared Frobenius norms over summands."""
-        return self._mass_tree.total
+        return float(self._mass_prefix[-1])
 
     def row_mass(self, i: int) -> float:
         """Sum of squared row norms over summands."""
@@ -81,12 +81,6 @@ class MatrixSum:
         if total <= 0.0:
             raise ZeroMassError("matrix sum has zero Frobenius mass")
         return self.row_mass(i) / total
-
-    def sample_summand(self, rng: np.random.Generator) -> int:
-        total = self._mass_tree.total
-        if total <= 0.0:
-            raise ZeroMassError("matrix sum has zero Frobenius mass")
-        return self._mass_tree.descend(rng.random() * total)
 
     def query(self, i: int, j: int) -> complex:
         return sum((s.query(i, j) for s in self.summands), 0j)
@@ -127,10 +121,16 @@ def sample_rows(
     total = ms.total_mass()
     if total <= 0.0:
         raise ZeroMassError("matrix sum has zero Frobenius mass")
+    # Each draw takes two uniforms in turn: column 0 picks the summand by
+    # its squared Frobenius norm, column 1 the row within it.
+    u = rng.random((p, 2))
+    which = np.searchsorted(ms._mass_prefix, u[:, 0] * total, side="right")
+    if int(which.max()) >= ms.tau:
+        raise InternalError("summand draw landed past the last summand")
     rows = np.zeros(p, dtype=np.int64)
-    for t in range(p):
-        k = ms.sample_summand(rng)
-        rows[t] = ms.summands[k].sample_row(rng)
+    for k in np.unique(which):
+        at = which == k
+        rows[at] = ms.summands[k].rows_at(u[at, 1])
     distinct, inverse = np.unique(rows, return_inverse=True)
     probs = np.array([ms.row_mass(int(i)) for i in distinct]) / total
     return rows, probs[inverse]

@@ -59,49 +59,23 @@ def build_store(entries: dict, n: int, rank_hint: int = 2) -> SampledMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact-law helpers: walk the sampling trees in rational arithmetic
+# exact-law helpers: the laws of the prefix searches in rational arithmetic
 
 
-def tree_leaf_ratios(tree) -> dict[int, Fraction]:
-    """Per-leaf probability as the exact product of branch ratios."""
+def prefix_law(prefix) -> dict[int, Fraction]:
+    """Exact law of ``searchsorted(prefix, u * prefix[-1], side="right")``.
+
+    Index k comes with its step over the last prefix value,
+    (prefix[k] - prefix[k - 1]) / prefix[-1], for u uniform on [0, 1).
+    """
     out: dict[int, Fraction] = {}
-
-    def walk(node: int, acc: Fraction) -> None:
-        if node >= tree.capacity:
-            idx = node - tree.capacity
-            if idx < tree.size:
-                out[idx] = acc
-            return
-        parent = Fraction(tree.nodes[node])
-        if parent == 0:
-            return
-        for child in (2 * node, 2 * node + 1):
-            mass = Fraction(tree.nodes[child])
-            if mass > 0:
-                walk(child, acc * mass / parent)
-
-    walk(1, Fraction(1))
+    previous = Fraction(0)
+    points = [Fraction(float(x)) for x in prefix]
+    for k, point in enumerate(points):
+        if point > previous:
+            out[k] = (point - previous) / points[-1]
+        previous = point
     return out
-
-
-def descent_measures(tree) -> dict[int, Fraction]:
-    """Exact leaf-selection measure of the running-subtraction descent."""
-    out: dict[int, Fraction] = {}
-
-    def walk(node: int, lo: Fraction, hi: Fraction) -> None:
-        if hi <= lo:
-            return
-        if node >= tree.capacity:
-            idx = node - tree.capacity
-            out[idx] = out.get(idx, Fraction(0)) + (hi - lo)
-            return
-        left_sum = Fraction(tree.nodes[2 * node])
-        walk(2 * node, lo, min(hi, left_sum))
-        walk(2 * node + 1, max(lo, left_sum) - left_sum, hi - left_sum)
-
-    total = Fraction(tree.nodes[1])
-    walk(1, Fraction(0), total)
-    return {k: v / total for k, v in out.items()}
 
 
 def sq_mag(v: complex) -> Fraction:
@@ -159,7 +133,7 @@ def gapped_pair(n: int, rng) -> MatrixSum:
 
 
 # ---------------------------------------------------------------------------
-# 1. sampling laws: exact tree enumeration plus empirical total variation
+# 1. sampling laws: exact prefix-search laws plus empirical total variation
 
 
 def sampling_fixtures() -> list[tuple[dict, int]]:
@@ -215,18 +189,15 @@ def test_criterion_01_sampling_fidelity(capsys):
     for upper, n in sampling_fixtures():
         store = build_store(upper, n)
         want_rows, want_joint, row_sq = exact_laws(upper, n)
-        got_ratio = tree_leaf_ratios(store._norm_tree)
-        got_measure = descent_measures(store._norm_tree)
-        assert got_ratio == want_rows
-        assert got_measure == want_rows
+        got_rows = {
+            int(store._row_ids[k]): p for k, p in prefix_law(store._row_prefix).items()
+        }
+        assert got_rows == want_rows
         got_joint = {}
-        for i, row in store._rows.items():
-            p_row = want_rows[i]
-            entry_ratio = tree_leaf_ratios(row.tree)
-            entry_measure = descent_measures(row.tree)
-            assert entry_ratio == entry_measure
-            for pos, frac in entry_ratio.items():
-                got_joint[(i, int(row.cols[pos]))] = p_row * frac
+        for i, p_row in got_rows.items():
+            span = slice(int(store._indptr[i]), int(store._indptr[i + 1]))
+            for pos, frac in prefix_law(store._run[span]).items():
+                got_joint[(i, int(store._cols[span][pos]))] = p_row * frac
         assert got_joint == want_joint
         checked += 1
 
@@ -236,7 +207,7 @@ def test_criterion_01_sampling_fidelity(capsys):
     draws = 100_000
     counts: dict = {}
     for _ in range(draws):
-        i = store.sample_row(rng)
+        i = int(store.rows_at(rng.random(1))[0])
         j = store.sample_entry_in_row(i, rng)
         counts[(i, j)] = counts.get((i, j), 0) + 1
     keys = set(counts) | set(want_joint)

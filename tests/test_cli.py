@@ -267,8 +267,9 @@ class TestErrorPaths:
             (b"n 4 rank 1\n1 1 1 0\n3 5 1 0\n", 3),
             (b"n 4 rank 1\n1 1 1 0\n2 3 1 0\n1 1 2 0\n", 4),
             (b"n 4 rank 1\n1 1 1 0 # caf\xc3\xa9\n2 3 1 0 # \xff\n", 3),
+            (b"n 4 rank 1\n1 1 1 0\n1 2 nan 0\n", 3),
         ],
-        ids=["index_past_n", "duplicate_entry", "invalid_utf8"],
+        ids=["index_past_n", "duplicate_entry", "invalid_utf8", "nan_value"],
     )
     def test_malformed_matrix_file(self, tmp_path, capsys, body, line):
         man = tmp_path / "m.man"
@@ -302,10 +303,14 @@ class TestErrorPaths:
             (["--p", "10", "--gamma", "inf"], "--gamma must be positive and finite, got inf"),
             (["--threads", "0"], "--threads must be positive, got 0"),
             (["--threads", "-1"], "--threads must be positive, got -1"),
+            (["--max-iters", "0"], "--max-iters must be positive, got 0"),
+            (["--delta", "nan"], "--delta must lie in (0, 1), got nan"),
+            (["--epsilon", "nan"], "--epsilon must lie in (0, 1), got nan"),
         ],
         ids=[
             "seed_negative", "beta_scale_inf", "beta_scale_nan", "gamma_inf",
-            "threads_zero", "threads_negative",
+            "threads_zero", "threads_negative", "max_iters_zero", "delta_nan",
+            "epsilon_nan",
         ],
     )
     def test_bad_flag_value_names_the_flag(self, work, capsys, flags, message):

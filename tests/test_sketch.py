@@ -86,13 +86,13 @@ class TestMatrixSum:
             MatrixSum([build({(0, 0): 1.0}, 2)], rank=0)
 
     def test_summand_selection_follows_mass(self):
-        # Masses 1 and 4+... : diag(1) vs entry 2 -> masses 1.0 and 4.0.
+        # Masses 1.0 and 4.0, each summand on its own row, so the row
+        # drawn names the summand.
         ms = MatrixSum(
             [build({(0, 0): 1.0}, 2), build({(1, 1): 2.0}, 2)], rank=1
         )
-        rng = substream(11, 1)
-        draws = np.array([ms.sample_summand(rng) for _ in range(4000)])
-        assert abs(np.mean(draws == 1) - 0.8) < 0.03
+        rows, _ = sample_rows(ms, 4000, substream(11, 1))
+        assert abs(np.mean(rows == 1) - 0.8) < 0.03
 
 
 class TestSketchParams:
@@ -189,6 +189,24 @@ class TestRowSampling:
         ms = two_summands()
         with pytest.raises(ShapeError):
             sample_cols(ms, np.zeros(3, dtype=np.int64), 5, substream(8, 1))
+
+    def test_vector_draws_equal_sequential_loop(self):
+        # One draw at a time: a uniform picks the summand by squared
+        # Frobenius norm, the next uniform a row of that summand.
+        a = random_low_rank(7, 2, substream(12, 1))
+        b = random_low_rank(7, 1, substream(12, 2))
+        ms = MatrixSum([a, b, NegatedView(a), a, NegatedView(b)], rank=2)
+        rows, probs = sample_rows(ms, 300, substream(12, 3))
+        rng = substream(12, 3)
+        masses = np.cumsum([s.frobenius_norm() ** 2 for s in ms.summands])
+        want, picked = [], set()
+        for _ in range(300):
+            k = int(np.searchsorted(masses, rng.random() * masses[-1], side="right"))
+            picked.add(k)
+            want.append(int(ms.summands[k].rows_at(np.array([rng.random()]))[0]))
+        assert picked == set(range(5))
+        assert np.array_equal(rows, want)
+        assert np.array_equal(probs, [ms.row_probability(i) for i in want])
 
     def test_sampling_is_deterministic_per_stream(self):
         ms = two_summands()
