@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import ShapeError
 from .sketch import BasisSketch
 from .spectral import SpectralSurrogate
@@ -26,7 +27,11 @@ class GibbsDescription:
     Immutable in meaning; internal caches only memoize basis rows.  Entry
     queries cost O(distinct rows x distinct stores) on the first touch of
     a row in the basis support and O(r_tilde) after; rows off the support
-    are exactly zero and are never rebuilt.
+    are exactly zero and are never rebuilt.  The rows missing from a
+    request are filled in one batch (`BasisSketch.rows_dense`, then
+    `linalg.rowwise_matmul` by the core), and a cached row's bits do not
+    depend on which other rows shared its batch, so an entry queried on a
+    fresh candidate equals the same entry after any bulk fill.
     """
 
     def __init__(
@@ -81,11 +86,12 @@ class GibbsDescription:
             # Rows off the basis support are exactly zero, so they start filled.
             self._filled = np.ones(self.n, dtype=bool)
             self._filled[self.basis.support()] = False
-        for i in np.unique(indices[~self._filled[indices]]):
-            row = self.basis.row(int(i))
-            self._v_rows[i] = row
-            self._vm_rows[i] = row @ self._core
-            self._filled[i] = True
+        missing = np.unique(indices[~self._filled[indices]])
+        if missing.size:
+            rows = self.basis.rows_dense(missing)
+            self._v_rows[missing] = rows
+            self._vm_rows[missing] = linalg.rowwise_matmul(rows, self._core)
+            self._filled[missing] = True
 
     def _entry_gibbs(self, i: int, j: int) -> complex:
         self._ensure_rows(np.array([i, j]))

@@ -13,6 +13,8 @@ from .errors import HermiticityError, NumericalError
 
 HERMITIAN_CHECK_TOL = 1e-10
 MAX_DENSE_DIM = 10_000
+# Elements of the (rows, k, m) product array `rowwise_matmul` holds at once.
+ROWWISE_BLOCK = 1 << 16
 
 
 def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
@@ -22,6 +24,29 @@ def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     if max(a.shape, default=0) > MAX_DENSE_DIM:
         raise ValueError(f"{name} exceeds the dense size cap {MAX_DENSE_DIM}")
     return a
+
+
+def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex ``a @ b`` with each output row's bits set by its own input row.
+
+    A BLAS product may sum a row in an order that depends on how many
+    rows share the call, and numpy's complex multiply rounds differently
+    in its vector and scalar loops, which one a row takes depending on
+    the array shapes.  Here every product is formed from real multiplies
+    and adds, each rounded once, and every row is summed in one fixed
+    order whatever the batch, so a row computed alone equals the same row
+    computed among others.  Rows go through in blocks that keep the
+    (rows, k, m) product arrays within `ROWWISE_BLOCK` elements.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.complex128)
+    step = max(1, ROWWISE_BLOCK // max(1, b.size))
+    for lo in range(0, a.shape[0], step):
+        x = a[lo : lo + step, :, np.newaxis]
+        out.real[lo : lo + step] = (x.real * b.real - x.imag * b.imag).sum(axis=1)
+        out.imag[lo : lo + step] = (x.real * b.imag + x.imag * b.real).sum(axis=1)
+    return out
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

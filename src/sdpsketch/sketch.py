@@ -14,6 +14,14 @@ from the stores on demand and never materialized here, at O(distinct
 rows x distinct stores) each.  A row can be nonzero only on the union of
 the sampled rows' stored supports (`support`), so callers that need
 every nonzero row fill that many, not n.
+
+Every step is a few numpy calls per distinct store, never a Python loop
+over draws or over basis rows: draws go through the stores' bulk
+searches (`rows_at`, `cols_at`), the core and the basis rows through
+block gathers (`block`), and a batch of basis rows through
+`linalg.rowwise_matmul`, so a row's bits do not depend on which other
+rows share its batch.  The sketch's largest arrays are held to a byte
+budget (`MAX_SKETCH_BYTES`).
 """
 from __future__ import annotations
 
@@ -25,6 +33,13 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, EmptySketch, InternalError, ShapeError, ZeroMassError
 from .store import NegatedView
+
+# Largest complex array a sketch may allocate: the p-by-(tau rank) block
+# of left vectors, checked before the draws, and the distinct core,
+# checked before it is gathered.  Building and decomposing a core peaks
+# at about seven times its bytes (552 x 552 distinct, under tracemalloc).
+MAX_SKETCH_BYTES = 1 << 27
+_COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
 
 class MatrixSum:
@@ -55,13 +70,18 @@ class MatrixSum:
         self.n = n
         self._mass_prefix = np.cumsum([s.frobenius_norm() ** 2 for s in self.summands])
         grouped = {}
+        stores = []
         for s in self.summands:
             sign = 1
             while isinstance(s, NegatedView):
                 s, sign = s.base, -sign
             store, count, coef = grouped.get(id(s), (s, 0, 0))
             grouped[id(s)] = (store, count + 1, coef + sign)
+            stores.append(id(s))
         self.terms = list(grouped.values())
+        # Index into `terms` of each summand's store.
+        position = {key: k for k, key in enumerate(grouped)}
+        self._term_of = np.array([position[key] for key in stores])
 
     @property
     def tau(self) -> int:
@@ -71,16 +91,12 @@ class MatrixSum:
         """Sum of squared Frobenius norms over summands."""
         return float(self._mass_prefix[-1])
 
-    def row_mass(self, i: int) -> float:
-        """Sum of squared row norms over summands."""
-        return sum(count * store.row_mass(i) for store, count, _ in self.terms)
-
-    def row_probability(self, i: int) -> float:
-        """Mixture row probability: row_mass(i) / total_mass()."""
-        total = self.total_mass()
-        if total <= 0.0:
-            raise ZeroMassError("matrix sum has zero Frobenius mass")
-        return self.row_mass(i) / total
+    def row_masses(self, rows) -> np.ndarray:
+        """Sum of squared row norms over summands, for each given row."""
+        total = 0.0
+        for store, count, _ in self.terms:
+            total = total + count * store.row_masses(rows)
+        return total
 
     def query(self, i: int, j: int) -> complex:
         return sum((s.query(i, j) for s in self.summands), 0j)
@@ -127,13 +143,14 @@ def sample_rows(
     which = np.searchsorted(ms._mass_prefix, u[:, 0] * total, side="right")
     if int(which.max()) >= ms.tau:
         raise InternalError("summand draw landed past the last summand")
+    # A row draw depends only on the store and its uniform, so the draws
+    # of every summand over one store are made together.
+    which = ms._term_of[which]
     rows = np.zeros(p, dtype=np.int64)
     for k in np.unique(which):
         at = which == k
-        rows[at] = ms.summands[k].rows_at(u[at, 1])
-    distinct, inverse = np.unique(rows, return_inverse=True)
-    probs = np.array([ms.row_mass(int(i)) for i in distinct]) / total
-    return rows, probs[inverse]
+        rows[at] = ms.terms[k][0].rows_at(u[at, 1])
+    return rows, ms.row_masses(rows) / total
 
 
 def sample_cols(
@@ -143,28 +160,32 @@ def sample_cols(
 
     Each draw picks one of the given rows uniformly, a summand
     proportional to its squared norm on that row, then an entry of that
-    summand's row proportional to its squared magnitude.
+    summand's row proportional to its squared magnitude.  A store that
+    occurs ``count`` times among the summands is picked with ``count``
+    times its row mass (`MatrixSum.terms`), the same law; its entry is
+    then drawn by one bulk `cols_at` over all draws that picked it.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[0] != p:
         raise ShapeError(f"need exactly p={p} sampled rows, got {rows.shape[0]}")
+    drawn = rows[rng.integers(p, size=p)]
+    # Column 0 picks the store by its weight on the drawn row, column 1
+    # the entry within that row.
+    u = rng.random((p, 2))
+    cum = np.cumsum(
+        [count * store.row_masses(drawn) for store, count, _ in ms.terms], axis=0
+    )
+    total = cum[-1]
+    if np.any(total <= 0.0):
+        i = int(drawn[np.argmax(total <= 0.0)])
+        raise ZeroMassError(f"row {i} has zero mass across summands")
+    which = (cum <= u[:, 0] * total).sum(axis=0)
+    if int(which.max()) >= len(ms.terms):
+        raise InternalError("store draw landed past the last store")
     cols = np.zeros(p, dtype=np.int64)
-    # Per-summand weights and their total, once per distinct row.
-    row_weights = {}
-    for s in range(p):
-        i = int(rows[rng.integers(p)])
-        if i not in row_weights:
-            weights = [su.row_mass(i) for su in ms.summands]
-            row_weights[i] = (weights, sum(weights))
-        weights, row_total = row_weights[i]
-        if row_total <= 0.0:
-            raise ZeroMassError(f"row {i} has zero mass across summands")
-        u = rng.random() * row_total
-        k = 0
-        while k < len(weights) - 1 and u >= weights[k]:
-            u -= weights[k]
-            k += 1
-        cols[s] = ms.summands[k].sample_entry_in_row(i, rng)
+    for k in np.unique(which):
+        at = which == k
+        cols[at] = ms.terms[k][0].cols_at(drawn[at], u[at, 1])
     return cols
 
 
@@ -214,32 +235,36 @@ class BasisSketch:
 
         Row V(i, :) combines conj(A(i_s, i)) over sampled rows i_s and
         summands A, so it vanishes unless i is stored in some sampled row
-        of some summand.  Each distinct sampled row of each distinct
-        store (`MatrixSum.terms`) is read once.  Memoized.
+        of some summand.  The distinct sampled rows of each distinct
+        store (`MatrixSum.terms`) are read in one call.  Memoized.
         """
         if self._support is None:
-            parts = [np.zeros(0, dtype=np.int64)]
-            for store, _, _ in self.ms.terms:
-                parts.extend(store.row_support(int(i))[0] for i in self._distinct_rows)
-            self._support = np.unique(np.concatenate(parts))
+            self._support = np.unique(
+                np.concatenate(
+                    [store.row_columns(self._distinct_rows) for store, _, _ in self.ms.terms]
+                )
+            )
         return self._support
 
     def row(self, i: int) -> np.ndarray:
-        """All r_tilde basis entries V(i, :) in one pass over the samples."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} outside [0, {self.n})")
-        # conj(A(i_s, i)) over distinct sampled rows, via Hermitian mirror rows.
-        acc = np.zeros(self._distinct_rows.shape[0], dtype=np.complex128)
-        for store, _, coef in self.ms.terms:
-            acc += coef * store.row_gather(i, self._distinct_rows)
-        return (acc @ self._folded) / self.singular_values
+        """All r_tilde basis entries V(i, :); equal to ``rows_dense([i])[0]``."""
+        return self.rows_dense([i])[0]
 
     def rows_dense(self, indices) -> np.ndarray:
-        """Stack of basis rows for the given indices (len(indices), r_tilde)."""
-        out = np.zeros((len(indices), self.r_tilde), dtype=np.complex128)
-        for pos, i in enumerate(indices):
-            out[pos] = self.row(int(i))
-        return out
+        """Stack of basis rows for the given indices (len(indices), r_tilde).
+
+        One block gather per distinct store of conj(A(i_s, i)) over the
+        distinct sampled rows i_s, read from the Hermitian mirror rows,
+        then one row-wise product with the folded left vectors: a row's
+        bits do not depend on the other indices in the batch.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        acc = np.zeros(
+            (indices.shape[0], self._distinct_rows.shape[0]), dtype=np.complex128
+        )
+        for store, _, coef in self.ms.terms:
+            acc += coef * store.block(indices, self._distinct_rows)
+        return linalg.rowwise_matmul(acc, self._folded) / self.singular_values
 
 
 def build_sketch(
@@ -253,12 +278,17 @@ def build_sketch(
     P_c, so K has the singular values of W = C * sqrt(m_r m_c^T) and left
     vectors U[inverse] / sqrt(m_r), and rank at most min(distinct rows,
     distinct cols).  Raises EmptySketch when the filter removes every
-    direction, and ConfigError when p exceeds the dense size cap.
+    direction, and ConfigError, before allocating it, when the p-by-(tau
+    rank) left-vector block or the distinct core would exceed
+    `MAX_SKETCH_BYTES`, or the core `linalg.MAX_DENSE_DIM` on a side.
     """
     p = params.p
-    if p > linalg.MAX_DENSE_DIM:
+    r_hat = ms.tau * ms.rank
+    left_bytes = p * r_hat * _COMPLEX_BYTES
+    if left_bytes > MAX_SKETCH_BYTES:
         raise ConfigError(
-            f"sketch size p={p} exceeds the dense size cap {linalg.MAX_DENSE_DIM}"
+            f"sketch size p={p} needs a {p} x {r_hat} left-vector block of "
+            f"{left_bytes:,} bytes, over the sketch budget of {MAX_SKETCH_BYTES:,} bytes"
         )
     rows, row_probs = sample_rows(ms, p, rng)
     cols = sample_cols(ms, rows, p, rng)
@@ -267,14 +297,22 @@ def build_sketch(
         rows, return_index=True, return_inverse=True, return_counts=True
     )
     ucols, m_c = np.unique(cols, return_counts=True)
+    shape = (urows.shape[0], ucols.shape[0])
+    core_bytes = shape[0] * shape[1] * _COMPLEX_BYTES
+    if core_bytes > MAX_SKETCH_BYTES or max(shape) > linalg.MAX_DENSE_DIM:
+        raise ConfigError(
+            f"sketch core of {shape[0]} distinct rows x {shape[1]} distinct columns "
+            f"({core_bytes:,} bytes) exceeds the sketch budget of "
+            f"{MAX_SKETCH_BYTES:,} bytes and {linalg.MAX_DENSE_DIM:,} per side"
+        )
     # Signed values and count-weighted squared magnitudes per distinct store.
-    sq = np.zeros((urows.shape[0], ucols.shape[0]), dtype=np.float64)
-    vals = np.zeros(sq.shape, dtype=np.complex128)
+    sq = np.zeros(shape, dtype=np.float64)
+    vals = np.zeros(shape, dtype=np.complex128)
     for store, count, coef in ms.terms:
-        g = np.array([store.row_gather(int(i), ucols) for i in urows])
+        g = store.block(urows, ucols)
         vals += coef * g
         sq += count * np.abs(g) ** 2
-    row_mass = np.array([ms.row_mass(int(i)) for i in urows], dtype=np.float64)
+    row_mass = ms.row_masses(urows)
     cond = sq / row_mass[:, np.newaxis]
     col_probs = (m_r[:, np.newaxis] * cond).sum(axis=0) / p
     if np.any(col_probs <= 0.0):
@@ -285,8 +323,7 @@ def build_sketch(
     core_mass = float((mult * sq / denom**2).sum())
 
     u, sigma, _ = linalg.svd(vals / denom * np.sqrt(mult))
-    r_hat = min(p, ms.tau * ms.rank)
-    sigma = sigma[:r_hat]
+    sigma = sigma[: min(p, r_hat)]
     keep = sigma**2 >= params.gamma * core_mass
     if not bool(keep.any()):
         raise EmptySketch(

@@ -7,8 +7,14 @@ squared row norms completes it.  Every law is drawn by one search,
 ``searchsorted(prefix, u * total, side="right")`` for a uniform ``u`` in
 [0, 1): a row by squared norm on the row prefix (`rows_at`), and a
 column within a row by squared magnitude on that row's own running sum
-(`sample_entry_in_row`), so a light row keeps its law in full however
-heavy the rows stored before it.
+(`cols_at`), so a light row keeps its law in full however heavy the
+rows stored before it.
+
+Reads and draws over many rows are bulk numpy calls, never a loop per
+row or per draw: `row_masses` indexes the running sums, and `cols_at`
+and `block` search every requested row's own span at once by a
+vectorized bisection (`_segment_search`), one numpy step per bit of the
+longest row's length.
 
 Bulk draws (`sample_entries`) search the running sum of all stored
 squared magnitudes in row-major order, built on first use, through a
@@ -42,6 +48,31 @@ _GUIDE_PER_ENTRY = 4
 # Relative widening of each bucket's edges when the table is built; it
 # dwarfs the few ulps by which the bucket of a uniform can be misrounded.
 _GUIDE_EDGE_SLACK = 1e-12
+
+
+def _segment_search(keys, lo, hi, targets, side: str) -> np.ndarray:
+    """``lo + searchsorted(keys[lo:hi], t, side)`` for each ``(lo, hi, t)``.
+
+    ``lo``, ``hi`` and ``targets`` broadcast together, and each span
+    ``keys[lo:hi]`` must be sorted.  A branchless bisection run on all
+    spans at once: each step halves every span's length, rounding up, so
+    the longest span of length L shrinks to one entry after
+    ceil(log2 L) steps, and a last comparison settles it.
+    """
+    before = np.less_equal if side == "right" else np.less
+    zero = np.zeros(np.shape(targets), dtype=np.int64)
+    base = lo + zero
+    length = (hi - lo) + zero
+    if not length.any():
+        return base
+    for _ in range(int(length.max() - 1).bit_length()):
+        half = length >> 1
+        mid = base + half
+        # An empty span may start one past the end of keys; its half is
+        # 0, so what it reads there is never used.
+        base = np.where(before(keys.take(mid, mode="clip"), targets), mid, base)
+        length -= half
+    return base + (length & before(keys.take(base, mode="clip"), targets))
 
 
 def _mirrored(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
@@ -105,7 +136,7 @@ class SampledMatrix:
 
     Construct through `build`, `from_dense`, or `load`, or from entry
     arrays directly.  ``touches`` counts the stored entries read by
-    `query`, `row_gather`, `entries` and `sample_entries`.
+    `query`, `row_gather`, `block`, `entries` and `sample_entries`.
     """
 
     hermitian = True
@@ -177,7 +208,15 @@ class SampledMatrix:
         stored = vals != 0
         return cls(rows[stored], cols[stored], vals[stored], n, rank_hint)
 
-    # -- scalar access ------------------------------------------------
+    # -- access -------------------------------------------------------
+
+    def _spans(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Positions [a, b) of each given row's stored entries, as arrays."""
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = (rows < 0) | (rows >= self.n)
+        if bad.any():
+            raise IndexError(f"row {int(rows[bad][0])} outside [0, {self.n})")
+        return self._indptr[rows], self._indptr[rows + 1]
 
     def _row_span(self, i: int) -> tuple[int, int]:
         """Positions [a, b) of row ``i``'s stored entries."""
@@ -204,6 +243,17 @@ class SampledMatrix:
         a, b = self._row_span(i)
         return float(self._run[b - 1]) if b > a else 0.0
 
+    def row_masses(self, rows) -> np.ndarray:
+        """Squared row norms of the given rows; `row_mass` for each."""
+        return self._masses(*self._spans(rows))
+
+    def _masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Squared row norms of the rows spanning [a, b)."""
+        out = np.zeros(a.shape, dtype=np.float64)
+        nonempty = b > a
+        out[nonempty] = self._run[b[nonempty] - 1]
+        return out
+
     def total_mass(self) -> float:
         """Squared Frobenius norm, the last entry of the row prefix."""
         return float(self._row_prefix[-1]) if self._row_prefix.size else 0.0
@@ -227,6 +277,31 @@ class SampledMatrix:
         self.touches += int(np.count_nonzero(hit))
         return out
 
+    def block(self, rows, cols) -> np.ndarray:
+        """Values at every (row, col) of the given rows and columns.
+
+        A ``len(rows)`` by ``len(cols)`` array equal to stacking
+        `row_gather` over ``rows``, with the same count of hits added to
+        ``touches``; each row's own sorted columns are searched at once.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        a, b = self._spans(rows)
+        a, b = a[:, np.newaxis], b[:, np.newaxis]
+        pos = _segment_search(self._cols, a, b, cols[np.newaxis, :], "left")
+        hit = pos < b
+        hit[hit] = self._cols[pos[hit]] == np.broadcast_to(cols, pos.shape)[hit]
+        out = np.zeros(pos.shape, dtype=np.complex128)
+        out[hit] = self._vals[pos[hit]]
+        self.touches += int(np.count_nonzero(hit))
+        return out
+
+    def row_columns(self, rows) -> np.ndarray:
+        """Stored column indices of the given rows, concatenated in order."""
+        a, b = self._spans(rows)
+        width = b - a
+        start = np.repeat(a - (np.cumsum(width) - width), width)
+        return self._cols[start + np.arange(start.shape[0])]
+
     # -- sampling -----------------------------------------------------
 
     def rows_at(self, u: np.ndarray) -> np.ndarray:
@@ -243,17 +318,23 @@ class SampledMatrix:
             raise InternalError("row draw landed past the last row")
         return self._row_ids[k]
 
-    def sample_entry_in_row(self, i: int, rng: np.random.Generator) -> int:
-        """Column drawn with probability |M(i, j)|^2 / ||row i||^2."""
-        a, b = self._row_span(i)
-        run = self._run[a:b]
-        total = float(run[-1]) if b > a else 0.0
-        if total <= 0.0:
-            raise ZeroMassError(f"row {i} has zero mass")
-        pos = int(np.searchsorted(run, rng.random() * total, side="right"))
-        if pos >= b - a:
+    def cols_at(self, rows, u) -> np.ndarray:
+        """Column drawn in ``rows[k]`` by squared magnitude, for each ``u[k]``.
+
+        Column j of row i comes with probability |M(i, j)|^2 / ||row i||^2:
+        the entry at ``searchsorted(run, u * mass, side="right")`` on row
+        i's own running sum ``run``, whose last value is ``mass``.
+        """
+        a, b = self._spans(rows)
+        mass = self._masses(a, b)
+        if np.any(mass <= 0.0):
+            raise ZeroMassError(
+                f"row {int(np.asarray(rows)[mass <= 0.0][0])} has zero mass"
+            )
+        pos = _segment_search(self._run, a, b, np.asarray(u) * mass, "right")
+        if np.any(pos >= b):
             raise InternalError("in-row draw landed past the row's last entry")
-        return int(self._cols[a + pos])
+        return self._cols[pos]
 
     def entries(self):
         """Row indices, column indices and values of every stored entry.
@@ -295,7 +376,7 @@ class SampledMatrix:
         """Vectorized draw of ``size`` (row, col, value) triples.
 
         The joint law is P(i, j) = |M(i, j)|^2 / ||M||_F^2, a row by
-        `rows_at` followed by a column by `sample_entry_in_row`.  Each
+        `rows_at` followed by a column by `cols_at`.  Each
         draw scales one uniform to ``u`` in [0, total) and returns entry
         ``searchsorted(cum, u, side="right")`` of the row-major running
         sum ``cum``; the guide table reaches that exact index by a bucket
@@ -438,6 +519,9 @@ class NegatedView:
     def row_mass(self, i: int) -> float:
         return self.base.row_mass(i)
 
+    def row_masses(self, rows) -> np.ndarray:
+        return self.base.row_masses(rows)
+
     def total_mass(self) -> float:
         return self.base.total_mass()
 
@@ -448,6 +532,12 @@ class NegatedView:
     def row_gather(self, i: int, cols: np.ndarray) -> np.ndarray:
         return -self.base.row_gather(i, cols)
 
+    def block(self, rows, cols) -> np.ndarray:
+        return -self.base.block(rows, cols)
+
+    def row_columns(self, rows) -> np.ndarray:
+        return self.base.row_columns(rows)
+
     def entries(self):
         r, c, v = self.base.entries()
         return r, c, -v
@@ -455,8 +545,8 @@ class NegatedView:
     def rows_at(self, u: np.ndarray) -> np.ndarray:
         return self.base.rows_at(u)
 
-    def sample_entry_in_row(self, i: int, rng: np.random.Generator) -> int:
-        return self.base.sample_entry_in_row(i, rng)
+    def cols_at(self, rows, u) -> np.ndarray:
+        return self.base.cols_at(rows, u)
 
     def sample_entries(self, size: int, rng: np.random.Generator):
         r, c, v, = self.base.sample_entries(size, rng)

@@ -205,10 +205,11 @@ def test_criterion_01_sampling_fidelity(capsys):
     _, want_joint, _ = exact_laws(tv_fixture_entries(), 16)
     rng = substream(100, 2)
     draws = 100_000
+    # Each draw takes its row uniform, then its column uniform.
+    u = rng.random((draws, 2))
+    rows = store.rows_at(u[:, 0])
     counts: dict = {}
-    for _ in range(draws):
-        i = int(store.rows_at(rng.random(1))[0])
-        j = store.sample_entry_in_row(i, rng)
+    for i, j in zip(rows.tolist(), store.cols_at(rows, u[:, 1]).tolist()):
         counts[(i, j)] = counts.get((i, j), 0) + 1
     keys = set(counts) | set(want_joint)
     tv = 0.5 * sum(
@@ -247,7 +248,7 @@ def test_criterion_02_row_sample_expectation(capsys):
     target = m.conj().T @ m
     acc = np.zeros_like(target)
     for i in range(ms.n):
-        prob = ms.row_probability(i)
+        prob = float(ms.row_masses([i])[0]) / ms.total_mass()
         if prob == 0.0:
             continue
         s = dense_sketch_rows(ms, np.array([i]), np.array([prob]))

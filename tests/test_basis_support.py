@@ -36,15 +36,18 @@ def random_description(ms, p, r, rng):
 
 
 def count_rows(monkeypatch):
-    """Route BasisSketch.row through a counter; returns the count list."""
+    """Count the basis rows built; returns the count list.
+
+    Every fill, `BasisSketch.row` included, goes through `rows_dense`.
+    """
     calls = [0]
-    original = BasisSketch.row
+    original = BasisSketch.rows_dense
 
-    def counted(self, i):
-        calls[0] += 1
-        return original(self, i)
+    def counted(self, indices):
+        calls[0] += len(indices)
+        return original(self, indices)
 
-    monkeypatch.setattr(BasisSketch, "row", counted)
+    monkeypatch.setattr(BasisSketch, "rows_dense", counted)
     return calls
 
 
@@ -175,3 +178,46 @@ class TestDenseBitEqual:
         gram = rows.conj().T @ rows
         sq = float(np.real(np.trace(g._core @ gram @ g._core.conj().T @ gram)))
         assert g.frobenius_norm() == float(np.sqrt(max(sq, 0.0)))
+
+
+def batch_cases():
+    """Bases over sparse and dense stores, a repeated store and negated views."""
+    rng = substream(94, 1)
+    a, b = (random_sparse_store(60, 20, rng) for _ in range(2))
+    sparse = MatrixSum([a, NegatedView(b), a], rank=2)
+    c, d = random_low_rank(24, 2, rng), random_low_rank(24, 1, rng)
+    dense = MatrixSum([c, NegatedView(d), c, c], rank=2)
+    cases = {
+        "sparse_sketch": build_sketch(sparse, SketchParams(p=80, gamma=1e-9), substream(94, 2)),
+        "dense_sketch": build_sketch(dense, SketchParams(p=80, gamma=1e-9), substream(94, 3)),
+    }
+    for r in (1, 3, 7):
+        cases[f"sparse_r{r}"] = random_description(sparse, p=40, r=r, rng=rng)
+        cases[f"dense_r{r}"] = random_description(dense, p=40, r=r, rng=rng)
+    return cases
+
+
+BATCH_CASES = batch_cases()
+
+
+class TestBatchIndependence:
+    """A basis row's bits do not depend on the other rows in its batch."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_rows_dense_equals_stacked_single_rows(self, name):
+        v = BATCH_CASES[name]
+        singles = np.array([v.rows_dense([i])[0] for i in range(v.n)])
+        support = v.support()
+        gen = np.random.default_rng(7)
+        shuffled = gen.choice(support, 3 * support.shape[0])
+        for batch in (np.arange(v.n), support, shuffled, support[-1:], gen.permutation(v.n)):
+            assert np.array_equal(v.rows_dense(batch), singles[batch])
+        for i in (0, int(support[0]), v.n - 1):
+            assert np.array_equal(v.row(i), singles[i])
+        assert v.rows_dense([]).shape == (0, v.r_tilde)
+
+    def test_out_of_range_index_raises(self):
+        v = BATCH_CASES["sparse_sketch"]
+        for bad in ([0, v.n], [-1], [v.n + 5, 0]):
+            with pytest.raises(IndexError):
+                v.rows_dense(bad)

@@ -11,6 +11,7 @@ import pytest
 
 from sdpsketch.cli import main
 from sdpsketch.instances import (
+    planted_around_state,
     planted_infeasible,
     planted_one_update,
     projector_store,
@@ -321,17 +322,33 @@ class TestErrorPaths:
         assert text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_p_above_dense_cap_exits_two(self, work, capsys, monkeypatch):
-        from sdpsketch import linalg
+    def test_core_above_budget_exits_two(self, work, capsys, monkeypatch):
+        from sdpsketch import sketch
 
-        # Lowered so that a missing check costs megabytes, not gigabytes.
-        monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 100)
+        # Lowered so that a missing check costs kilobytes, not gigabytes:
+        # the 20 x 2 left block fits and the distinct core does not.
+        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", 1000)
         code, _ = run_cli(
-            ["feastest", work["bad"], "--p", "101", "--gamma", "1e-8",
+            ["feastest", work["bad"], "--p", "20", "--gamma", "1e-8",
              "--max-iters", "2", "--seed", "3"]
         )
         assert code == 2
-        assert "exceeds the dense size cap 100" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: sketch core of ")
+        assert "exceeds the sketch budget of 1,000 bytes" in err
+
+    def test_p_above_svd_cap_exits_zero(self, tmp_path):
+        # The README instance: its core has at most 32 x 32 distinct
+        # entries however large p is.
+        problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
+        path = str(tmp_path / "readme.man")
+        write_feasibility_manifest(path, problem.constraints, problem.bounds, problem.eps)
+        code, text = run_cli(
+            ["feastest", path, "--seed", "3", "--p", "20000", "--gamma", "1e-6",
+             "--max-iters", "8"]
+        )
+        assert code == 0
+        assert "p 20000" in text
 
     def test_unexpected_exception_exits_two(self, work, capsys, monkeypatch):
         from sdpsketch import solver

@@ -29,6 +29,21 @@ def surrogate_with(d):
     return SpectralSurrogate(u=np.eye(d.shape[0], dtype=complex), d=d)
 
 
+class TestBatchIndependentQueries:
+    def test_query_after_bulk_fill_equals_fresh_candidate(self):
+        ms = random_matrix_sum(20, tau=3, rank=2, rng=substream(64, 1))
+        v = build_sketch(ms, SketchParams(p=150, gamma=1e-6), substream(64, 2))
+        core = estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.05, rng=substream(64, 3))
+        s = decompose(core, basis=v)
+        g = make_gibbs(v, s, beta=1.5)
+        # One batch over the whole support, then a sampled bulk read.
+        g.frobenius_norm()
+        pairs = np.random.default_rng(64).integers(20, size=(40, 2))
+        g.operator().bulk_entries(pairs[:, 0], pairs[:, 1])
+        for i, j in pairs.tolist():
+            assert make_gibbs(v, s, beta=1.5).query(i, j) == g.query(i, j)
+
+
 class TestNormalizer:
     def test_frozen_two_level_value(self):
         ms, g = candidate(beta=0.0, seed=61)

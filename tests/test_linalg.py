@@ -4,7 +4,8 @@ import pytest
 
 from sdpsketch import rng as rngmod
 from sdpsketch.errors import HermiticityError
-from sdpsketch.linalg import eigh, qr, svd
+from sdpsketch import linalg
+from sdpsketch.linalg import eigh, qr, rowwise_matmul, svd
 
 
 def random_complex(n: int, m: int, key: int) -> np.ndarray:
@@ -64,3 +65,21 @@ class TestQr:
         q, r = qr(a)
         assert np.allclose(q @ r, a, atol=1e-12)
         assert np.allclose(q.conj().T @ q, np.eye(4), atol=1e-12)
+
+
+class TestRowwiseMatmul:
+    @pytest.mark.parametrize(
+        "shape", [(9, 1, 1), (9, 1, 5), (9, 40, 1), (9, 40, 6), (33, 7, 2), (0, 5, 3), (4, 0, 3)]
+    )
+    def test_rows_do_not_depend_on_batch_or_block(self, monkeypatch, shape):
+        rows, k, m = shape
+        a = random_complex(rows, k, 3) if rows * k else np.zeros((rows, k), complex)
+        b = random_complex(k, m, 4) if k else np.zeros((k, m), complex)
+        full = rowwise_matmul(a, b)
+        assert full.shape == (rows, m)
+        assert np.allclose(full, a @ b, rtol=1e-12, atol=1e-12)
+        for block in (1, 7, m * k + 1):
+            monkeypatch.setattr(linalg, "ROWWISE_BLOCK", block)
+            assert np.array_equal(rowwise_matmul(a, b), full)
+        for i in range(rows):
+            assert np.array_equal(rowwise_matmul(a[i : i + 1], b)[0], full[i])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdpsketch import linalg
-from sdpsketch.errors import EmptySketch, InternalError, ShapeError
+from sdpsketch.errors import EmptySketch, InternalError, ShapeError, ZeroMassError
 from sdpsketch.instances import random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_basis, dense_realize, dense_sketch_rows
 from sdpsketch.rng import substream
@@ -44,15 +44,16 @@ class TestMatrixSum:
 
     def test_row_mass_matches_dense(self):
         ms = two_summands()
-        for i in range(ms.n):
-            expect = sum(
-                np.abs(dense_realize(MatrixSum([s], rank=1))[i]) ** 2
-            for s in ms.summands).sum()
-            assert ms.row_mass(i) == pytest.approx(expect, rel=1e-14)
+        expect = sum(
+            (np.abs(dense_realize(MatrixSum([s], rank=1))) ** 2).sum(axis=1)
+            for s in ms.summands
+        )
+        assert ms.row_masses(np.arange(ms.n)) == pytest.approx(expect, rel=1e-14)
 
     def test_row_probabilities_sum_to_one(self):
         ms = two_summands()
-        assert sum(ms.row_probability(i) for i in range(ms.n)) == pytest.approx(1.0)
+        probs = ms.row_masses(np.arange(ms.n)) / ms.total_mass()
+        assert probs.sum() == pytest.approx(1.0)
 
     def test_query_adds_summands(self):
         ms = two_summands()
@@ -73,7 +74,7 @@ class TestMatrixSum:
         ms = MatrixSum([a, b, NegatedView(a), NegatedView(NegatedView(b)), a], rank=1)
         assert [(id(s), c, k) for s, c, k in ms.terms] == [(id(a), 3, 1), (id(b), 2, 2)]
         for i in range(3):
-            assert ms.row_mass(i) == pytest.approx(
+            assert ms.row_masses([i])[0] == pytest.approx(
                 sum(s.row_mass(i) for s in ms.summands), rel=1e-15
             )
 
@@ -122,35 +123,65 @@ class TestSketchParams:
                 SketchParams(p=10, gamma=bad)
 
 
-class TestDenseCap:
-    def test_p_above_cap_rejected_before_allocation(self, monkeypatch):
+class TestSketchBudget:
+    """The byte budget on the left-vector block and the distinct core."""
+
+    def test_core_above_budget_rejected_before_allocation(self, monkeypatch):
+        import re
         import tracemalloc
 
-        from sdpsketch import linalg
+        from sdpsketch import sketch
         from sdpsketch.errors import ConfigError
 
-        # A lowered cap keeps a regression cheap: p = 800 would allocate
-        # about 40 p^2 = 25.6 MB of p-by-p arrays before the SVD rejects it.
-        monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 799)
-        ms = MatrixSum([random_low_rank(8, 2, substream(29, 1))], rank=2)
-        params = SketchParams.scaled(tau=1, rank=2, eps=0.5)
-        assert params.p == 800
+        # About 400 x 400 distinct rows and columns: a 2.5 MB complex core,
+        # over a budget lowered to 1 MB that the p x 2 left block meets.
+        ms = MatrixSum([random_low_rank(400, 2, substream(29, 1))], rank=2)
+        # numpy imports numpy.ma (about 1 MB) on the first sketch.
+        build_sketch(ms, SketchParams(p=20, gamma=1e-6), substream(29, 3))
+        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", 1 << 20)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match="dense size cap 799"):
-                build_sketch(ms, params, substream(29, 2))
+            with pytest.raises(ConfigError, match="sketch core") as info:
+                build_sketch(ms, SketchParams(p=2000, gamma=1e-6), substream(29, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        shape = re.search(r"of (\d+) distinct rows x (\d+) distinct columns", str(info.value))
+        rows, cols = int(shape[1]), int(shape[2])
+        assert f"({rows * cols * 16:,} bytes)" in str(info.value)
+        assert "budget of 1,048,576 bytes" in str(info.value)
+        assert rows * cols * 16 > 1 << 20
         assert peak < 1 << 20
+
+    def test_left_block_above_budget_rejected_before_draws(self, monkeypatch):
+        from sdpsketch import sketch
+        from sdpsketch.errors import ConfigError
+
+        ms = MatrixSum([random_low_rank(8, 2, substream(29, 1))], rank=2)
+        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", 2000 * 2 * 16 - 1)
+        rng = substream(29, 2)
+        with pytest.raises(ConfigError, match=r"2000 x 2 left-vector block of 64,000 bytes"):
+            build_sketch(ms, SketchParams(p=2000, gamma=1e-6), rng)
+        assert rng.random() == substream(29, 2).random()
+
+    def test_core_wider_than_svd_cap_rejected(self, monkeypatch):
+        from sdpsketch.errors import ConfigError
+
+        # The core check fires before linalg.svd's own ValueError.
+        ms = MatrixSum([random_low_rank(32, 2, substream(29, 1))], rank=2)
+        monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 20)
+        with pytest.raises(ConfigError, match="and 20 per side"):
+            build_sketch(ms, SketchParams(p=400, gamma=1e-6), substream(29, 2))
 
 
 class TestRowSampling:
     def test_reported_probabilities_are_exact(self):
         ms = two_summands()
         rows, probs = sample_rows(ms, 50, substream(3, 1))
+        total = ms.total_mass()
         for t in range(50):
-            assert probs[t] == ms.row_probability(int(rows[t]))
+            mass = sum(s.row_mass(int(rows[t])) for s in ms.summands)
+            assert probs[t] == mass / total
 
     def test_row_law_single_summand(self):
         # diag(1, 2): row masses 1 and 4, so P(row 1) = 4/5.
@@ -185,6 +216,29 @@ class TestRowSampling:
         assert set(np.unique(cols)) <= {1, 2}
         assert abs(np.mean(cols == 2) - 16 / 25) < 0.04
 
+    def test_column_frequencies_match_mixture(self):
+        # tau = 3: one store twice plus a negated one.  Given the sampled
+        # rows i_s, a column draw has the exact law
+        # (1/p) sum_s sum_t c_t |A_t(i_s, j)|^2 / sum_t c_t ||A_t(i_s, .)||^2.
+        n, p = 10, 20_000
+        a = random_low_rank(n, 2, substream(40, 1))
+        b = random_low_rank(n, 1, substream(40, 2))
+        ms = MatrixSum([a, a, NegatedView(b)], rank=2)
+        rows, _ = sample_rows(ms, p, substream(40, 3))
+        cols = sample_cols(ms, rows, p, substream(40, 4))
+        sq = sum(np.abs(dense_realize(MatrixSum([s], rank=1))) ** 2 for s in ms.summands)
+        law = (sq[rows] / sq[rows].sum(axis=1, keepdims=True)).mean(axis=0)
+        assert np.all(law > 0)
+        counts = np.bincount(cols, minlength=n)
+        chi2 = float(((counts - p * law) ** 2 / (p * law)).sum())
+        # The 0.999 quantile of chi-square with n - 1 = 9 degrees of freedom.
+        assert chi2 < 27.88
+
+    def test_zero_mass_row_raises(self):
+        ms = MatrixSum([build({(0, 0): 1.0}, 3), build({(0, 1): 2.0}, 3)], rank=1)
+        with pytest.raises(ZeroMassError, match="row 2 has zero mass"):
+            sample_cols(ms, np.full(4, 2), 4, substream(8, 2))
+
     def test_sample_cols_requires_matching_length(self):
         ms = two_summands()
         with pytest.raises(ShapeError):
@@ -206,7 +260,7 @@ class TestRowSampling:
             want.append(int(ms.summands[k].rows_at(np.array([rng.random()]))[0]))
         assert picked == set(range(5))
         assert np.array_equal(rows, want)
-        assert np.array_equal(probs, [ms.row_probability(i) for i in want])
+        assert np.array_equal(probs, ms.row_masses(want) / ms.total_mass())
 
     def test_sampling_is_deterministic_per_stream(self):
         ms = two_summands()
@@ -228,7 +282,7 @@ class TestRowSampleMoments:
         target = m.conj().T @ m
         acc = np.zeros_like(target)
         for i in range(ms.n):
-            prob = ms.row_probability(i)
+            prob = float(ms.row_masses([i])[0]) / ms.total_mass()
             if prob == 0.0:
                 continue
             s = dense_sketch_rows(ms, np.array([i]), np.array([prob]))
@@ -387,7 +441,7 @@ def pxp_core(ms, rows, row_probs, cols):
         g = np.array([s.row_gather(int(i), cols) for i in rows])
         vals += g
         sq += np.abs(g) ** 2
-    row_mass = np.array([ms.row_mass(int(i)) for i in rows])
+    row_mass = ms.row_masses(rows)
     col_probs = (sq / row_mass[:, np.newaxis]).mean(axis=0)
     denom = p * np.sqrt(np.outer(row_probs, col_probs))
     return vals / denom, float((sq / denom**2).sum())

@@ -74,9 +74,7 @@ class FixedUniforms:
     def __init__(self, x):
         self.x = np.atleast_1d(np.asarray(x, dtype=np.float64))
 
-    def random(self, size=None):
-        if size is None:
-            return float(self.x[0])
+    def random(self, size):
         assert size == self.x.shape[0]
         return self.x.copy()
 
@@ -174,10 +172,8 @@ class TestExactLaws:
             0: Fraction(9, 25),
             1: Fraction(16, 25),
         }
-        assert store.sample_entry_in_row(1, FixedUniforms(0.0)) == 1
-        assert store.sample_entry_in_row(1, FixedUniforms(0.359)) == 1
-        assert store.sample_entry_in_row(1, FixedUniforms(0.361)) == 2
-        assert store.sample_entry_in_row(1, FixedUniforms(1.0 - 2.0**-53)) == 2
+        u = [0.0, 0.359, 0.361, 1.0 - 2.0**-53]
+        assert store.cols_at([1] * 4, u).tolist() == [1, 1, 2, 2]
 
     def test_entry_law_equals_definition(self):
         # entries whose squared magnitudes are exact dyadics, so the
@@ -367,7 +363,7 @@ class TestBuildValidation:
         with pytest.raises(ZeroMassError):
             store.rows_at(rng.random(1))
         with pytest.raises(ZeroMassError):
-            store.sample_entry_in_row(0, rng)
+            store.cols_at([0], rng.random(1))
 
 
 class TestArrayFootprint:
@@ -404,8 +400,10 @@ class TestAccessorCost:
             dense[0, n - 1] = dense[n - 1, 0] = 0.0
         store = SampledMatrix.from_dense(dense, rank_hint=n)
         i = int(store.rows_at(rng.random(1))[0])
-        j = store.sample_entry_in_row(i, rng)
+        j = int(store.cols_at([i], rng.random(1))[0])
         store.row_mass(i)
+        store.row_masses([i])
+        store.row_columns([i])
         store.row_support(i)
         store.frobenius_norm()
         assert store.touches == 0
@@ -510,6 +508,111 @@ class TestBulkDrawExactness:
         assert np.array_equal(neg_r, got_r)
         assert np.array_equal(neg_c, got_c)
         assert np.array_equal(neg_v, -got_v)
+
+
+def random_entry_store(gen, n: int, density: float, zero_frac: float) -> SampledMatrix:
+    """Upper-triangle store with empty rows, explicit zeros and magnitudes
+    over eight decades; entry (n - 1, n - 1) keeps one row nonempty."""
+    iu, ju = np.triu_indices(n)
+    keep = gen.random(iu.shape[0]) < density
+    keep[-1] = True
+    i, j = iu[keep], ju[keep]
+    v = (gen.standard_normal(i.shape[0]) + 1j * gen.standard_normal(i.shape[0])) * 10.0 ** (
+        8 * (gen.random(i.shape[0]) - 0.5)
+    )
+    v[i == j] = v[i == j].real
+    v[gen.random(i.shape[0]) < zero_frac] = 0.0
+    v[-1] = 1.0
+    return SampledMatrix(i, j, v, n, rank_hint=1)
+
+
+class TestInRowDraws:
+    """``cols_at`` returns, for each (row, u), the column at
+    ``searchsorted(run, u * mass, "right")`` on the row's own running sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        density=st.sampled_from([0.05, 0.3, 1.0]),
+        zero_frac=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bulk_draw_equals_per_row_searchsorted(self, n, density, zero_frac, seed):
+        gen = np.random.default_rng(seed)
+        store = random_entry_store(gen, n, density, zero_frac)
+        rows, us, want = [], [], []
+        for r in range(n):
+            span = row_slice(store, r)
+            run = store._run[span]
+            if not run.size or run[-1] <= 0.0:
+                continue
+            mass = float(run[-1])
+            # 0, 1 - 2^-53, every running-sum boundary and its neighbours.
+            u = np.concatenate([[0.0, 1.0 - 2.0**-53], uniforms_hitting(run, mass)])
+            u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            rows.append(np.full(u.shape[0], r))
+            us.append(u)
+            want.append(store._cols[span][np.searchsorted(run, u * mass, side="right")])
+        order = gen.permutation(sum(u.shape[0] for u in us))
+        rows, us, want = (np.concatenate(x)[order] for x in (rows, us, want))
+        assert np.array_equal(store.cols_at(rows, us), want)
+        assert np.array_equal(NegatedView(store).cols_at(rows, us), want)
+
+    def test_zero_mass_row_raises(self):
+        # Row 0 stores explicit zeros, row 1 their mirror, row 3 nothing.
+        store = SampledMatrix([0, 0, 2], [0, 1, 2], [0.0, 0.0, 1.0], 4, rank_hint=1)
+        assert store.cols_at([2], [0.5]).tolist() == [2]
+        for r in (0, 1, 3):
+            with pytest.raises(ZeroMassError, match=f"row {r} has zero mass"):
+                store.cols_at([2, r], [0.5, 0.5])
+
+    def test_out_of_range_row_raises(self):
+        store = diag_fixture()
+        for r in (-1, 2):
+            with pytest.raises(IndexError):
+                store.cols_at([0, r], [0.5, 0.5])
+
+
+class TestBlockGather:
+    """``block`` equals stacked ``row_gather`` in values and in ``touches``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        density=st.sampled_from([0.05, 0.3, 1.0]),
+        sizes=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_block_equals_stacked_row_gather(self, n, density, sizes, seed):
+        gen = np.random.default_rng(seed)
+        store = random_entry_store(gen, n, density, 0.3)
+        # Repeated, unsorted rows and columns, empty rows included.
+        rows = gen.integers(n, size=sizes[0])
+        cols = gen.integers(n, size=sizes[1])
+        before = store.touches
+        want = np.array([store.row_gather(int(i), cols) for i in rows])
+        want = want.reshape(rows.shape[0], cols.shape[0])
+        gathered = store.touches - before
+        got = store.block(rows, cols)
+        assert np.array_equal(got, want)
+        assert store.touches - before == 2 * gathered
+        assert np.array_equal(NegatedView(store).block(rows, cols), -want)
+        assert np.array_equal(
+            store.row_masses(rows), np.array([store.row_mass(int(i)) for i in rows])
+        )
+        assert np.array_equal(
+            store.row_columns(rows),
+            np.concatenate([np.zeros(0, np.int64)] + [store.row_support(int(i))[0] for i in rows]),
+        )
+
+    def test_out_of_range_row_raises(self):
+        store = diag_fixture()
+        for r in (-1, 2):
+            with pytest.raises(IndexError):
+                store.block([0, r], [0, 1])
+            with pytest.raises(IndexError):
+                store.row_masses([r])
 
 
 class TestFileFormat:
