@@ -29,9 +29,11 @@ class GibbsDescription:
     a row in the basis support and O(r_tilde) after; rows off the support
     are exactly zero and are never rebuilt.  The rows missing from a
     request are filled in one batch (`BasisSketch.rows_dense`, then
-    `linalg.rowwise_matmul` by the core), and a cached row's bits do not
-    depend on which other rows shared its batch, so an entry queried on a
-    fresh candidate equals the same entry after any bulk fill.
+    `linalg.rowwise_matmul` by the core); when that is the whole support,
+    as for the norm of a fresh candidate, the basis's memo of it
+    (`BasisSketch.support_rows`) is read instead.  A cached row's bits do
+    not depend on which other rows shared its batch, so an entry queried
+    on a fresh candidate equals the same entry after any bulk fill.
     """
 
     def __init__(
@@ -88,7 +90,11 @@ class GibbsDescription:
             self._filled[self.basis.support()] = False
         missing = np.unique(indices[~self._filled[indices]])
         if missing.size:
-            rows = self.basis.rows_dense(missing)
+            # Only support rows are ever missing, so equal sizes mean all.
+            if missing.size == self.basis.support().size:
+                rows = self.basis.support_rows()
+            else:
+                rows = self.basis.rows_dense(missing)
             self._v_rows[missing] = rows
             self._vm_rows[missing] = linalg.rowwise_matmul(rows, self._core)
             self._filled[missing] = True
@@ -119,9 +125,8 @@ class GibbsDescription:
         if self.uniform_fallback:
             return 1.0 / float(np.sqrt(self.n))
         if self._fro is None:
-            support = self.basis.support()
-            self._ensure_rows(support)
-            rows = self._v_rows[support]
+            self._ensure_rows(self.basis.support())
+            rows = self.basis.support_rows()
             gram = rows.conj().T @ rows
             sq = float(
                 np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram))

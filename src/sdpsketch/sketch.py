@@ -225,6 +225,7 @@ class BasisSketch:
         )
         np.add.at(self._folded, inverse, self.left_vectors * scale[:, np.newaxis])
         self._support = None
+        self._support_rows = None
 
     @property
     def n(self) -> int:
@@ -245,6 +246,15 @@ class BasisSketch:
                 )
             )
         return self._support
+
+    def support_rows(self) -> np.ndarray:
+        """``rows_dense(support())``, every basis row that can be nonzero.
+
+        Memoized: the compression and the candidate's norm both read it.
+        """
+        if self._support_rows is None:
+            self._support_rows = self.rows_dense(self.support())
+        return self._support_rows
 
     def row(self, i: int) -> np.ndarray:
         """All r_tilde basis entries V(i, :); equal to ``rows_dense([i])[0]``."""

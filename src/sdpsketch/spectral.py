@@ -70,15 +70,16 @@ def estimate_vav(
     with (r_tilde tau / eps_s)^2 up to the summand's stored-entry count,
     where it is summed exactly, so callers at desk scale pass a per-entry
     budget scaled up accordingly.  Only the basis rows in `v.support()`
-    are filled; the rest are exactly zero, so the fill costs
-    O(|support| x distinct rows x distinct stores), independent of n.
+    are filled (`v.support_rows()`); the rest are exactly zero, so the
+    fill costs O(|support| x distinct rows x distinct stores), independent
+    of n.
     """
     r = v.r_tilde
     tau = ms.tau
     if r == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     support = v.support()
-    support_rows = v.rows_dense(support)
+    support_rows = v.support_rows()
     col_norms = np.sqrt((np.abs(support_rows) ** 2).sum(axis=0))
     # Indexed by global row for the per-sample lookups; np.zeros is lazily
     # zeroed, so rows off the support cost nothing until a sample reads them.

@@ -14,17 +14,9 @@ Reads and draws over many rows are bulk numpy calls, never a loop per
 row or per draw: `row_masses` indexes the running sums, and `cols_at`
 and `block` search every requested row's own span at once by a
 vectorized bisection (`_segment_search`), one numpy step per bit of the
-longest row's length.
-
-Bulk draws (`sample_entries`) search the running sum of all stored
-squared magnitudes in row-major order, built on first use, through a
-guide table (Chen and Asau's indexed search).  It splits [0, total)
-into equal buckets and keeps, for each, a lower bound on the
-inverse-CDF index; a fixed number of branchless steps finishes the
-search at the same index.  The step count is fixed per table by the
-most crowded bucket, not by the table's size: two or three steps on
-dense random tables, five on a 32-by-32 rank-one projector, whose many
-small entries share a few buckets.
+longest row's length.  An entry draw (`sample_entries`) is the same two
+searches in turn, a row by `rows_at` and then a column in it by
+`cols_at`, so no law has a second copy.
 
 Input data lists one triangle only; the store mirrors the conjugate so the
 matrix is Hermitian by construction.  Indices are 0-based in this API; the
@@ -42,12 +34,6 @@ from .errors import HermiticityError, InternalError, ManifestError, ZeroMassErro
 # Diagonal entries and mirror conflicts beyond this are rejected as
 # non-Hermitian rather than silently repaired.
 HERMITICITY_TOL = 1e-12
-
-# Guide-table buckets per stored entry.
-_GUIDE_PER_ENTRY = 4
-# Relative widening of each bucket's edges when the table is built; it
-# dwarfs the few ulps by which the bucket of a uniform can be misrounded.
-_GUIDE_EDGE_SLACK = 1e-12
 
 
 def _segment_search(keys, lo, hi, targets, side: str) -> np.ndarray:
@@ -174,7 +160,6 @@ class SampledMatrix:
         # Over nonempty rows only: an empty row adds nothing and is never
         # drawn, and a wide sparse store sums no n-length array.
         self._row_prefix = np.cumsum(self._run[bounds[1:] - 1])
-        self._guide = None
 
     # -- construction -------------------------------------------------
 
@@ -325,6 +310,10 @@ class SampledMatrix:
         the entry at ``searchsorted(run, u * mass, side="right")`` on row
         i's own running sum ``run``, whose last value is ``mass``.
         """
+        return self._cols[self._positions_at(rows, u)]
+
+    def _positions_at(self, rows, u) -> np.ndarray:
+        """Stored position of the entry `cols_at` draws for each (row, u)."""
         a, b = self._spans(rows)
         mass = self._masses(a, b)
         if np.any(mass <= 0.0):
@@ -334,7 +323,21 @@ class SampledMatrix:
         pos = _segment_search(self._run, a, b, np.asarray(u) * mass, "right")
         if np.any(pos >= b):
             raise InternalError("in-row draw landed past the row's last entry")
-        return self._cols[pos]
+        return pos
+
+    def sample_entries(self, u):
+        """(row, col, value) triples drawn from the rows of uniforms ``u``.
+
+        ``u`` has shape (k, 2).  Draw k takes its row from ``u[k, 0]`` by
+        `rows_at`, then its column in that row from ``u[k, 1]`` by
+        `cols_at`, so the joint law is P(i, j) = |M(i, j)|^2 / ||M||_F^2.
+        Adds k to ``touches``.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        rows = self.rows_at(u[:, 0])
+        pos = self._positions_at(rows, u[:, 1])
+        self.touches += pos.shape[0]
+        return rows, self._cols[pos], self._vals[pos]
 
     def entries(self):
         """Row indices, column indices and values of every stored entry.
@@ -343,55 +346,6 @@ class SampledMatrix:
         """
         self.touches += self.nnz
         return self._rows, self._cols, self._vals
-
-    def _guide_table(self):
-        """Guide over the running sum of all stored squared magnitudes.
-
-        Returns ``(total, scale, start, steps)`` for the running sum
-        ``cum`` in row-major order and its last value ``total``.  A
-        uniform ``u`` falls in bucket ``int(u * scale)``; ``start`` of
-        that bucket counts the entries of ``cum`` at most the bucket's
-        lowered lower edge, so it never exceeds
-        ``searchsorted(cum, u, "right")``.  ``steps`` pairs each
-        descending power of two ``s`` with ``cum_pad[s - 1:]``, where
-        ``cum_pad`` is ``cum`` followed by ``+inf``; the powers sum to at
-        least the largest number of ``cum`` entries in one raised bucket.
-        """
-        if self._guide is None:
-            cum = np.cumsum(np.abs(self._vals) ** 2)
-            total = float(cum[-1])
-            buckets = _GUIDE_PER_ENTRY * cum.shape[0]
-            edges = np.arange(buckets + 2) * (total / buckets)
-            bounds = np.searchsorted(cum, edges * (1.0 - _GUIDE_EDGE_SLACK), "right")
-            start = bounds[:-1]
-            stop = np.searchsorted(cum, edges[1:] * (1.0 + _GUIDE_EDGE_SLACK), "right")
-            width = 1 << int((stop - start).max()).bit_length()
-            cum_pad = np.concatenate([cum, np.full(width, np.inf)])
-            powers = [1 << k for k in reversed(range(width.bit_length() - 1))]
-            steps = [(s, cum_pad[s - 1 :]) for s in powers]
-            self._guide = (total, buckets / total, start, steps)
-        return self._guide
-
-    def sample_entries(self, size: int, rng: np.random.Generator):
-        """Vectorized draw of ``size`` (row, col, value) triples.
-
-        The joint law is P(i, j) = |M(i, j)|^2 / ||M||_F^2, a row by
-        `rows_at` followed by a column by `cols_at`.  Each
-        draw scales one uniform to ``u`` in [0, total) and returns entry
-        ``searchsorted(cum, u, side="right")`` of the row-major running
-        sum ``cum``; the guide table reaches that exact index by a bucket
-        lookup and a fixed number of branchless steps instead of a binary
-        search.
-        """
-        if self.total_mass() <= 0.0:
-            raise ZeroMassError("matrix has zero Frobenius mass")
-        total, scale, start, steps = self._guide_table()
-        u = rng.random(size) * total
-        idx = start.take((u * scale).astype(np.intp))
-        for s, shifted in steps:
-            idx += s * (shifted.take(idx) <= u)
-        self.touches += size
-        return self._rows.take(idx), self._cols.take(idx), self._vals.take(idx)
 
     @property
     def nnz(self) -> int:
@@ -548,8 +502,8 @@ class NegatedView:
     def cols_at(self, rows, u) -> np.ndarray:
         return self.base.cols_at(rows, u)
 
-    def sample_entries(self, size: int, rng: np.random.Generator):
-        r, c, v, = self.base.sample_entries(size, rng)
+    def sample_entries(self, u):
+        r, c, v = self.base.sample_entries(u)
         return r, c, -v
 
 

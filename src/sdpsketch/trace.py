@@ -5,7 +5,11 @@ One sample draws a position (i, j) of A with probability
 which is unbiased for Tr[A B] with variance at most ||A||_F^2 ||B||_F^2.
 Samples are averaged within batches sized by Chebyshev and the batch means
 are combined by a coordinate-wise median (real and imaginary parts
-separately) to reach the requested failure probability.
+separately) to reach the requested failure probability.  Each batch
+draws from its own child stream, two uniforms per sample (the store's
+row-then-column draw, `SampledMatrix.sample_entries`), and whole batches
+share one sampling call and one B-query call, so a batch's draws and sum
+do not depend on how many batches share its call.
 
 When A stores no more entries than that plan would draw, the estimate is
 instead the exact sum of A(i, j) B(j, i) over the stored entries: one
@@ -87,12 +91,13 @@ def estimate_trace_product(
         return 0j
     if b.fro_bound == 0.0:
         raise ZeroMassError("B declares zero Frobenius norm but A has mass")
-    planned = cfg.batch_count() * cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
-    if a.nnz <= planned:
+    count = cfg.batch_count()
+    size = cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
+    if a.nnz <= count * size:
         rows, cols, vals = a.entries()
         result = complex((vals * b.bulk_entries(cols, rows)).sum())
     else:
-        result = _sampled_trace_product(a, b, cfg, rng)
+        result = _sampled_trace_product(a, b, count, size, rng)
     if getattr(a, "hermitian", False) and b.hermitian:
         result = complex(result.real, 0.0)
     return result
@@ -101,27 +106,29 @@ def estimate_trace_product(
 def _sampled_trace_product(
     a,
     b: QueryableOperator,
-    cfg: EstimatorConfig,
+    count: int,
+    size: int,
     rng: np.random.Generator,
 ) -> complex:
-    """Median of batch means of the one-sample estimator of Tr[A B].
+    """Median of ``count`` batch means of ``size`` one-sample estimates.
 
-    Assumes A has mass and B a nonzero norm bound.  Returns the complex
-    median; the Hermitian real-part rule is the caller's.
+    Batch k draws from the k-th child stream of `rng`.  Each pass takes
+    as many whole batches as fit in `_CHUNK` draws, at least one, and a
+    batch larger than `_CHUNK` takes several passes.  Assumes A has mass
+    and B a nonzero norm bound.  Returns the complex median; the
+    Hermitian real-part rule is the caller's.
     """
-    a_fro = a.frobenius_norm()
-    a_fro_sq = a_fro * a_fro
-    count = cfg.batch_count()
-    size = cfg.batch_size(a_fro_sq, b.fro_bound**2)
-    means = np.zeros(count, dtype=np.complex128)
-    for batch, child in enumerate(rng.spawn(count)):
-        acc = 0j
-        done = 0
-        while done < size:
+    a_fro_sq = a.total_mass()
+    children = rng.spawn(count)
+    per = max(1, _CHUNK // size)
+    sums = np.zeros(count, dtype=np.complex128)
+    for first in range(0, count, per):
+        group = children[first : first + per]
+        for done in range(0, size, _CHUNK):
             step = min(_CHUNK, size - done)
-            rows, cols, vals = a.sample_entries(step, child)
-            bvals = b.bulk_entries(cols, rows)
-            acc += complex((bvals * (a_fro_sq / np.conj(vals))).sum())
-            done += step
-        means[batch] = acc / size
+            u = np.concatenate([child.random((step, 2)) for child in group])
+            rows, cols, vals = a.sample_entries(u)
+            w = b.bulk_entries(cols, rows) * (a_fro_sq / np.conj(vals))
+            sums[first : first + len(group)] += w.reshape(len(group), step).sum(axis=1)
+    means = sums / size
     return complex(np.median(means.real), np.median(means.imag))

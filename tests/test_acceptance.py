@@ -205,11 +205,11 @@ def test_criterion_01_sampling_fidelity(capsys):
     _, want_joint, _ = exact_laws(tv_fixture_entries(), 16)
     rng = substream(100, 2)
     draws = 100_000
-    # Each draw takes its row uniform, then its column uniform.
-    u = rng.random((draws, 2))
-    rows = store.rows_at(u[:, 0])
+    # Each draw takes its row uniform, then its column uniform, through
+    # the entry sampler the trace estimator uses.
+    rows, cols, _ = store.sample_entries(rng.random((draws, 2)))
     counts: dict = {}
-    for i, j in zip(rows.tolist(), store.cols_at(rows, u[:, 1]).tolist()):
+    for i, j in zip(rows.tolist(), cols.tolist()):
         counts[(i, j)] = counts.get((i, j), 0) + 1
     keys = set(counts) | set(want_joint)
     tv = 0.5 * sum(

@@ -130,6 +130,9 @@ class TestIndependentOfN:
         assert len(v_s.support()) == len(v_b.support()) <= 12
         assert vav_calls <= len(v_s.support())
         assert fro_calls <= len(v_s.support())
+        # The candidate's norm reads the support rows V+AV built.
+        assert vav_calls == len(v_s.support())
+        assert fro_calls == 0
         # Samples off the support read known-zero rows without a rebuild.
         assert trace_calls == 0
         assert fro_b == pytest.approx(fro_s, rel=1e-12)

@@ -68,17 +68,6 @@ def diagonal_store(values) -> SampledMatrix:
     )
 
 
-class FixedUniforms:
-    """Stand-in generator whose ``random`` returns prescribed uniforms."""
-
-    def __init__(self, x):
-        self.x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-
-    def random(self, size):
-        assert size == self.x.shape[0]
-        return self.x.copy()
-
-
 class TestPrefixArrays:
     def test_masses_read_back(self):
         store = diagonal_store([1.0, 2.0, 3.0, 4.0])
@@ -416,7 +405,7 @@ class TestAccessorCost:
         assert store.touches == 1 + store.row_support(i)[0].shape[0]
         before = store.touches
         store.entries()
-        store.sample_entries(7, rng)
+        store.sample_entries(rng.random((7, 2)))
         assert store.touches == before + store.nnz + 7
 
 
@@ -424,9 +413,11 @@ class TestUpdatesAndViews:
     def test_zero_mass_bulk_draws(self):
         rng = rngmod.substream(0, 1, 11)
         with pytest.raises(ZeroMassError):
-            build({}, n=2, rank_hint=1).sample_entries(4, rng)
+            build({}, n=2, rank_hint=1).sample_entries(rng.random((4, 2)))
         with pytest.raises(ZeroMassError):
-            build({(0, 0): 0.0, (0, 1): 0.0}, n=2, rank_hint=1).sample_entries(4, rng)
+            build({(0, 0): 0.0, (0, 1): 0.0}, n=2, rank_hint=1).sample_entries(
+                rng.random((4, 2))
+            )
 
     def test_negated_view_laws(self):
         rng = rngmod.substream(0, rngmod.INSTANCE, 60)
@@ -443,8 +434,9 @@ class TestUpdatesAndViews:
                 assert view.query(i, j) == -store.query(i, j)
         u = rngmod.substream(0, rngmod.INSTANCE, 61).random(50)
         assert np.array_equal(view.rows_at(u), store.rows_at(u))
-        rows_v, cols_v, vals_v = view.sample_entries(64, rngmod.substream(0, 1, 7))
-        rows_s, cols_s, vals_s = store.sample_entries(64, rngmod.substream(0, 1, 7))
+        pairs = rngmod.substream(0, 1, 7).random((64, 2))
+        rows_v, cols_v, vals_v = view.sample_entries(pairs)
+        rows_s, cols_s, vals_s = store.sample_entries(pairs)
         assert np.array_equal(rows_v, rows_s)
         assert np.array_equal(cols_v, cols_s)
         assert np.array_equal(vals_v, -vals_s)
@@ -463,51 +455,61 @@ def uniforms_hitting(targets: np.ndarray, total: float) -> np.ndarray:
     return x[(x >= 0.0) & (x < 1.0)]
 
 
-class TestBulkDrawExactness:
-    """Bulk draws return exactly ``searchsorted(cum, u, "right")`` on the
-    row-major running sum ``cum`` of all stored squared magnitudes."""
+class TestEntryDraws:
+    """``sample_entries(u)`` draws each row by `rows_at` on ``u[:, 0]``,
+    then its column by `cols_at` on ``u[:, 1]``, and returns the values
+    `query` reads there."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        size=st.integers(min_value=1, max_value=2000),
-        zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
-        span=st.floats(min_value=0.0, max_value=30.0),
+        n=st.integers(min_value=1, max_value=40),
+        density=st.sampled_from([0.05, 0.3, 1.0]),
+        zero_frac=st.sampled_from([0.0, 0.3]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_guide_lookup_equals_searchsorted(self, size, zero_frac, span, seed):
+    def test_row_then_column(self, n, density, zero_frac, seed):
         gen = np.random.default_rng(seed)
-        weights = 10.0 ** (span * (gen.random(size) - 0.5))
-        weights[gen.random(size) < zero_frac] = 0.0
-        if not weights.any():
-            weights[-1] = 1.0
-        # A diagonal store's running sum adds the weights in order.
-        store = diagonal_store(np.sqrt(weights))
-        rows, cols, vals = store.entries()
-        cum = np.cumsum(np.abs(vals) ** 2)
-        total = float(cum[-1])
-        scale = store._guide_table()[1]
-        buckets = round(scale * total)
-        edges = np.concatenate([
-            np.arange(buckets + 1) * (total / buckets),
-            np.arange(buckets + 1) / scale,
+        store = random_entry_store(gen, n, density, zero_frac)
+        # 0, 1 - 2^-53, every row-prefix boundary and its neighbours, and
+        # random uniforms; the column uniforms are the same, shuffled.
+        edges = uniforms_hitting(store._row_prefix, store.total_mass())
+        x = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            gen.random(256),
         ])
-        targets = np.concatenate([cum, edges, gen.random(4096) * total])
-        targets = np.concatenate([
-            targets,
-            np.nextafter(targets, -np.inf),
-            np.nextafter(targets, np.inf),
-        ])
-        x = uniforms_hitting(targets, total)
-        want = np.searchsorted(cum, x * total, side="right")
-        got_r, got_c, got_v = store.sample_entries(x.shape[0], FixedUniforms(x))
-        assert np.array_equal(got_r, rows[want])
-        assert np.array_equal(got_c, cols[want])
-        neg_r, neg_c, neg_v = NegatedView(store).sample_entries(
-            x.shape[0], FixedUniforms(x)
-        )
-        assert np.array_equal(neg_r, got_r)
-        assert np.array_equal(neg_c, got_c)
-        assert np.array_equal(neg_v, -got_v)
+        x = x[(x >= 0.0) & (x < 1.0)]
+        u = np.column_stack([x, gen.permutation(x)])
+        rows = store.rows_at(u[:, 0])
+        cols = store.cols_at(rows, u[:, 1])
+        vals = np.array([store.query(i, j) for i, j in zip(rows.tolist(), cols.tolist())])
+        got_r, got_c, got_v = store.sample_entries(u)
+        assert np.array_equal(got_r, rows)
+        assert np.array_equal(got_c, cols)
+        assert np.array_equal(got_v, vals)
+        neg_r, neg_c, neg_v = NegatedView(store).sample_entries(u)
+        assert np.array_equal(neg_r, rows)
+        assert np.array_equal(neg_c, cols)
+        assert np.array_equal(neg_v, -vals)
+
+    def test_draws_hold_no_memory(self):
+        # A draw searches the store's own arrays and builds nothing that
+        # outlives the call.
+        rng = rngmod.substream(0, rngmod.INSTANCE, 91)
+        dense = rng.standard_normal((300, 300))
+        store = SampledMatrix.from_dense(dense + dense.T, rank_hint=2)
+        u = rng.random((4096, 2))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            store.sample_entries(u)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.nnz == 300**2
+        assert (held - before) / store.nnz < 1
 
 
 def random_entry_store(gen, n: int, density: float, zero_frac: float) -> SampledMatrix:

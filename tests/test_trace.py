@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sdpsketch import rng as rngmod
+from sdpsketch import trace as tracemod
 from sdpsketch.errors import ShapeError, ZeroMassError
 from sdpsketch.instances import planted_infeasible
 from sdpsketch.oracle import dense_store
@@ -45,13 +46,25 @@ def random_operator(n: int, key: int, hermitian: bool = False) -> QueryableOpera
     return operator_from_dense(arr / np.linalg.norm(arr, 2), hermitian=hermitian)
 
 
-def planned_draws(store, b: QueryableOperator, cfg: EstimatorConfig) -> int:
+def plan(store, b: QueryableOperator, cfg: EstimatorConfig) -> tuple[int, int]:
+    """Batch count and batch size of the estimator's sampling plan."""
     a_fro = store.frobenius_norm()
-    return cfg.batch_count() * cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
+    return cfg.batch_count(), cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
+
+
+def planned_draws(store, b: QueryableOperator, cfg: EstimatorConfig) -> int:
+    count, size = plan(store, b, cfg)
+    return count * size
+
+
+def sampled(store, b: QueryableOperator, cfg: EstimatorConfig, rng) -> complex:
+    """The sampled estimate under the estimator's own plan."""
+    return _sampled_trace_product(store, b, *plan(store, b, cfg), rng)
 
 
 class CountingStore:
-    """Store view that reports a chosen entry count and counts its draws."""
+    """Store view that reports a chosen entry count and counts its draws
+    and sampling calls."""
 
     def __init__(self, base, nnz: int):
         self.base = base
@@ -59,16 +72,21 @@ class CountingStore:
         self.hermitian = base.hermitian
         self.nnz = nnz
         self.draws = 0
+        self.calls = 0
 
     def frobenius_norm(self) -> float:
         return self.base.frobenius_norm()
 
+    def total_mass(self) -> float:
+        return self.base.total_mass()
+
     def entries(self):
         return self.base.entries()
 
-    def sample_entries(self, size, rng):
-        self.draws += size
-        return self.base.sample_entries(size, rng)
+    def sample_entries(self, u):
+        self.draws += len(u)
+        self.calls += 1
+        return self.base.sample_entries(u)
 
 
 def enumerated_expectation(store: SampledMatrix, arr: np.ndarray) -> complex:
@@ -138,9 +156,7 @@ class TestEstimator:
         cfg = EstimatorConfig(eps=0.2, delta=0.05)
         hits = 0
         for trial in range(50):
-            est = _sampled_trace_product(
-                store, b, cfg, rngmod.substream(trial, rngmod.TRACE, 0, 0)
-            )
+            est = sampled(store, b, cfg, rngmod.substream(trial, rngmod.TRACE, 0, 0))
             if abs(est - truth) <= 0.2:
                 hits += 1
         assert hits >= 48
@@ -155,7 +171,7 @@ class TestEstimator:
         a2 = store.total_mass()
         b2 = float(np.linalg.norm(arr)) ** 2
         draws = 200_000
-        rows, cols, vals = store.sample_entries(draws, rngmod.substream(0, 5, 0))
+        rows, cols, vals = store.sample_entries(rngmod.substream(0, 5, 0).random((draws, 2)))
         samples = arr[cols, rows] * a2 / np.conj(vals)
         spread = np.mean(np.abs(samples - truth) ** 2)
         assert np.mean(samples) == pytest.approx(truth, abs=4 * math.sqrt(a2 * b2 / draws))
@@ -166,11 +182,27 @@ class TestEstimator:
         arr = dense_store(hermitian_store(6, 14))
         b = operator_from_dense(arr, hermitian=True)
         cfg = EstimatorConfig(eps=0.3, delta=0.2)
-        first = _sampled_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
-        second = _sampled_trace_product(store, b, cfg, rngmod.substream(3, 1, 4))
-        other = _sampled_trace_product(store, b, cfg, rngmod.substream(3, 1, 5))
+        first = sampled(store, b, cfg, rngmod.substream(3, 1, 4))
+        second = sampled(store, b, cfg, rngmod.substream(3, 1, 4))
+        other = sampled(store, b, cfg, rngmod.substream(3, 1, 5))
         assert first == second
         assert first != other
+
+    def test_bits_independent_of_batches_per_pass(self, monkeypatch):
+        store = hermitian_store(6, 13)
+        b = operator_from_dense(dense_store(hermitian_store(6, 14)), hermitian=True)
+        count, size = 7, 50
+        results = []
+        # One batch per pass, three (passes of 3, 3 and 1), and all seven.
+        for per_pass, passes in ((1, 7), (3, 3), (7, 1)):
+            monkeypatch.setattr(tracemod, "_CHUNK", per_pass * size)
+            counted = CountingStore(store, store.nnz)
+            results.append(
+                _sampled_trace_product(counted, b, count, size, rngmod.substream(3, 1, 4))
+            )
+            assert counted.calls == passes
+            assert counted.draws == count * size
+        assert results[0] == results[1] == results[2]
 
     def test_hermitian_pair_is_exactly_real(self):
         # The real-part rule follows both branches in estimate_trace_product,
@@ -184,7 +216,7 @@ class TestEstimator:
         est = estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 6))
         assert store.draws > 0
         assert est.imag == 0.0
-        assert est.real == _sampled_trace_product(base, b, cfg, rngmod.substream(0, 1, 6)).real
+        assert est.real == sampled(base, b, cfg, rngmod.substream(0, 1, 6)).real
 
     def test_zero_matrix_short_circuits(self):
         store = SampledMatrix.build([], n=4, rank_hint=1)
@@ -257,9 +289,9 @@ class TestExactBranch:
         draws = []
         original = SampledMatrix.sample_entries
 
-        def counting(self, size, rng):
-            draws.append(size)
-            return original(self, size, rng)
+        def counting(self, u):
+            draws.append(len(u))
+            return original(self, u)
 
         monkeypatch.setattr(SampledMatrix, "sample_entries", counting)
         problem = planted_infeasible(32, eps=0.3, rng=rngmod.substream(9, 1))
