@@ -106,7 +106,7 @@ def planted_one_update(
     bounds = [-0.9]
     for _ in range(extras):
         c = random_low_rank(n, min(2, n), rng)
-        witness_trace = float((v.conj() @ (dense_of(c) @ v)).real)
+        witness_trace = _quadratic_form(c, v)
         uniform_trace = sum(c.query(i, i).real for i in range(n)) / n
         constraints.append(c)
         bounds.append(max(witness_trace, uniform_trace) + eps)
@@ -144,7 +144,7 @@ def planted_around_state(
     for _ in range(m - 1):
         c = random_low_rank(n, rank, rng)
         constraints.append(c)
-        bounds.append(float((v.conj() @ (dense_of(c) @ v)).real))
+        bounds.append(_quadratic_form(c, v))
     return (
         FeasibilityProblem(constraints=constraints, bounds=bounds, eps=eps),
         v,
@@ -184,11 +184,7 @@ def shadow_instance(
     return effects, values, rho
 
 
-def dense_of(store) -> np.ndarray:
-    """Small-matrix materialization used only while planting instances."""
-    out = np.zeros((store.n, store.n), dtype=np.complex128)
-    for i in range(store.n):
-        cols, vals = store.row_support(i)
-        if cols.size:
-            out[i, cols] = vals
-    return out
+def _quadratic_form(store, v: np.ndarray) -> float:
+    """Re v* A v, summed over the store's stored entries in O(nnz)."""
+    rows, cols, vals = store.entries()
+    return float((np.conj(v[rows]) * vals * v[cols]).sum().real)

@@ -66,8 +66,7 @@ def dense_basis(v: BasisSketch) -> np.ndarray:
     """Materialize the approximate eigenbasis as an n x r_tilde array."""
     if v.r_tilde == 0:
         return np.zeros((v.n, 0), dtype=np.complex128)
-    s = dense_sketch_rows(v.ms, v.rows, v.row_probs)
-    return s.conj().T @ v.left_vectors / v.singular_values
+    return dense_realize(v.ms)[v.rows].conj().T @ v._folded / v.singular_values
 
 
 def dense_solution(g: GibbsDescription) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Run reports: line-oriented, byte-deterministic records of a run.
 
-A report starts with `sdpsketch-report 1` and ends with `end`.  Floats
+A report starts with `sdpsketch-report 2` and ends with `end`.  Floats
 are printed with %.17g so every value round-trips bit-exactly; all
 indices (rounds, constraints, matrix rows) are 1-based on disk and
 0-based in memory, with the conversion confined to render/parse.
 
 A feasible run's witness is dumped in its succinct form: the chosen
 exponent summands (so the sampling stores can be re-joined from the
-manifest), the sketch rows with their probabilities, the singular
-values and left vectors, and the compressed-matrix eigensystem.
+manifest), the distinct sampled rows with their probabilities and
+counts (which sum to p), the singular values, the left vectors on the
+distinct rows, and the compressed-matrix eigensystem; nothing in it
+grows with p.
 Rebuilding from those bytes reproduces the witness exactly, so entry
 queries against a reloaded report match the original run bit for bit.
 
@@ -27,7 +29,7 @@ from .gibbs import GibbsDescription, make_gibbs
 from .sketch import BasisSketch, MatrixSum
 from .spectral import SpectralSurrogate
 
-VERSION = 1
+VERSION = 2
 HEADER = f"sdpsketch-report {VERSION}"
 
 
@@ -47,10 +49,11 @@ class WitnessDump:
     kind: str  # "uniform" or "gibbs"
     beta: float = 0.0
     exponent: list[int] = field(default_factory=list)  # 0-based constraint indices
-    rows: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None  # distinct, increasing
     row_probs: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None  # summing to p
     sigma: Optional[np.ndarray] = None
-    left: Optional[np.ndarray] = None  # p x r_tilde
+    left: Optional[np.ndarray] = None  # distinct rows x r_tilde
     core_d: Optional[np.ndarray] = None
     core_u: Optional[np.ndarray] = None  # r_tilde x r_tilde
 
@@ -92,6 +95,7 @@ def dump_witness(g: GibbsDescription, exponent: list[int]) -> WitnessDump:
         exponent=list(exponent),
         rows=basis.rows.copy(),
         row_probs=basis.row_probs.copy(),
+        counts=basis.counts.copy(),
         sigma=basis.singular_values.copy(),
         left=basis.left_vectors.copy(),
         core_d=g.surrogate.d.copy(),
@@ -111,13 +115,7 @@ def rebuild_witness(dump: WitnessDump, constraints: list, n: int) -> GibbsDescri
     if not summands:
         raise ManifestError("gibbs witness with an empty exponent list")
     ms = MatrixSum(summands, rank=max(s.rank_hint for s in summands))
-    basis = BasisSketch(
-        ms=ms,
-        rows=dump.rows,
-        row_probs=dump.row_probs,
-        singular_values=dump.sigma,
-        left_vectors=dump.left,
-    )
+    basis = BasisSketch(ms, dump.rows, dump.row_probs, dump.counts, dump.sigma, dump.left)
     surrogate = SpectralSurrogate(u=dump.core_u, d=dump.core_d, basis=basis)
     return make_gibbs(basis, surrogate, dump.beta)
 
@@ -156,15 +154,16 @@ def render(report: RunReport) -> str:
     elif w.kind == "uniform":
         lines.append("witness uniform")
     else:
-        p, r = w.left.shape
+        r = w.left.shape[1]
         lines.append("witness gibbs")
         lines.append(f"beta {fmt(w.beta)}")
         lines.append(f"tau {len(w.exponent)}")
         lines.append("exponent " + " ".join(str(j + 1) for j in w.exponent))
-        lines.append(f"p {p}")
+        lines.append(f"p {int(w.counts.sum())}")
         lines.append(f"rank {r}")
         lines.append("rows " + " ".join(str(int(i) + 1) for i in w.rows))
         lines.append("row-probs " + " ".join(fmt(q) for q in w.row_probs))
+        lines.append("counts " + " ".join(str(int(c)) for c in w.counts))
         lines.append("sigma " + " ".join(fmt(s) for s in w.sigma))
         for k in range(r):
             pairs = " ".join(_fmt_complex(z) for z in w.left[:, k])
@@ -206,9 +205,20 @@ def _complex_vec(tokens: list[str], lineno: int) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _vec(payload: dict, key: str, tok) -> tuple[int, np.ndarray]:
+    """Line number and values of a payload line, each parsed by ``tok``."""
+    lineno, tokens = payload[key]
+    return lineno, np.array([tok(t, lineno) for t in tokens])
+
+
 def parse(text: str) -> RunReport:
     """Parse a rendered report, validating structure as it goes."""
     lines = text.splitlines()
+    if lines and lines[0].startswith("sdpsketch-report ") and lines[0] != HEADER:
+        raise ManifestError(
+            f"report line 1: report version {lines[0].split(' ', 1)[1]} is not "
+            f"read; this reader takes version {VERSION}"
+        )
     if not lines or lines[0] != HEADER:
         raise ManifestError("not a report: missing header line")
     if not lines or lines[-1] != "end":
@@ -218,8 +228,8 @@ def parse(text: str) -> RunReport:
     estimates: list[tuple[int, float]] = []
     timings: list[tuple[str, float]] = []
     witness_kind: Optional[str] = None
-    payload: dict[str, list[str]] = {}
-    left_rows: dict[int, np.ndarray] = {}
+    payload: dict[str, tuple[int, list[str]]] = {}
+    left_rows: dict[int, tuple[int, np.ndarray]] = {}
     core_rows: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(lines[1:-1], start=2):
         tokens = _toks(line, lineno)
@@ -241,11 +251,11 @@ def parse(text: str) -> RunReport:
         elif key == "witness":
             witness_kind = tokens[1]
         elif key == "left":
-            left_rows[_int_tok(tokens[1], lineno)] = _complex_vec(tokens[2:], lineno)
+            left_rows[_int_tok(tokens[1], lineno)] = (lineno, _complex_vec(tokens[2:], lineno))
         elif key == "core-u":
             core_rows[_int_tok(tokens[1], lineno)] = _complex_vec(tokens[2:], lineno)
-        elif key in ("exponent", "rows", "row-probs", "sigma", "core-d"):
-            payload[key] = tokens[1:]
+        elif key in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
+            payload[key] = (lineno, tokens[1:])
         elif key in (
             "command",
             "dimension",
@@ -290,36 +300,52 @@ def parse(text: str) -> RunReport:
         p = int(scalars["p"])
         r = int(scalars["rank"])
         tau = int(scalars["tau"])
-        for required in ("exponent", "rows", "row-probs", "sigma", "core-d"):
+        dimension = int(scalars["dimension"])
+        for required in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
             if required not in payload:
                 raise ManifestError(f"gibbs witness is missing {required!r}")
-        exponent = [int(t) - 1 for t in payload["exponent"]]
-        rows = np.array([int(t) - 1 for t in payload["rows"]], dtype=np.int64)
-        row_probs = np.array([float(t) for t in payload["row-probs"]], dtype=np.float64)
-        sigma = np.array([float(t) for t in payload["sigma"]], dtype=np.float64)
-        core_d = np.array([float(t) for t in payload["core-d"]], dtype=np.float64)
+        exponent = [int(j) - 1 for j in _vec(payload, "exponent", _int_tok)[1]]
+        at, rows = _vec(payload, "rows", _int_tok)
+        if np.any(np.diff(rows) <= 0):
+            raise ManifestError(f"report line {at}: rows must be strictly increasing")
+        if np.any((rows < 1) | (rows > dimension)):
+            raise ManifestError(f"report line {at}: rows must lie in [1, {dimension}]")
+        at, row_probs = _vec(payload, "row-probs", _float_tok)
+        if not np.all((row_probs > 0.0) & (row_probs < np.inf)):
+            raise ManifestError(f"report line {at}: row-probs must be positive and finite")
+        at, counts = _vec(payload, "counts", _int_tok)
+        if np.any(counts < 1):
+            raise ManifestError(f"report line {at}: counts must be positive")
+        if int(counts.sum()) != p:
+            raise ManifestError(f"report line {at}: counts sum to {int(counts.sum())}, p says {p}")
+        sigma = _vec(payload, "sigma", _float_tok)[1]
+        core_d = _vec(payload, "core-d", _float_tok)[1]
         if len(exponent) != tau:
             raise ManifestError(f"exponent lists {len(exponent)} entries, tau says {tau}")
-        if rows.size != p or row_probs.size != p:
-            raise ManifestError("row data does not match the declared p")
         if sigma.size != r or core_d.size != r:
             raise ManifestError("spectral data does not match the declared rank")
         if sorted(left_rows) != list(range(1, r + 1)) or sorted(core_rows) != list(
             range(1, r + 1)
         ):
             raise ManifestError("left/core-u vectors must cover 1..rank exactly once")
-        left = np.stack([left_rows[k] for k in range(1, r + 1)], axis=1)
+        lengths = [(payload[key][0], key, len(payload[key][1])) for key in ("row-probs", "counts")]
+        lengths += [(at, f"left {k}", vec.size) for k, (at, vec) in left_rows.items()]
+        for at, key, size in sorted(lengths):
+            if size != rows.size:
+                raise ManifestError(
+                    f"report line {at}: {key} lists {size} values for {rows.size} rows"
+                )
+        left = np.stack([left_rows[k][1] for k in range(1, r + 1)], axis=1)
         core_u = np.stack([core_rows[k] for k in range(1, r + 1)], axis=1)
-        if left.shape != (p, r):
-            raise ManifestError(f"left vectors have shape {left.shape}, expected ({p}, {r})")
         if core_u.shape != (r, r):
             raise ManifestError(f"core-u has shape {core_u.shape}, expected ({r}, {r})")
         witness = WitnessDump(
             kind="gibbs",
             beta=float(scalars["beta"]),
             exponent=exponent,
-            rows=rows,
+            rows=rows - 1,
             row_probs=row_probs,
+            counts=counts,
             sigma=sigma,
             left=left,
             core_d=core_d,

@@ -8,8 +8,9 @@ discarded.  Repeated sampled rows are identical core rows and repeated
 columns identical core columns, so the core is assembled and decomposed
 on the distinct sampled rows and columns only, weighted by the square
 root of each multiplicity; no p-by-p array exists.  The surviving basis
-is kept succinctly: sampled row indices, their probabilities, the
-singular values, and the small left vectors.  Basis rows are rebuilt
+is kept succinctly, with nothing of length p: the distinct sampled rows
+with their probabilities and multiplicities, the singular values, and
+the left vectors on the distinct rows.  Basis rows are rebuilt
 from the stores on demand and never materialized here, at O(distinct
 rows x distinct stores) each.  A row can be nonzero only on the union of
 the sampled rows' stored supports (`support`), so callers that need
@@ -20,8 +21,8 @@ over draws or over basis rows: draws go through the stores' bulk
 searches (`rows_at`, `cols_at`), the core and the basis rows through
 block gathers (`block`), and a batch of basis rows through
 `linalg.rowwise_matmul`, so a row's bits do not depend on which other
-rows share its batch.  The sketch's largest arrays are held to a byte
-budget (`MAX_SKETCH_BYTES`).
+rows share its batch.  The p-length draw arrays and the distinct core
+are held to a byte budget (`MAX_SKETCH_BYTES`).
 """
 from __future__ import annotations
 
@@ -34,11 +35,17 @@ from . import linalg
 from .errors import ConfigError, EmptySketch, InternalError, ShapeError, ZeroMassError
 from .store import NegatedView
 
-# Largest complex array a sketch may allocate: the p-by-(tau rank) block
-# of left vectors, checked before the draws, and the distinct core,
-# checked before it is gathered.  Building and decomposing a core peaks
-# at about seven times its bytes (552 x 552 distinct, under tracemalloc).
+# Byte budget of a sketch's two largest allocations: the p-length draw
+# arrays, checked before the first draw, and the distinct core, checked
+# before it is gathered.  Building and decomposing a core peaks at about
+# seven times its bytes (552 x 552 distinct, under tracemalloc).
 MAX_SKETCH_BYTES = 1 << 27
+# Peak bytes per draw while rows and columns are drawn and counted: a
+# fixed part plus a part per distinct store (`MatrixSum.terms`).  Under
+# tracemalloc at p = 3 x 10^5 and 10^6 it was at most 162 with one to
+# four stores and 40 + 24 per store from eight up (808 with 32).
+_DRAW_BYTES = 152
+_DRAW_BYTES_PER_STORE = 24
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
 
@@ -97,9 +104,6 @@ class MatrixSum:
         for store, count, _ in self.terms:
             total = total + count * store.row_masses(rows)
         return total
-
-    def query(self, i: int, j: int) -> complex:
-        return sum((s.query(i, j) for s in self.summands), 0j)
 
 
 @dataclass(frozen=True)
@@ -193,37 +197,40 @@ class BasisSketch:
     """Succinct description of approximate singular columns.
 
     A column k is V(:, k) = S^dagger u_k / sigma_k for the implicit
-    rescaled row sketch S; rows are reconstructed from the stores on
-    demand at O(distinct rows x distinct stores) cost each.  The
-    n-by-r_tilde matrix itself is never stored, and rows off `support()`
-    are exactly zero.
+    rescaled row sketch S, held on the sorted distinct sampled rows with
+    their probabilities, their multiplicities ``counts`` (p is their
+    sum) and the distinct core's left vectors.  Rows are reconstructed
+    from the stores on demand at O(distinct rows x distinct stores) cost
+    each.  The n-by-r_tilde matrix itself is never stored, and rows off
+    `support()` are exactly zero.
     """
 
-    def __init__(self, ms, rows, row_probs, singular_values, left_vectors):
+    def __init__(self, ms, rows, row_probs, counts, singular_values, left_vectors):
         self.ms = ms
         self.rows = np.asarray(rows, dtype=np.int64)
         self.row_probs = np.asarray(row_probs, dtype=np.float64)
+        self.counts = np.asarray(counts, dtype=np.int64)
         self.singular_values = np.asarray(singular_values, dtype=np.float64)
         self.left_vectors = np.asarray(left_vectors, dtype=np.complex128)
-        self.p = int(self.rows.shape[0])
+        self.p = int(self.counts.sum())
         self.r_tilde = int(self.singular_values.shape[0])
-        if self.row_probs.shape[0] != self.p:
-            raise ShapeError("row probabilities must match sampled rows")
-        if self.left_vectors.shape != (self.p, self.r_tilde):
+        shape = (self.rows.shape[0], self.r_tilde)
+        if self.row_probs.shape != shape[:1] or self.counts.shape != shape[:1]:
+            raise ShapeError("row probabilities and counts must match sampled rows")
+        if self.left_vectors.shape != shape:
             raise ShapeError(
-                f"left vectors have shape {self.left_vectors.shape}, "
-                f"expected {(self.p, self.r_tilde)}"
+                f"left vectors have shape {self.left_vectors.shape}, expected {shape}"
             )
-        if np.any(self.row_probs <= 0.0):
-            raise InternalError("sampled row probabilities must be positive")
-        # Sampled rows with the same index share every row query, so their
-        # left vectors, rescaled by 1 / sqrt(p P_i), are summed once here.
-        self._distinct_rows, inverse = np.unique(self.rows, return_inverse=True)
-        scale = 1.0 / np.sqrt(self.p * self.row_probs)
-        self._folded = np.zeros(
-            (self._distinct_rows.shape[0], self.r_tilde), dtype=np.complex128
-        )
-        np.add.at(self._folded, inverse, self.left_vectors * scale[:, np.newaxis])
+        if np.any(np.diff(self.rows) <= 0):
+            raise ShapeError("sampled rows must be distinct and increasing")
+        if np.any(self.row_probs <= 0.0) or np.any(self.counts < 1):
+            raise InternalError("sampled row probabilities and counts must be positive")
+        # The m copies of a row drawn m times share every row query, so
+        # their m left vectors u / sqrt(m), each rescaled by 1 / sqrt(p P),
+        # sum to u sqrt(m / (p P)).
+        self._folded = self.left_vectors * np.sqrt(
+            self.counts / (self.p * self.row_probs)
+        )[:, np.newaxis]
         self._support = None
         self._support_rows = None
 
@@ -242,7 +249,7 @@ class BasisSketch:
         if self._support is None:
             self._support = np.unique(
                 np.concatenate(
-                    [store.row_columns(self._distinct_rows) for store, _, _ in self.ms.terms]
+                    [store.row_columns(self.rows) for store, _, _ in self.ms.terms]
                 )
             )
         return self._support
@@ -269,11 +276,9 @@ class BasisSketch:
         bits do not depend on the other indices in the batch.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        acc = np.zeros(
-            (indices.shape[0], self._distinct_rows.shape[0]), dtype=np.complex128
-        )
+        acc = np.zeros((indices.shape[0], self.rows.shape[0]), dtype=np.complex128)
         for store, _, coef in self.ms.terms:
-            acc += coef * store.block(indices, self._distinct_rows)
+            acc += coef * store.block(indices, self.rows)
         return linalg.rowwise_matmul(acc, self._folded) / self.singular_values
 
 
@@ -287,25 +292,25 @@ def build_sketch(
     K equals P_r C P_c^T for the distinct core C and 0/1 selectors P_r,
     P_c, so K has the singular values of W = C * sqrt(m_r m_c^T) and left
     vectors U[inverse] / sqrt(m_r), and rank at most min(distinct rows,
-    distinct cols).  Raises EmptySketch when the filter removes every
-    direction, and ConfigError, before allocating it, when the p-by-(tau
-    rank) left-vector block or the distinct core would exceed
-    `MAX_SKETCH_BYTES`, or the core `linalg.MAX_DENSE_DIM` on a side.
+    distinct cols).  The sketch keeps U's kept columns on the distinct
+    rows with m_r, never the p-row form.  Raises EmptySketch when the
+    filter removes every direction, and ConfigError when the draw arrays
+    would exceed `MAX_SKETCH_BYTES` (before the first draw) or the
+    distinct core would (before it is gathered), or the core exceeds
+    `linalg.MAX_DENSE_DIM` on a side.
     """
     p = params.p
-    r_hat = ms.tau * ms.rank
-    left_bytes = p * r_hat * _COMPLEX_BYTES
-    if left_bytes > MAX_SKETCH_BYTES:
+    draw_bytes = p * (_DRAW_BYTES + _DRAW_BYTES_PER_STORE * len(ms.terms))
+    if draw_bytes > MAX_SKETCH_BYTES:
         raise ConfigError(
-            f"sketch size p={p} needs a {p} x {r_hat} left-vector block of "
-            f"{left_bytes:,} bytes, over the sketch budget of {MAX_SKETCH_BYTES:,} bytes"
+            f"sketch size p={p} over {len(ms.terms)} distinct stores needs "
+            f"{draw_bytes:,} bytes of draw arrays, over the sketch budget of "
+            f"{MAX_SKETCH_BYTES:,} bytes"
         )
-    rows, row_probs = sample_rows(ms, p, rng)
+    rows, _ = sample_rows(ms, p, rng)
     cols = sample_cols(ms, rows, p, rng)
 
-    urows, first, rinv, m_r = np.unique(
-        rows, return_index=True, return_inverse=True, return_counts=True
-    )
+    urows, m_r = np.unique(rows, return_counts=True)
     ucols, m_c = np.unique(cols, return_counts=True)
     shape = (urows.shape[0], ucols.shape[0])
     core_bytes = shape[0] * shape[1] * _COMPLEX_BYTES
@@ -323,21 +328,21 @@ def build_sketch(
         vals += coef * g
         sq += count * np.abs(g) ** 2
     row_mass = ms.row_masses(urows)
+    row_probs = row_mass / ms.total_mass()
     cond = sq / row_mass[:, np.newaxis]
     col_probs = (m_r[:, np.newaxis] * cond).sum(axis=0) / p
     if np.any(col_probs <= 0.0):
         raise InternalError("sampled column probabilities must be positive")
 
-    denom = p * np.sqrt(np.outer(row_probs[first], col_probs))
+    denom = p * np.sqrt(np.outer(row_probs, col_probs))
     mult = np.outer(m_r, m_c)
     core_mass = float((mult * sq / denom**2).sum())
 
     u, sigma, _ = linalg.svd(vals / denom * np.sqrt(mult))
-    sigma = sigma[: min(p, r_hat)]
+    sigma = sigma[: min(p, ms.tau * ms.rank)]
     keep = sigma**2 >= params.gamma * core_mass
     if not bool(keep.any()):
         raise EmptySketch(
             f"all {sigma.shape[0]} leading directions fell below gamma={params.gamma}"
         )
-    left = u[:, : sigma.shape[0]][:, keep] / np.sqrt(m_r)[:, np.newaxis]
-    return BasisSketch(ms, rows, row_probs, sigma[keep], left[rinv])
+    return BasisSketch(ms, urows, row_probs, m_r, sigma[keep], u[:, : keep.shape[0]][:, keep])

@@ -122,7 +122,7 @@ class SampledMatrix:
 
     Construct through `build`, `from_dense`, or `load`, or from entry
     arrays directly.  ``touches`` counts the stored entries read by
-    `query`, `row_gather`, `block`, `entries` and `sample_entries`.
+    `query`, `block`, `entries` and `sample_entries`.
     """
 
     hermitian = True
@@ -203,12 +203,6 @@ class SampledMatrix:
             raise IndexError(f"row {int(rows[bad][0])} outside [0, {self.n})")
         return self._indptr[rows], self._indptr[rows + 1]
 
-    def _row_span(self, i: int) -> tuple[int, int]:
-        """Positions [a, b) of row ``i``'s stored entries."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} outside [0, {self.n})")
-        return int(self._indptr[i]), int(self._indptr[i + 1])
-
     def query(self, i: int, j: int) -> complex:
         """Stored value at (i, j); zero for unstored positions."""
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -223,13 +217,8 @@ class SampledMatrix:
     def frobenius_norm(self) -> float:
         return math.sqrt(self.total_mass())
 
-    def row_mass(self, i: int) -> float:
-        """Squared row norm, the last of the row's running sums."""
-        a, b = self._row_span(i)
-        return float(self._run[b - 1]) if b > a else 0.0
-
     def row_masses(self, rows) -> np.ndarray:
-        """Squared row norms of the given rows; `row_mass` for each."""
+        """Squared row norms of the given rows, the last of each running sum."""
         return self._masses(*self._spans(rows))
 
     def _masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,29 +234,17 @@ class SampledMatrix:
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted column indices and values of row ``i`` (views, do not mutate)."""
-        a, b = self._row_span(i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} outside [0, {self.n})")
+        a, b = self._indptr[i], self._indptr[i + 1]
         return self._cols[a:b], self._vals[a:b]
-
-    def row_gather(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """Values of row ``i`` at the given columns (zeros where unstored)."""
-        cols = np.asarray(cols, dtype=np.int64)
-        out = np.zeros(cols.shape[0], dtype=np.complex128)
-        a, b = self._row_span(i)
-        if a == b:
-            return out
-        row_cols = self._cols[a:b]
-        pos = np.minimum(np.searchsorted(row_cols, cols), b - a - 1)
-        hit = row_cols[pos] == cols
-        out[hit] = self._vals[a:b][pos[hit]]
-        self.touches += int(np.count_nonzero(hit))
-        return out
 
     def block(self, rows, cols) -> np.ndarray:
         """Values at every (row, col) of the given rows and columns.
 
-        A ``len(rows)`` by ``len(cols)`` array equal to stacking
-        `row_gather` over ``rows``, with the same count of hits added to
-        ``touches``; each row's own sorted columns are searched at once.
+        A ``len(rows)`` by ``len(cols)`` array, zero where unstored; the
+        count of stored entries read is added to ``touches``.  Each row's
+        own sorted columns are searched at once.
         """
         cols = np.asarray(cols, dtype=np.int64)
         a, b = self._spans(rows)
@@ -470,9 +447,6 @@ class NegatedView:
     def frobenius_norm(self) -> float:
         return self.base.frobenius_norm()
 
-    def row_mass(self, i: int) -> float:
-        return self.base.row_mass(i)
-
     def row_masses(self, rows) -> np.ndarray:
         return self.base.row_masses(rows)
 
@@ -482,9 +456,6 @@ class NegatedView:
     def row_support(self, i: int):
         cols, vals = self.base.row_support(i)
         return cols, -vals
-
-    def row_gather(self, i: int, cols: np.ndarray) -> np.ndarray:
-        return -self.base.row_gather(i, cols)
 
     def block(self, rows, cols) -> np.ndarray:
         return -self.base.block(rows, cols)

@@ -292,7 +292,7 @@ def test_criterion_03_mass_sandwich(capsys):
         rows, probs = sample_rows(ms, p, substream(1300 + t, 2))
         scale = 1.0 / (p * probs)
         sketched = sum(
-            float(np.dot(scale, [s.row_mass(int(i)) for i in rows]))
+            float(np.dot(scale, s.row_masses(rows)))
             for s in ms.summands
         )
         if not mass / (tau + 1) <= sketched <= mass * (2 * tau + 1) / (tau + 1):

@@ -29,10 +29,11 @@ def random_sparse_store(n, k, rng):
 
 def random_description(ms, p, r, rng):
     """A basis description with arbitrary sampled rows, empty rows included."""
-    rows = rng.integers(ms.n, size=p)
-    probs = rng.random(p) + 0.1
-    left = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
-    return BasisSketch(ms, rows, probs, np.sort(rng.random(r) + 0.5)[::-1], left)
+    rows, counts = np.unique(rng.integers(ms.n, size=p), return_counts=True)
+    d = rows.shape[0]
+    probs = rng.random(d) + 0.1
+    left = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return BasisSketch(ms, rows, probs, counts, np.sort(rng.random(r) + 0.5)[::-1], left)
 
 
 def count_rows(monkeypatch):
@@ -103,7 +104,9 @@ class TestIndependentOfN:
         ms = MatrixSum([stores[0], NegatedView(stores[1]), stores[0]], rank=2)
         relabel = dict(zip(coords[1000].tolist(), coords[n].tolist()))
         rows = np.array([relabel[int(i)] for i in base.rows])
-        v = BasisSketch(ms, rows, base.row_probs, base.singular_values, base.left_vectors)
+        v = BasisSketch(
+            ms, rows, base.row_probs, base.counts, base.singular_values, base.left_vectors
+        )
         calls = count_rows(monkeypatch)
         core = estimate_vav(v, ms, eps_s=0.5 * v.r_tilde * ms.tau, delta=0.1,
                             rng=substream(92, 3))

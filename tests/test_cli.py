@@ -74,8 +74,17 @@ def work(tmp_path_factory):
         eps=0.25,
     )
 
+    # The instance of README's Python API section.
+    readme_dir = root / "readme"
+    readme_dir.mkdir()
+    problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
+    write_feasibility_manifest(
+        str(readme_dir / "readme.man"), problem.constraints, problem.bounds, problem.eps
+    )
+
     return {
         "plant": str(plant_dir / "plant.man"),
+        "readme": str(readme_dir / "readme.man"),
         "slack": str(slack_dir / "slack.man"),
         "bad": str(bad_dir / "bad.man"),
         "shadow": str(shadow_dir / "shadow.man"),
@@ -246,6 +255,44 @@ class TestEntry:
         code, _ = run_cli(["entry", out, "17", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "prefix, edit, message",
+        [
+            ("rows ", lambda v: [v[1], v[0], *v[2:]], "rows must be strictly increasing"),
+            ("rows ", lambda v: ["0", *v[1:]], "rows must lie in [1, 16]"),
+            ("rows ", lambda v: [*v[:-1], "17"], "rows must lie in [1, 16]"),
+            ("row-probs ", lambda v: ["0", *v[1:]], "row-probs must be positive and finite"),
+            ("counts ", lambda v: ["0", *v[1:]], "counts must be positive"),
+            ("counts ", lambda v: ["1.5", *v[1:]], "bad integer '1.5'"),
+            ("counts ", lambda v: [str(int(v[0]) + 1), *v[1:]], "counts sum to 201, p says 200"),
+            ("row-probs ", lambda v: v[:-1], "row-probs lists {d1} values for {d} rows"),
+            ("counts ", lambda v: [str(int(v[0]) + int(v[-1])), *v[1:-1]],
+             "counts lists {d1} values for {d} rows"),
+            ("left 1 ", lambda v: v[:-2], "left 1 lists {d1} values for {d} rows"),
+            ("sdpsketch-report ", lambda v: ["1"],
+             "report version 1 is not read; this reader takes version 2"),
+        ],
+        ids=[
+            "rows_not_increasing", "row_zero", "row_past_dimension", "row_prob_zero",
+            "count_zero", "count_not_integer", "counts_sum_off", "row_probs_short",
+            "counts_short", "left_short", "version_1",
+        ],
+    )
+    def test_bad_witness_line_named(self, work, tmp_path, capsys, prefix, edit, message):
+        out = tmp_path / "wit4.rep"
+        run_cli(["feastest", work["plant"], *FAST, "--out", str(out)])
+        lines = out.read_text().splitlines()
+        at = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        d = len(next(line for line in lines if line.startswith("rows ")).split()) - 1
+        head = prefix.split()
+        lines[at] = " ".join(head + edit(lines[at].split()[len(head):]))
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["plant"]])
+        assert code == 2
+        message = message.format(d=d, d1=d - 1)
+        assert capsys.readouterr().err == f"error: report line {at + 1}: {message}\n"
+
 
 class TestErrorPaths:
     def test_missing_manifest(self):
@@ -322,33 +369,47 @@ class TestErrorPaths:
         assert text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_core_above_budget_exits_two(self, work, capsys, monkeypatch):
+    def test_core_above_budget_exits_two(self, tmp_path, capsys, monkeypatch):
         from sdpsketch import sketch
 
         # Lowered so that a missing check costs kilobytes, not gigabytes:
-        # the 20 x 2 left block fits and the distinct core does not.
-        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", 1000)
+        # the 20 draws over one store fit, and the distinct core of a
+        # projector spread over n = 128 does not.
+        hard = planted_infeasible(128, eps=0.3, rng=substream(153, 1))
+        path = str(tmp_path / "wide.man")
+        write_feasibility_manifest(path, hard.constraints, hard.bounds, 0.3)
+        budget = 20 * (sketch._DRAW_BYTES + sketch._DRAW_BYTES_PER_STORE)
+        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", budget)
         code, _ = run_cli(
-            ["feastest", work["bad"], "--p", "20", "--gamma", "1e-8",
+            ["feastest", path, "--p", "20", "--gamma", "1e-8",
              "--max-iters", "2", "--seed", "3"]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sketch core of ")
-        assert "exceeds the sketch budget of 1,000 bytes" in err
+        assert f"exceeds the sketch budget of {budget:,} bytes" in err
 
-    def test_p_above_svd_cap_exits_zero(self, tmp_path):
+    def test_p_above_svd_cap_exits_zero(self, work):
         # The README instance: its core has at most 32 x 32 distinct
         # entries however large p is.
-        problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
-        path = str(tmp_path / "readme.man")
-        write_feasibility_manifest(path, problem.constraints, problem.bounds, problem.eps)
         code, text = run_cli(
-            ["feastest", path, "--seed", "3", "--p", "20000", "--gamma", "1e-6",
+            ["feastest", work["readme"], "--seed", "3", "--p", "20000", "--gamma", "1e-6",
              "--max-iters", "8"]
         )
         assert code == 0
-        assert "p 20000" in text
+        assert "\np 20000\n" in text
+
+    def test_report_size_does_not_grow_with_p(self, work):
+        # The witness lists distinct sampled rows, at most n = 32 of them.
+        sizes = []
+        for p in ("5000", "20000"):
+            code, text = run_cli(
+                ["feastest", work["readme"], "--seed", "3", "--p", p, "--gamma", "1e-6"]
+            )
+            assert code == 0
+            assert f"\np {p}\n" in text
+            sizes.append(len(text.encode("ascii")))
+        assert abs(sizes[1] - sizes[0]) <= 1024
 
     def test_unexpected_exception_exits_two(self, work, capsys, monkeypatch):
         from sdpsketch import solver
@@ -410,7 +471,7 @@ class TestErrorPaths:
         argv = ["feastest", work["slack"], *FAST]
         r = subprocess.run([str(launcher), *argv], capture_output=True, env=src_env)
         assert r.returncode == 0, r.stderr.decode()
-        assert r.stdout.startswith(b"sdpsketch-report 1\n")
+        assert r.stdout.startswith(b"sdpsketch-report 2\n")
 
         installed = shutil.which("sdpsketch")
         if installed is not None:

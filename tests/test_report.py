@@ -99,6 +99,8 @@ class TestRenderParse:
         assert back.exponent == chosen
         assert np.array_equal(back.rows, dump.rows)
         assert np.array_equal(back.row_probs, dump.row_probs)
+        assert np.array_equal(back.counts, dump.counts)
+        assert back.counts.sum() == CFG.sketch.p
         assert np.array_equal(back.sigma, dump.sigma)
         assert np.array_equal(back.left, dump.left)
         assert np.array_equal(back.core_d, dump.core_d)

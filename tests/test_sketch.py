@@ -7,7 +7,7 @@ import pytest
 
 from sdpsketch import linalg
 from sdpsketch.errors import EmptySketch, InternalError, ShapeError, ZeroMassError
-from sdpsketch.instances import random_low_rank, random_matrix_sum
+from sdpsketch.instances import planted_around_state, random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_basis, dense_realize, dense_sketch_rows
 from sdpsketch.rng import substream
 from sdpsketch.sketch import (
@@ -57,15 +57,15 @@ class TestMatrixSum:
 
     def test_query_adds_summands(self):
         ms = two_summands()
-        dense = dense_realize(ms)
-        for i in range(3):
-            for j in range(3):
-                assert ms.query(i, j) == pytest.approx(dense[i, j], abs=1e-15)
+        everywhere = np.arange(3)
+        summed = sum(coef * s.block(everywhere, everywhere) for s, _, coef in ms.terms)
+        assert summed == pytest.approx(dense_realize(ms), abs=1e-15)
 
     def test_opposing_summands_cancel_in_query(self):
         a = build({(0, 1): 2.0}, 2)
         ms = MatrixSum([a, NegatedView(a)], rank=1)
-        assert ms.query(0, 1) == 0j
+        assert dense_realize(ms)[0, 1] == 0j
+        assert [coef for _, _, coef in ms.terms] == [0]
         assert ms.total_mass() == pytest.approx(16.0)  # masses do not cancel
 
     def test_terms_group_summands_by_store(self):
@@ -75,7 +75,7 @@ class TestMatrixSum:
         assert [(id(s), c, k) for s, c, k in ms.terms] == [(id(a), 3, 1), (id(b), 2, 2)]
         for i in range(3):
             assert ms.row_masses([i])[0] == pytest.approx(
-                sum(s.row_mass(i) for s in ms.summands), rel=1e-15
+                sum(s.row_masses([i])[0] for s in ms.summands), rel=1e-15
             )
 
     def test_rejects_empty_and_mismatched(self):
@@ -124,7 +124,7 @@ class TestSketchParams:
 
 
 class TestSketchBudget:
-    """The byte budget on the left-vector block and the distinct core."""
+    """The byte budget on the p-length draw arrays and the distinct core."""
 
     def test_core_above_budget_rejected_before_allocation(self, monkeypatch):
         import re
@@ -134,7 +134,7 @@ class TestSketchBudget:
         from sdpsketch.errors import ConfigError
 
         # About 400 x 400 distinct rows and columns: a 2.5 MB complex core,
-        # over a budget lowered to 1 MB that the p x 2 left block meets.
+        # over a budget lowered to 1 MB that the 2,000 draws meet.
         ms = MatrixSum([random_low_rank(400, 2, substream(29, 1))], rank=2)
         # numpy imports numpy.ma (about 1 MB) on the first sketch.
         build_sketch(ms, SketchParams(p=20, gamma=1e-6), substream(29, 3))
@@ -153,16 +153,46 @@ class TestSketchBudget:
         assert rows * cols * 16 > 1 << 20
         assert peak < 1 << 20
 
-    def test_left_block_above_budget_rejected_before_draws(self, monkeypatch):
+    def test_draws_above_budget_rejected_before_draws(self, monkeypatch):
         from sdpsketch import sketch
         from sdpsketch.errors import ConfigError
 
-        ms = MatrixSum([random_low_rank(8, 2, substream(29, 1))], rank=2)
-        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", 2000 * 2 * 16 - 1)
+        # A repeated and a negated summand over one store: one distinct store.
+        a = random_low_rank(8, 2, substream(29, 1))
+        ms = MatrixSum([a, NegatedView(a), a], rank=2)
+        need = 2000 * (sketch._DRAW_BYTES + sketch._DRAW_BYTES_PER_STORE)
+        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", need - 1)
         rng = substream(29, 2)
-        with pytest.raises(ConfigError, match=r"2000 x 2 left-vector block of 64,000 bytes"):
+        with pytest.raises(
+            ConfigError, match=rf"p=2000 over 1 distinct stores needs {need:,} bytes of draw"
+        ):
             build_sketch(ms, SketchParams(p=2000, gamma=1e-6), rng)
         assert rng.random() == substream(29, 2).random()
+        monkeypatch.setattr(sketch, "MAX_SKETCH_BYTES", need)
+        assert build_sketch(ms, SketchParams(p=2000, gamma=1e-6), rng).p == 2000
+
+    @pytest.mark.parametrize("stores", [1, 4])
+    def test_largest_admitted_p_peaks_under_budget(self, stores):
+        import tracemalloc
+
+        from sdpsketch import sketch
+        from sdpsketch.errors import ConfigError
+
+        problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
+        ms = MatrixSum(problem.constraints[:stores], rank=2)
+        per_draw = sketch._DRAW_BYTES + sketch._DRAW_BYTES_PER_STORE * stores
+        p = sketch.MAX_SKETCH_BYTES // per_draw
+        with pytest.raises(ConfigError, match="draw arrays"):
+            build_sketch(ms, SketchParams(p=p + 1, gamma=1e-6), substream(37, 1))
+        # numpy imports numpy.ma (about 1 MB) on the first sketch.
+        build_sketch(ms, SketchParams(p=20, gamma=1e-6), substream(37, 1))
+        tracemalloc.start()
+        try:
+            build_sketch(ms, SketchParams(p=p, gamma=1e-6), substream(37, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sketch.MAX_SKETCH_BYTES
 
     def test_core_wider_than_svd_cap_rejected(self, monkeypatch):
         from sdpsketch.errors import ConfigError
@@ -180,7 +210,7 @@ class TestRowSampling:
         rows, probs = sample_rows(ms, 50, substream(3, 1))
         total = ms.total_mass()
         for t in range(50):
-            mass = sum(s.row_mass(int(rows[t])) for s in ms.summands)
+            mass = sum(s.row_masses(rows[t : t + 1])[0] for s in ms.summands)
             assert probs[t] == mass / total
 
     def test_row_law_single_summand(self):
@@ -319,7 +349,7 @@ class TestRowSampleMoments:
             rows, probs = sample_rows(ms, p, rng)
             scale = 1.0 / (p * probs)
             sketched = sum(
-                float(np.dot(scale, [s.row_mass(int(i)) for i in rows]))
+                float(np.dot(scale, s.row_masses(rows)))
                 for s in ms.summands
             )
             if not lo <= sketched <= hi:
@@ -335,10 +365,12 @@ class TestBuildSketch:
 
     def test_shapes_and_ordering(self):
         ms, v = self.make()
-        assert v.rows.shape == (80,)
-        assert v.row_probs.shape == (80,)
+        d = v.rows.shape[0]
+        assert np.all(np.diff(v.rows) > 0)
+        assert v.row_probs.shape == v.counts.shape == (d,)
+        assert v.p == v.counts.sum() == 80
         assert 1 <= v.r_tilde <= ms.tau * ms.rank
-        assert v.left_vectors.shape == (80, v.r_tilde)
+        assert v.left_vectors.shape == (d, v.r_tilde)
         assert np.all(v.singular_values > 0)
         assert np.all(np.diff(v.singular_values) <= 0)
 
@@ -422,13 +454,23 @@ class TestBuildSketch:
         ms, v = self.make(n=8, p=30, seed=31)
         with pytest.raises(InternalError):
             BasisSketch(
-                ms, v.rows, np.zeros_like(v.row_probs),
+                ms, v.rows, np.zeros_like(v.row_probs), v.counts,
+                v.singular_values, v.left_vectors,
+            )
+        with pytest.raises(InternalError):
+            BasisSketch(
+                ms, v.rows, v.row_probs, 0 * v.counts,
                 v.singular_values, v.left_vectors,
             )
         with pytest.raises(ShapeError):
             BasisSketch(
-                ms, v.rows, v.row_probs,
+                ms, v.rows, v.row_probs, v.counts,
                 v.singular_values, v.left_vectors[:-1],
+            )
+        with pytest.raises(ShapeError):
+            BasisSketch(
+                ms, v.rows[::-1], v.row_probs, v.counts,
+                v.singular_values, v.left_vectors,
             )
 
 
@@ -438,7 +480,7 @@ def pxp_core(ms, rows, row_probs, cols):
     sq = np.zeros((p, p))
     vals = np.zeros((p, p), dtype=np.complex128)
     for s in ms.summands:
-        g = np.array([s.row_gather(int(i), cols) for i in rows])
+        g = s.block(rows, cols)
         vals += g
         sq += np.abs(g) ** 2
     row_mass = ms.row_masses(rows)
@@ -482,14 +524,17 @@ class TestDistinctCore:
                 build_sketch(ms, SketchParams(p=120, gamma=gamma), substream(33, 1))
             return
         v = build_sketch(ms, SketchParams(p=120, gamma=gamma), substream(33, 1))
-        assert np.array_equal(v.rows, rows)
-        assert np.array_equal(v.row_probs, probs)
+        # The p-form rows, probabilities and left vectors, in sorted order.
+        order = np.argsort(rows, kind="stable")
+        assert np.array_equal(np.repeat(v.rows, v.counts), rows[order])
+        assert np.array_equal(np.repeat(v.row_probs, v.counts), probs[order])
         assert np.array_equal(seen[0], cols)
         k = v.r_tilde
         assert k == int((ref_sigma[: ms.tau * ms.rank] ** 2 >= gamma * core_mass).sum())
         assert np.allclose(v.singular_values, ref_sigma[:k], rtol=1e-10, atol=0)
-        ref_proj = ref_u[:, :k] @ ref_u[:, :k].conj().T
-        proj = v.left_vectors @ v.left_vectors.conj().T
+        ref_proj = ref_u[order, :k] @ ref_u[order, :k].conj().T
+        left = np.repeat(v.left_vectors / np.sqrt(v.counts)[:, np.newaxis], v.counts, axis=0)
+        proj = left @ left.conj().T
         assert np.abs(proj - ref_proj).max() <= 1e-10
         # A floor between the second and third squared values keeps two,
         # which holds only if the core mass matches too.
@@ -500,11 +545,16 @@ class TestDistinctCore:
     def test_basis_rows_match_p_form(self):
         ms = repeated_sum(cancel=False)
         v = build_sketch(ms, SketchParams(p=120, gamma=1e-12), substream(34, 1))
-        assert np.unique(v.rows).shape[0] < v.p
-        scale = 1.0 / np.sqrt(v.p * v.row_probs)
+        assert v.rows.shape[0] < v.p
+        # Each distinct row repeated by its count, with left vectors
+        # u / sqrt(count): the p sampled rows of the sketch.
+        rows = np.repeat(v.rows, v.counts)
+        scale = 1.0 / np.sqrt(v.p * np.repeat(v.row_probs, v.counts))
+        left = np.repeat(v.left_vectors / np.sqrt(v.counts)[:, np.newaxis], v.counts, axis=0)
+        dense = dense_realize(ms)
         for i in range(ms.n):
-            mirror = np.array([np.conj(ms.query(int(r), i)) for r in v.rows])
-            expect = (mirror * scale) @ v.left_vectors / v.singular_values
+            mirror = np.conj(dense[rows, i])
+            expect = (mirror * scale) @ left / v.singular_values
             assert np.abs(v.row(i) - expect).max() <= 1e-12
 
     def test_large_p_stays_small(self):
@@ -520,6 +570,14 @@ class TestDistinctCore:
             tracemalloc.stop()
         assert v.p == 5000
         assert peak < 16 << 20
+
+    def test_holds_no_p_length_array(self):
+        ms = MatrixSum([random_low_rank(32, 2, substream(35, 1))], rank=2)
+        v = build_sketch(ms, SketchParams(p=5000, gamma=1e-6), substream(35, 2))
+        v.support_rows()
+        held = [a for a in vars(v).values() if isinstance(a, np.ndarray)]
+        assert len(held) == 8
+        assert all(v.p not in a.shape for a in held)
 
     def test_svd_sees_only_the_distinct_grid(self, monkeypatch):
         ms = MatrixSum([random_low_rank(32, 2, substream(36, 1))], rank=2)

@@ -92,8 +92,8 @@ class TestEstimateVav:
     def test_empty_basis_gives_empty_core(self):
         ms, v = sketched_sum(n=8, tau=1, rank=2, p=40, seed=46)
         hollow = BasisSketch(
-            ms, v.rows, v.row_probs,
-            np.zeros(0), np.zeros((v.p, 0), dtype=complex),
+            ms, v.rows, v.row_probs, v.counts,
+            np.zeros(0), np.zeros((v.rows.shape[0], 0), dtype=complex),
         )
         est = estimate_vav(hollow, ms, eps_s=0.1, delta=0.1,
                            rng=substream(46, 3))
