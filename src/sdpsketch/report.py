@@ -28,6 +28,7 @@ from .errors import ManifestError
 from .gibbs import GibbsDescription, make_gibbs
 from .sketch import BasisSketch, MatrixSum
 from .spectral import SpectralSurrogate
+from .store import read_text
 
 VERSION = 2
 HEADER = f"sdpsketch-report {VERSION}"
@@ -111,6 +112,12 @@ def rebuild_witness(dump: WitnessDump, constraints: list, n: int) -> GibbsDescri
     """
     if dump.kind == "uniform":
         return GibbsDescription.uniform(n)
+    for j in dump.exponent:
+        if not 0 <= j < len(constraints):
+            raise ManifestError(
+                f"witness exponent names constraint {j + 1}, past the "
+                f"{len(constraints)} of the manifest"
+            )
     summands = [constraints[j] for j in dump.exponent]
     if not summands:
         raise ManifestError("gibbs witness with an empty exponent list")
@@ -197,6 +204,35 @@ def _int_tok(token: str, lineno: int) -> int:
         raise ManifestError(f"report line {lineno}: bad integer {token!r}") from None
 
 
+def _str_tok(token: str, lineno: int) -> str:
+    return token
+
+
+# Scalar report keys and the parser of each one's value.
+_SCALARS = {
+    "command": _str_tok,
+    "dimension": _int_tok,
+    "manifest-sha256": _str_tok,
+    "seed": _int_tok,
+    "epsilon": _float_tok,
+    "constraints": _int_tok,
+    "rounds": _int_tok,
+    "beta-scale": _float_tok,
+    "delta-total": _float_tok,
+    "preset": _str_tok,
+    "sketch-p": _int_tok,
+    "sketch-gamma": _float_tok,
+    "verdict": _str_tok,
+    "iterations": _int_tok,
+    "value": _float_tok,
+    "calls": _int_tok,
+    "beta": _float_tok,
+    "tau": _int_tok,
+    "p": _int_tok,
+    "rank": _int_tok,
+}
+
+
 def _complex_vec(tokens: list[str], lineno: int) -> np.ndarray:
     if len(tokens) % 2:
         raise ManifestError(f"report line {lineno}: odd number of components")
@@ -223,7 +259,7 @@ def parse(text: str) -> RunReport:
         raise ManifestError("not a report: missing header line")
     if not lines or lines[-1] != "end":
         raise ManifestError("truncated report: missing end line")
-    scalars: dict[str, str] = {}
+    scalars: dict[str, object] = {}
     violations: list[tuple[int, int, float]] = []
     estimates: list[tuple[int, float]] = []
     timings: list[tuple[str, float]] = []
@@ -256,33 +292,12 @@ def parse(text: str) -> RunReport:
             core_rows[_int_tok(tokens[1], lineno)] = _complex_vec(tokens[2:], lineno)
         elif key in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
             payload[key] = (lineno, tokens[1:])
-        elif key in (
-            "command",
-            "dimension",
-            "manifest-sha256",
-            "seed",
-            "epsilon",
-            "constraints",
-            "rounds",
-            "beta-scale",
-            "delta-total",
-            "preset",
-            "sketch-p",
-            "sketch-gamma",
-            "verdict",
-            "iterations",
-            "value",
-            "calls",
-            "beta",
-            "tau",
-            "p",
-            "rank",
-        ):
+        elif key in _SCALARS:
             if key in scalars:
                 raise ManifestError(f"report line {lineno}: duplicate {key!r}")
             if len(tokens) != 2:
                 raise ManifestError(f"report line {lineno}: {key} takes one value")
-            scalars[key] = tokens[1]
+            scalars[key] = _SCALARS[key](tokens[1], lineno)
         else:
             raise ManifestError(f"report line {lineno}: unknown key {key!r}")
     for required in ("command", "dimension", "seed", "epsilon", "rounds", "verdict", "iterations"):
@@ -292,19 +307,22 @@ def parse(text: str) -> RunReport:
         raise ManifestError(f"unknown verdict {scalars['verdict']!r}")
     witness: Optional[WitnessDump] = None
     if witness_kind == "uniform":
-        witness = WitnessDump(kind="uniform", beta=float(scalars.get("beta", 0.0)))
+        witness = WitnessDump(kind="uniform", beta=scalars.get("beta", 0.0))
     elif witness_kind == "gibbs":
         for required in ("beta", "tau", "p", "rank"):
             if required not in scalars:
                 raise ManifestError(f"gibbs witness is missing {required!r}")
-        p = int(scalars["p"])
-        r = int(scalars["rank"])
-        tau = int(scalars["tau"])
-        dimension = int(scalars["dimension"])
+        p = scalars["p"]
+        r = scalars["rank"]
+        tau = scalars["tau"]
+        dimension = scalars["dimension"]
         for required in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
             if required not in payload:
                 raise ManifestError(f"gibbs witness is missing {required!r}")
-        exponent = [int(j) - 1 for j in _vec(payload, "exponent", _int_tok)[1]]
+        at, exponent = _vec(payload, "exponent", _int_tok)
+        if np.any(exponent < 1):
+            raise ManifestError(f"report line {at}: exponent entries must be at least 1")
+        exponent = [int(j) - 1 for j in exponent]
         at, rows = _vec(payload, "rows", _int_tok)
         if np.any(np.diff(rows) <= 0):
             raise ManifestError(f"report line {at}: rows must be strictly increasing")
@@ -341,7 +359,7 @@ def parse(text: str) -> RunReport:
             raise ManifestError(f"core-u has shape {core_u.shape}, expected ({r}, {r})")
         witness = WitnessDump(
             kind="gibbs",
-            beta=float(scalars["beta"]),
+            beta=scalars["beta"],
             exponent=exponent,
             rows=rows - 1,
             row_probs=row_probs,
@@ -360,22 +378,22 @@ def parse(text: str) -> RunReport:
         estimates_out = [v for _, v in estimates]
     return RunReport(
         command=scalars["command"],
-        dimension=int(scalars["dimension"]),
-        seed=int(scalars["seed"]),
-        epsilon=float(scalars["epsilon"]),
-        rounds=int(scalars["rounds"]),
+        dimension=scalars["dimension"],
+        seed=scalars["seed"],
+        epsilon=scalars["epsilon"],
+        rounds=scalars["rounds"],
         verdict=scalars["verdict"],
-        iterations=int(scalars["iterations"]),
-        constraints=int(scalars.get("constraints", 0)),
-        beta_scale=float(scalars.get("beta-scale", 0.25)),
-        delta_total=float(scalars.get("delta-total", 1.0 / 6.0)),
+        iterations=scalars["iterations"],
+        constraints=scalars.get("constraints", 0),
+        beta_scale=scalars.get("beta-scale", 0.25),
+        delta_total=scalars.get("delta-total", 1.0 / 6.0),
         preset=scalars.get("preset", "scaled"),
-        sketch_p=int(scalars["sketch-p"]) if "sketch-p" in scalars else None,
-        sketch_gamma=float(scalars["sketch-gamma"]) if "sketch-gamma" in scalars else None,
+        sketch_p=scalars.get("sketch-p"),
+        sketch_gamma=scalars.get("sketch-gamma"),
         violations=violations,
         manifest_sha=scalars.get("manifest-sha256"),
-        value=float(scalars["value"]) if "value" in scalars else None,
-        calls=int(scalars["calls"]) if "calls" in scalars else None,
+        value=scalars.get("value"),
+        calls=scalars.get("calls"),
         estimates=estimates_out,
         timings=timings,
         witness=witness,
@@ -383,8 +401,8 @@ def parse(text: str) -> RunReport:
 
 
 def load_report(path: str) -> RunReport:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse(handle.read())
+    """Parse a report file; an undecodable byte raises naming ``path:line``."""
+    return parse(read_text(path))
 
 
 def save_report(path: str, report: RunReport) -> None:

@@ -14,7 +14,6 @@ import numpy as np
 TRACE = 1
 SKETCH = 2
 CORE = 3
-SOLVER = 4
 INSTANCE = 5
 
 

@@ -1,10 +1,10 @@
 """Approximate singular basis of a sum of sampled matrices.
 
-Rows are drawn from the summand-weighted row distribution, columns from
-the row-conditional entry distribution, and the singular directions of
-the resulting rescaled p-by-p core are computed; those whose squared
-value falls below a fixed fraction of the core's summand mass are
-discarded.  Repeated sampled rows are identical core rows and repeated
+Rows are drawn from the count-weighted row distribution over distinct
+stores, columns from the row-conditional entry distribution, and the
+singular directions of the resulting rescaled p-by-p core are computed;
+those whose squared value falls below a fixed fraction of the core's
+summand mass are discarded.  Repeated sampled rows are identical core rows and repeated
 columns identical core columns, so the core is assembled and decomposed
 on the distinct sampled rows and columns only, weighted by the square
 root of each multiplicity; no p-by-p array exists.  The surviving basis
@@ -54,11 +54,14 @@ class MatrixSum:
 
     Carries the declared per-summand rank bound; per-summand spectral
     norms are assumed at most 1 by the caller and not verified here.
-    `terms` groups the summands by underlying store, `NegatedView`
-    unwrapped: one ``(store, count, coef)`` per distinct store, in order
-    of first appearance, where ``count`` is how often the store occurs
-    and ``coef`` the sum of its signs.  Squared magnitudes scale by
-    ``count`` and values by ``coef``.
+    `terms` is the only form of the sum that sampling reads: the
+    summands grouped by underlying store, `NegatedView` unwrapped, one
+    ``(store, count, coef)`` per distinct store in order of first
+    appearance, where ``count`` is how often the store occurs and
+    ``coef`` the sum of its signs.  Squared magnitudes scale by
+    ``count`` and values by ``coef``.  `summands` keeps the caller's
+    list for the dense reference.  ``tau``, the summand count, is the
+    sum of the counts.
     """
 
     def __init__(self, summands, rank: int):
@@ -75,24 +78,21 @@ class MatrixSum:
         self.summands = list(summands)
         self.rank = rank
         self.n = n
-        self._mass_prefix = np.cumsum([s.frobenius_norm() ** 2 for s in self.summands])
         grouped = {}
-        stores = []
         for s in self.summands:
             sign = 1
             while isinstance(s, NegatedView):
                 s, sign = s.base, -sign
             store, count, coef = grouped.get(id(s), (s, 0, 0))
             grouped[id(s)] = (store, count + 1, coef + sign)
-            stores.append(id(s))
         self.terms = list(grouped.values())
-        # Index into `terms` of each summand's store.
-        position = {key: k for k, key in enumerate(grouped)}
-        self._term_of = np.array([position[key] for key in stores])
+        self._mass_prefix = np.cumsum(
+            [count * store.frobenius_norm() ** 2 for store, count, _ in self.terms]
+        )
 
     @property
     def tau(self) -> int:
-        return len(self.summands)
+        return sum(count for _, count, _ in self.terms)
 
     def total_mass(self) -> float:
         """Sum of squared Frobenius norms over summands."""
@@ -132,24 +132,23 @@ def sample_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw p row indices i.i.d. from the mixture row distribution.
 
-    Each draw picks a summand proportional to its squared Frobenius norm,
-    then a row of that summand proportional to its squared row norm.
-    Returns the indices and their exact mixture probabilities.
+    Each draw picks a distinct store proportional to count times its
+    squared Frobenius norm (`MatrixSum.terms`), the law of picking one of
+    the repeated summands, then a row of that store proportional to its
+    squared row norm.  Returns the indices and their exact mixture
+    probabilities.
     """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     total = ms.total_mass()
     if total <= 0.0:
         raise ZeroMassError("matrix sum has zero Frobenius mass")
-    # Each draw takes two uniforms in turn: column 0 picks the summand by
-    # its squared Frobenius norm, column 1 the row within it.
+    # Each draw takes two uniforms in turn: column 0 picks the store by
+    # its weight, column 1 the row within it.
     u = rng.random((p, 2))
     which = np.searchsorted(ms._mass_prefix, u[:, 0] * total, side="right")
-    if int(which.max()) >= ms.tau:
-        raise InternalError("summand draw landed past the last summand")
-    # A row draw depends only on the store and its uniform, so the draws
-    # of every summand over one store are made together.
-    which = ms._term_of[which]
+    if int(which.max()) >= len(ms.terms):
+        raise InternalError("store draw landed past the last store")
     rows = np.zeros(p, dtype=np.int64)
     for k in np.unique(which):
         at = which == k
@@ -292,8 +291,9 @@ def build_sketch(
     K equals P_r C P_c^T for the distinct core C and 0/1 selectors P_r,
     P_c, so K has the singular values of W = C * sqrt(m_r m_c^T) and left
     vectors U[inverse] / sqrt(m_r), and rank at most min(distinct rows,
-    distinct cols).  The sketch keeps U's kept columns on the distinct
-    rows with m_r, never the p-row form.  Raises EmptySketch when the
+    distinct cols).  At most rank directions per store with coef != 0 are
+    kept, the rank bound of the signed sum.  The sketch keeps U's kept
+    columns on the distinct rows with m_r, never the p-row form.  Raises EmptySketch when the
     filter removes every direction, and ConfigError when the draw arrays
     would exceed `MAX_SKETCH_BYTES` (before the first draw) or the
     distinct core would (before it is gathered), or the core exceeds
@@ -339,7 +339,9 @@ def build_sketch(
     core_mass = float((mult * sq / denom**2).sum())
 
     u, sigma, _ = linalg.svd(vals / denom * np.sqrt(mult))
-    sigma = sigma[: min(p, ms.tau * ms.rank)]
+    # rank(sum of coef A over stores) is at most rank per store with coef != 0.
+    signed = sum(1 for _, _, coef in ms.terms if coef != 0)
+    sigma = sigma[: min(p, signed * ms.rank)]
     keep = sigma**2 >= params.gamma * core_mass
     if not bool(keep.any()):
         raise EmptySketch(

@@ -1,8 +1,9 @@
 """Eigenstructure of the constraint sum compressed into the sketched basis.
 
 Each entry of the compressed matrix is a trace against a rank-one outer
-product of basis columns and is computed summand by summand through the
-trace estimator, which sums a summand exactly when it stores no more
+product of basis columns and is computed once per distinct store of the
+exponent (`MatrixSum.terms`), scaled by the store's coefficient, through
+the trace estimator, which sums a store exactly when it stores no more
 entries than its sampling plan would draw and samples it otherwise; only
 the upper triangle is computed and the mirror is filled by conjugation
 before an exact eigendecomposition.
@@ -21,7 +22,9 @@ from .errors import NumericalError
 from .sketch import BasisSketch, MatrixSum
 from .trace import EstimatorConfig, QueryableOperator, estimate_trace_product
 
-# Absolute slack allowed on the compressed spectrum beyond the summand count.
+# Absolute slack allowed on the compressed spectrum beyond the summand
+# count tau (the sum of the store counts): each summand has spectral norm
+# at most 1, so tau bounds the spectrum whatever the signs.
 SPECTRUM_SLACK = 0.5
 
 
@@ -63,21 +66,27 @@ def estimate_vav(
     """Estimate the basis-compressed constraint sum to Frobenius error eps_s.
 
     Entry (i, j) of the result approximates column_i^dagger A column_j for
-    the summed constraint A.  The budget is split as in the error
-    analysis: each of the tau summand contributions to each entry is
-    estimated to eps_s / (r_tilde tau) with failure probability
-    2 delta / (tau (r_tilde^2 + r_tilde)).  Cost per contribution grows
-    with (r_tilde tau / eps_s)^2 up to the summand's stored-entry count,
-    where it is summed exactly, so callers at desk scale pass a per-entry
-    budget scaled up accordingly.  Only the basis rows in `v.support()`
-    are filled (`v.support_rows()`); the rest are exactly zero, so the
-    fill costs O(|support| x distinct rows x distinct stores), independent
-    of n.
+    the summed constraint A = sum of coef_s A_s over the distinct stores
+    s with coef_s != 0 (`MatrixSum.terms`); there are k of them.  Each
+    entry takes one trace per such store, scaled by coef_s.  The budget
+    is split as in the error analysis: each trace is estimated to
+    eps_s / (r_tilde sum |coef_s|), so the scaled traces of an entry sum
+    to error eps_s / r_tilde, with failure probability
+    2 delta / (k (r_tilde^2 + r_tilde)).  Cost per trace grows with
+    (r_tilde sum |coef_s| / eps_s)^2 up to the store's entry count, where
+    it is summed exactly, so callers at desk scale pass a per-entry
+    budget scaled up accordingly.  When every coef is 0 the sum is
+    exactly zero and so is the result, with no trace made.  Only the
+    basis rows in `v.support()` are filled (`v.support_rows()`); the rest
+    are exactly zero, so the fill costs O(|support| x distinct rows x
+    distinct stores), independent of n.
     """
     r = v.r_tilde
-    tau = ms.tau
     if r == 0:
         return np.zeros((0, 0), dtype=np.complex128)
+    signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
+    if not signed:
+        return np.zeros((r, r), dtype=np.complex128)
     support = v.support()
     support_rows = v.support_rows()
     col_norms = np.sqrt((np.abs(support_rows) ** 2).sum(axis=0))
@@ -85,12 +94,13 @@ def estimate_vav(
     # zeroed, so rows off the support cost nothing until a sample reads them.
     dense_cols = np.zeros((v.n, r), dtype=np.complex128)
     dense_cols[support] = support_rows
-    eps_entry = eps_s / (r * tau)
-    delta_entry = 2.0 * delta / (tau * (r**2 + r))
+    k = len(signed)
+    eps_entry = eps_s / (r * sum(abs(coef) for _, coef in signed))
+    delta_entry = 2.0 * delta / (k * (r**2 + r))
     cfg = EstimatorConfig(eps=eps_entry, delta=delta_entry)
 
     pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    streams = rng.spawn(len(pairs) * tau)
+    streams = rng.spawn(len(pairs) * k)
     out = np.zeros((r, r), dtype=np.complex128)
     pos = 0
     for i, j in pairs:
@@ -104,8 +114,8 @@ def estimate_vav(
             hermitian=(i == j),
         )
         total = 0j
-        for summand in ms.summands:
-            total += estimate_trace_product(summand, oracle, cfg, streams[pos])
+        for store, coef in signed:
+            total += coef * estimate_trace_product(store, oracle, cfg, streams[pos])
             pos += 1
         out[i, j] = total
         if i != j:

@@ -437,9 +437,6 @@ class NegatedView:
     def rank_hint(self) -> int:
         return self.base.rank_hint
 
-    def query(self, i: int, j: int) -> complex:
-        return -self.base.query(i, j)
-
     @property
     def nnz(self) -> int:
         return self.base.nnz

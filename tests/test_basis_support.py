@@ -143,12 +143,15 @@ class TestIndependentOfN:
 
 def all_rows_vav(v, ms, eps_s, delta, rng):
     """estimate_vav with every one of the n basis rows filled."""
-    r, tau = v.r_tilde, ms.tau
+    r = v.r_tilde
+    signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
+    k = len(signed)
     dense_cols = v.rows_dense(range(v.n))
     col_norms = np.sqrt((np.abs(dense_cols) ** 2).sum(axis=0))
-    cfg = EstimatorConfig(eps=eps_s / (r * tau), delta=2.0 * delta / (tau * (r**2 + r)))
+    weight = sum(abs(coef) for _, coef in signed)
+    cfg = EstimatorConfig(eps=eps_s / (r * weight), delta=2.0 * delta / (k * (r**2 + r)))
     pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    streams = rng.spawn(len(pairs) * tau)
+    streams = rng.spawn(len(pairs) * k)
     out = np.zeros((r, r), dtype=np.complex128)
     pos = 0
     for i, j in pairs:
@@ -159,8 +162,8 @@ def all_rows_vav(v, ms, eps_s, delta, rng):
             hermitian=(i == j),
         )
         total = 0j
-        for summand in ms.summands:
-            total += estimate_trace_product(summand, oracle, cfg, streams[pos])
+        for store, coef in signed:
+            total += coef * estimate_trace_product(store, oracle, cfg, streams[pos])
             pos += 1
         out[i, j] = total
         if i != j:

@@ -271,11 +271,16 @@ class TestEntry:
             ("left 1 ", lambda v: v[:-2], "left 1 lists {d1} values for {d} rows"),
             ("sdpsketch-report ", lambda v: ["1"],
              "report version 1 is not read; this reader takes version 2"),
+            ("p ", lambda v: ["2x00"], "bad integer '2x00'"),
+            ("seed ", lambda v: ["9x"], "bad integer '9x'"),
+            ("beta ", lambda v: ["zz"], "bad float 'zz'"),
+            ("exponent ", lambda v: ["0", *v[1:]], "exponent entries must be at least 1"),
         ],
         ids=[
             "rows_not_increasing", "row_zero", "row_past_dimension", "row_prob_zero",
             "count_zero", "count_not_integer", "counts_sum_off", "row_probs_short",
-            "counts_short", "left_short", "version_1",
+            "counts_short", "left_short", "version_1", "p_not_integer",
+            "seed_not_integer", "beta_not_float", "exponent_zero",
         ],
     )
     def test_bad_witness_line_named(self, work, tmp_path, capsys, prefix, edit, message):
@@ -292,6 +297,30 @@ class TestEntry:
         assert code == 2
         message = message.format(d=d, d1=d - 1)
         assert capsys.readouterr().err == f"error: report line {at + 1}: {message}\n"
+
+    def test_exponent_past_manifest_exits_two(self, work, tmp_path, capsys):
+        out = tmp_path / "wit5.rep"
+        run_cli(["feastest", work["readme"], "--seed", "3", "--out", str(out)])
+        text = out.read_text()
+        assert "\nconstraints 4\n" in text and "\nexponent 1\n" in text
+        out.write_text(text.replace("\nexponent 1\n", "\nexponent 9\n"))
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["readme"]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: witness exponent names constraint 9, past the 4 of the manifest\n"
+        )
+
+    def test_undecodable_report_names_line(self, work, tmp_path, capsys):
+        out = tmp_path / "wit6.rep"
+        run_cli(["feastest", work["plant"], *FAST, "--out", str(out)])
+        lines = out.read_bytes().split(b"\n")
+        lines[3] += b"\xe9"
+        out.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["plant"]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}:4: invalid UTF-8 byte 0xe9\n"
 
 
 class TestErrorPaths:

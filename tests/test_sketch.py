@@ -275,20 +275,21 @@ class TestRowSampling:
             sample_cols(ms, np.zeros(3, dtype=np.int64), 5, substream(8, 1))
 
     def test_vector_draws_equal_sequential_loop(self):
-        # One draw at a time: a uniform picks the summand by squared
-        # Frobenius norm, the next uniform a row of that summand.
+        # One draw at a time: a uniform picks the store by count times
+        # squared Frobenius norm, the next uniform a row of that store.
         a = random_low_rank(7, 2, substream(12, 1))
         b = random_low_rank(7, 1, substream(12, 2))
         ms = MatrixSum([a, b, NegatedView(a), a, NegatedView(b)], rank=2)
         rows, probs = sample_rows(ms, 300, substream(12, 3))
         rng = substream(12, 3)
-        masses = np.cumsum([s.frobenius_norm() ** 2 for s in ms.summands])
+        stores, counts = [a, b], [3, 2]
+        masses = np.cumsum([c * s.frobenius_norm() ** 2 for s, c in zip(stores, counts)])
         want, picked = [], set()
         for _ in range(300):
             k = int(np.searchsorted(masses, rng.random() * masses[-1], side="right"))
             picked.add(k)
-            want.append(int(ms.summands[k].rows_at(np.array([rng.random()]))[0]))
-        assert picked == set(range(5))
+            want.append(int(stores[k].rows_at(np.array([rng.random()]))[0]))
+        assert picked == {0, 1}
         assert np.array_equal(rows, want)
         assert np.array_equal(probs, ms.row_masses(want) / ms.total_mass())
 
@@ -530,7 +531,8 @@ class TestDistinctCore:
         assert np.array_equal(np.repeat(v.row_probs, v.counts), probs[order])
         assert np.array_equal(seen[0], cols)
         k = v.r_tilde
-        assert k == int((ref_sigma[: ms.tau * ms.rank] ** 2 >= gamma * core_mass).sum())
+        # A + B + A - A has two stores with coef != 0, so rank at most 2 x 2.
+        assert k == int((ref_sigma[: 2 * ms.rank] ** 2 >= gamma * core_mass).sum())
         assert np.allclose(v.singular_values, ref_sigma[:k], rtol=1e-10, atol=0)
         ref_proj = ref_u[order, :k] @ ref_u[order, :k].conj().T
         left = np.repeat(v.left_vectors / np.sqrt(v.counts)[:, np.newaxis], v.counts, axis=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdpsketch import spectral
 from sdpsketch.errors import HermiticityError, NumericalError
 from sdpsketch.instances import random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_vav
@@ -13,6 +14,8 @@ from sdpsketch.spectral import (
     decompose,
     estimate_vav,
 )
+from sdpsketch.store import NegatedView
+from sdpsketch.trace import estimate_trace_product
 
 
 def sketched_sum(n=12, tau=1, rank=2, p=60, seed=40, traceless=False):
@@ -100,6 +103,41 @@ class TestEstimateVav:
         assert est.shape == (0, 0)
         assert decompose(est, basis=hollow).r_tilde == 0
 
+    def test_one_trace_per_distinct_store(self, monkeypatch):
+        a = random_low_rank(8, 2, substream(47, 1))
+        b = random_low_rank(8, 2, substream(47, 2))
+        ms = MatrixSum([a, b, a, NegatedView(a)], rank=2)
+        v = build_sketch(ms, SketchParams(p=60, gamma=1e-6), substream(47, 2))
+        calls = []
+
+        def spy(store, *args):
+            calls.append(store)
+            return estimate_trace_product(store, *args)
+
+        monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        est = estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(47, 3))
+        pairs = v.r_tilde * (v.r_tilde + 1) // 2
+        assert v.r_tilde >= 2
+        assert len(calls) == pairs * 2
+        assert calls[0] is a and calls[1] is b
+        # 64-entry stores are summed exactly: A + B + A - A = A + B.
+        exact = dense_vav(v, MatrixSum([a, b], rank=2))
+        assert np.abs(est - exact).max() <= 1e-12
+
+    def test_cancelled_sum_is_exact_zero(self, monkeypatch):
+        a = random_low_rank(8, 2, substream(48, 1))
+        # A - A has no sketch, so the basis comes from another sum.
+        _, v = sketched_sum(n=8, tau=1, rank=2, p=60, seed=48)
+        calls = []
+        monkeypatch.setattr(spectral, "estimate_trace_product", lambda *args: calls.append(args))
+        est = estimate_vav(
+            v, MatrixSum([a, NegatedView(a)], rank=2), eps_s=0.1, delta=0.1,
+            rng=substream(48, 3),
+        )
+        assert v.r_tilde >= 1
+        assert est.dtype == np.complex128
+        assert np.array_equal(est, np.zeros((v.r_tilde, v.r_tilde)))
+        assert calls == []
 
 class TestEndToEndSpectrum:
     def test_planted_signs_survive_compression(self):

