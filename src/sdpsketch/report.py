@@ -266,7 +266,7 @@ def parse(text: str) -> RunReport:
     witness_kind: Optional[str] = None
     payload: dict[str, tuple[int, list[str]]] = {}
     left_rows: dict[int, tuple[int, np.ndarray]] = {}
-    core_rows: dict[int, np.ndarray] = {}
+    core_rows: dict[int, tuple[int, np.ndarray]] = {}
     for lineno, line in enumerate(lines[1:-1], start=2):
         tokens = _toks(line, lineno)
         key = tokens[0]
@@ -281,15 +281,25 @@ def parse(text: str) -> RunReport:
                 )
             )
         elif key == "estimate":
+            if len(tokens) != 3:
+                raise ManifestError(f"report line {lineno}: estimate takes two fields")
             estimates.append((_int_tok(tokens[1], lineno), _float_tok(tokens[2], lineno)))
         elif key == "timing":
+            if len(tokens) != 3:
+                raise ManifestError(f"report line {lineno}: timing takes two fields")
             timings.append((tokens[1], _float_tok(tokens[2], lineno)))
         elif key == "witness":
+            if len(tokens) != 2:
+                raise ManifestError(f"report line {lineno}: witness takes one value")
             witness_kind = tokens[1]
-        elif key == "left":
-            left_rows[_int_tok(tokens[1], lineno)] = (lineno, _complex_vec(tokens[2:], lineno))
-        elif key == "core-u":
-            core_rows[_int_tok(tokens[1], lineno)] = _complex_vec(tokens[2:], lineno)
+        elif key in ("left", "core-u"):
+            if len(tokens) < 2:
+                raise ManifestError(f"report line {lineno}: {key} takes an index")
+            vecs = left_rows if key == "left" else core_rows
+            k = _int_tok(tokens[1], lineno)
+            if k in vecs:
+                raise ManifestError(f"report line {lineno}: duplicate {key} {k}")
+            vecs[k] = (lineno, _complex_vec(tokens[2:], lineno))
         elif key in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
             payload[key] = (lineno, tokens[1:])
         elif key in _SCALARS:
@@ -354,9 +364,12 @@ def parse(text: str) -> RunReport:
                     f"report line {at}: {key} lists {size} values for {rows.size} rows"
                 )
         left = np.stack([left_rows[k][1] for k in range(1, r + 1)], axis=1)
-        core_u = np.stack([core_rows[k] for k in range(1, r + 1)], axis=1)
-        if core_u.shape != (r, r):
-            raise ManifestError(f"core-u has shape {core_u.shape}, expected ({r}, {r})")
+        for at, vec in core_rows.values():
+            if vec.size != r:
+                raise ManifestError(
+                    f"report line {at}: core-u lists {vec.size} values for rank {r}"
+                )
+        core_u = np.stack([core_rows[k][1] for k in range(1, r + 1)], axis=1)
         witness = WitnessDump(
             kind="gibbs",
             beta=scalars["beta"],

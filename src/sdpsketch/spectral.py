@@ -76,7 +76,10 @@ def estimate_vav(
     (r_tilde sum |coef_s| / eps_s)^2 up to the store's entry count, where
     it is summed exactly, so callers at desk scale pass a per-entry
     budget scaled up accordingly.  When every coef is 0 the sum is
-    exactly zero and so is the result, with no trace made.  Only the
+    exactly zero and so is the result, with no trace made.  The traces
+    share `rng`, taken in order (upper-triangle pairs row by row, then
+    stores in term order): a sampled trace reads the next uniforms of
+    the stream and an exact one reads none.  Only the
     basis rows in `v.support()` are filled (`v.support_rows()`); the rest
     are exactly zero, so the fill costs O(|support| x distinct rows x
     distinct stores), independent of n.
@@ -100,9 +103,7 @@ def estimate_vav(
     cfg = EstimatorConfig(eps=eps_entry, delta=delta_entry)
 
     pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    streams = rng.spawn(len(pairs) * k)
     out = np.zeros((r, r), dtype=np.complex128)
-    pos = 0
     for i, j in pairs:
         def bulk(rows, cols, _i=i, _j=j):
             return dense_cols[rows, _j] * np.conj(dense_cols[cols, _i])
@@ -115,8 +116,7 @@ def estimate_vav(
         )
         total = 0j
         for store, coef in signed:
-            total += coef * estimate_trace_product(store, oracle, cfg, streams[pos])
-            pos += 1
+            total += coef * estimate_trace_product(store, oracle, cfg, rng)
         out[i, j] = total
         if i != j:
             out[j, i] = total.conjugate()

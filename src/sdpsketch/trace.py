@@ -5,11 +5,13 @@ One sample draws a position (i, j) of A with probability
 which is unbiased for Tr[A B] with variance at most ||A||_F^2 ||B||_F^2.
 Samples are averaged within batches sized by Chebyshev and the batch means
 are combined by a coordinate-wise median (real and imaginary parts
-separately) to reach the requested failure probability.  Each batch
-draws from its own child stream, two uniforms per sample (the store's
-row-then-column draw, `SampledMatrix.sample_entries`), and whole batches
-share one sampling call and one B-query call, so a batch's draws and sum
-do not depend on how many batches share its call.
+separately) to reach the requested failure probability.  The batches
+read one stream in order, two uniforms per sample (the store's
+row-then-column draw, `SampledMatrix.sample_entries`): batch k takes the
+2 x size uniforms that follow batch k - 1's.  Whole batches share one
+uniform draw, one sampling call and one B-query call, and a batch
+larger than a pass spans several; a batch's draws and its left-to-right
+sum do not depend on how its draws are split into calls.
 
 When A stores no more entries than that plan would draw, the estimate is
 instead the exact sum of A(i, j) B(j, i) over the stored entries: one
@@ -80,9 +82,9 @@ def estimate_trace_product(
     `a` is a sampling store (SampledMatrix or a view of one); `b` is an
     entry oracle with a declared norm bound.  A store with at most as
     many entries as the sampling plan draws is summed exactly, and `rng`
-    goes unused; otherwise batches use independent child streams of
-    `rng`, so the result is a fixed function of the seed regardless of
-    evaluation order.
+    goes unused; otherwise the estimate reads the next 2 x count x size
+    uniforms of `rng` in batch-major order, so the result is a fixed
+    function of the stream's state, whatever the batches per pass.
     """
     if a.n != b.n:
         raise ShapeError(f"operand dimensions differ: {a.n} vs {b.n}")
@@ -112,23 +114,27 @@ def _sampled_trace_product(
 ) -> complex:
     """Median of ``count`` batch means of ``size`` one-sample estimates.
 
-    Batch k draws from the k-th child stream of `rng`.  Each pass takes
-    as many whole batches as fit in `_CHUNK` draws, at least one, and a
-    batch larger than `_CHUNK` takes several passes.  Assumes A has mass
-    and B a nonzero norm bound.  Returns the complex median; the
-    Hermitian real-part rule is the caller's.
+    Batch k reads the 2 x size uniforms of `rng` that follow batch
+    k - 1's.  Each pass takes as many whole batches as fit in `_CHUNK`
+    draws, at least one, and a batch larger than `_CHUNK` takes several
+    passes; either way the stream is read batch-major and each batch
+    sums its draws left to right, so the bits do not depend on
+    `_CHUNK`.  Assumes A has mass and B a nonzero norm bound.  Returns
+    the complex median; the Hermitian real-part rule is the caller's.
     """
     a_fro_sq = a.total_mass()
-    children = rng.spawn(count)
     per = max(1, _CHUNK // size)
     sums = np.zeros(count, dtype=np.complex128)
     for first in range(0, count, per):
-        group = children[first : first + per]
+        batches = min(per, count - first)
         for done in range(0, size, _CHUNK):
             step = min(_CHUNK, size - done)
-            u = np.concatenate([child.random((step, 2)) for child in group])
-            rows, cols, vals = a.sample_entries(u)
+            rows, cols, vals = a.sample_entries(rng.random((batches * step, 2)))
             w = b.bulk_entries(cols, rows) * (a_fro_sq / np.conj(vals))
-            sums[first : first + len(group)] += w.reshape(len(group), step).sum(axis=1)
+            w = w.reshape(batches, step)
+            # Left to right from the sum so far, so a batch's sum has the
+            # same bits however its draws are split into passes.
+            w[:, 0] += sums[first : first + batches]
+            sums[first : first + batches] = np.cumsum(w, axis=1, out=w)[:, -1]
     means = sums / size
     return complex(np.median(means.real), np.median(means.imag))

@@ -150,24 +150,22 @@ def all_rows_vav(v, ms, eps_s, delta, rng):
     col_norms = np.sqrt((np.abs(dense_cols) ** 2).sum(axis=0))
     weight = sum(abs(coef) for _, coef in signed)
     cfg = EstimatorConfig(eps=eps_s / (r * weight), delta=2.0 * delta / (k * (r**2 + r)))
-    pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    streams = rng.spawn(len(pairs) * k)
     out = np.zeros((r, r), dtype=np.complex128)
-    pos = 0
-    for i, j in pairs:
-        oracle = QueryableOperator(
-            n=v.n,
-            bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
-            fro_bound=float(col_norms[j] * col_norms[i]),
-            hermitian=(i == j),
-        )
-        total = 0j
-        for store, coef in signed:
-            total += coef * estimate_trace_product(store, oracle, cfg, streams[pos])
-            pos += 1
-        out[i, j] = total
-        if i != j:
-            out[j, i] = total.conjugate()
+    # One stream for every trace, read in pair-then-store order.
+    for i in range(r):
+        for j in range(i, r):
+            oracle = QueryableOperator(
+                n=v.n,
+                bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
+                fro_bound=float(col_norms[j] * col_norms[i]),
+                hermitian=(i == j),
+            )
+            total = 0j
+            for store, coef in signed:
+                total += coef * estimate_trace_product(store, oracle, cfg, rng)
+            out[i, j] = total
+            if i != j:
+                out[j, i] = total.conjugate()
     return 0.5 * (out + out.conj().T)
 
 

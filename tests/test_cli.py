@@ -275,12 +275,16 @@ class TestEntry:
             ("seed ", lambda v: ["9x"], "bad integer '9x'"),
             ("beta ", lambda v: ["zz"], "bad float 'zz'"),
             ("exponent ", lambda v: ["0", *v[1:]], "exponent entries must be at least 1"),
+            ("witness ", lambda v: [], "witness takes one value"),
+            ("left ", lambda v: [], "left takes an index"),
+            ("core-u ", lambda v: [], "core-u takes an index"),
         ],
         ids=[
             "rows_not_increasing", "row_zero", "row_past_dimension", "row_prob_zero",
             "count_zero", "count_not_integer", "counts_sum_off", "row_probs_short",
             "counts_short", "left_short", "version_1", "p_not_integer",
-            "seed_not_integer", "beta_not_float", "exponent_zero",
+            "seed_not_integer", "beta_not_float", "exponent_zero", "witness_bare",
+            "left_bare", "core_u_bare",
         ],
     )
     def test_bad_witness_line_named(self, work, tmp_path, capsys, prefix, edit, message):

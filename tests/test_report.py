@@ -154,6 +154,62 @@ class TestParseRejections:
             parse("\n".join(drop) + "\n")
 
 
+def reparsed_line(text: str, prefix: str, new: str) -> tuple[str, int]:
+    """The report with its first line starting ``prefix`` replaced by
+    ``new``, and that line's 1-based number."""
+    lines = text.splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    lines[at] = new
+    return "\n".join(lines) + "\n", at + 1
+
+
+class TestShortLines:
+    """A line with too few fields is rejected naming it, not indexed past
+    its end."""
+
+    @pytest.mark.parametrize(
+        "prefix, new, message",
+        [
+            ("estimate 1 ", "estimate 1", "estimate takes two fields"),
+            ("estimate 1 ", "estimate", "estimate takes two fields"),
+            ("estimate 1 ", "estimate 1 0.125 7", "estimate takes two fields"),
+            ("timing solve ", "timing solve", "timing takes two fields"),
+            ("timing solve ", "timing", "timing takes two fields"),
+        ],
+        ids=["estimate_one_field", "estimate_bare", "estimate_extra", "timing_one_field",
+             "timing_bare"],
+    )
+    def test_estimate_and_timing(self, prefix, new, message):
+        r = full_report()
+        r.timings = [("solve", 1.5)]
+        text, lineno = reparsed_line(render(r), prefix, new)
+        with pytest.raises(ManifestError) as err:
+            parse(text)
+        assert str(err.value) == f"report line {lineno}: {message}"
+
+    def test_short_core_u_vector(self):
+        problem, out, chosen = planted_run()
+        dump = dump_witness(out.witness, chosen)
+        r = dump.core_u.shape[0]
+        text = render(full_report(witness=dump))
+        line = next(ln for ln in text.splitlines() if ln.startswith("core-u 1 "))
+        text, lineno = reparsed_line(text, "core-u 1 ", " ".join(line.split()[:-2]))
+        with pytest.raises(ManifestError) as err:
+            parse(text)
+        assert str(err.value) == f"report line {lineno}: core-u lists {r - 1} values for rank {r}"
+
+    @pytest.mark.parametrize("key", ["left", "core-u"])
+    def test_repeated_vector_index(self, key):
+        problem, out, chosen = planted_run()
+        text = render(full_report(witness=dump_witness(out.witness, chosen)))
+        lines = text.splitlines()
+        at = next(k for k, line in enumerate(lines) if line.startswith(f"{key} 1 "))
+        lines.insert(at + 1, lines[at])
+        with pytest.raises(ManifestError) as err:
+            parse("\n".join(lines) + "\n")
+        assert str(err.value) == f"report line {at + 2}: duplicate {key} 1"
+
+
 class TestWitnessRebuild:
     def test_bit_exact_through_bytes(self):
         problem, out, chosen = planted_run()

@@ -7,11 +7,12 @@ import pytest
 from sdpsketch import rng as rngmod
 from sdpsketch import trace as tracemod
 from sdpsketch.errors import ShapeError, ZeroMassError
-from sdpsketch.instances import planted_infeasible
+from sdpsketch.instances import planted_infeasible, random_matrix_sum
 from sdpsketch.oracle import dense_store
-from sdpsketch.sketch import SketchParams
+from sdpsketch.sketch import SketchParams, build_sketch
 from sdpsketch.solver import SolverConfig
 from sdpsketch.solver import test_feasibility as run_feasibility
+from sdpsketch.spectral import estimate_vav
 from sdpsketch.store import NegatedView, SampledMatrix
 from sdpsketch.trace import (
     EstimatorConfig,
@@ -193,16 +194,18 @@ class TestEstimator:
         b = operator_from_dense(dense_store(hermitian_store(6, 14)), hermitian=True)
         count, size = 7, 50
         results = []
-        # One batch per pass, three (passes of 3, 3 and 1), and all seven.
-        for per_pass, passes in ((1, 7), (3, 3), (7, 1)):
-            monkeypatch.setattr(tracemod, "_CHUNK", per_pass * size)
+        # One batch per pass, three (passes of 3, 3 and 1), all seven, and
+        # a chunk below the batch size, so each batch spans four passes
+        # (16 + 16 + 16 + 2 draws).
+        for chunk, calls in ((size, 7), (3 * size, 3), (7 * size, 1), (16, 4 * 7)):
+            monkeypatch.setattr(tracemod, "_CHUNK", chunk)
             counted = CountingStore(store, store.nnz)
             results.append(
                 _sampled_trace_product(counted, b, count, size, rngmod.substream(3, 1, 4))
             )
-            assert counted.calls == passes
+            assert counted.calls == calls
             assert counted.draws == count * size
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2] == results[3]
 
     def test_hermitian_pair_is_exactly_real(self):
         # The real-part rule follows both branches in estimate_trace_product,
@@ -237,6 +240,67 @@ class TestEstimator:
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         with pytest.raises(ShapeError):
             estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 9))
+
+
+class RandomOnly:
+    """Stand-in stream exposing only `random`, counting its calls and
+    uniforms."""
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self.calls = 0
+        self.uniforms = 0
+
+    def random(self, shape):
+        out = self._gen.random(shape)
+        self.calls += 1
+        self.uniforms += out.size
+        return out
+
+
+def reference_trace_product(a, b: QueryableOperator, count: int, size: int, rng) -> complex:
+    """Median of batch means, with the batches cut batch-major from one
+    block of 2 x count x size uniforms and each summed left to right."""
+    u = rng.random((count * size, 2))
+    a_fro_sq = a.total_mass()
+    means = []
+    for k in range(count):
+        rows, cols, vals = a.sample_entries(u[k * size : (k + 1) * size])
+        total = 0j
+        for x in b.bulk_entries(cols, rows) * (a_fro_sq / np.conj(vals)):
+            total += x
+        means.append(total / size)
+    means = np.array(means)
+    return complex(np.median(means.real), np.median(means.imag))
+
+
+class TestStreamOrder:
+    """Every estimate reads the one stream it is given, in order."""
+
+    @pytest.mark.parametrize("count, size", [(7, 50), (1, 3), (95, 1)])
+    def test_sampled_batches_read_the_stream_batch_major(self, count, size):
+        store = hermitian_store(6, 26)
+        b = random_operator(6, 27)
+        stream = RandomOnly(rngmod.substream(4, 1, 13))
+        est = _sampled_trace_product(store, b, count, size, stream)
+        ref_gen = rngmod.substream(4, 1, 13)
+        assert est == reference_trace_product(store, b, count, size, ref_gen)
+        assert stream.uniforms == 2 * count * size
+        # Nothing past the plan was read.
+        assert stream.random(3).tolist() == ref_gen.random(3).tolist()
+
+    def test_vav_traces_share_the_stream(self):
+        ms = random_matrix_sum(32, tau=2, rank=2, rng=rngmod.substream(95, 1))
+        v = build_sketch(ms, SketchParams(p=120, gamma=1e-6), rngmod.substream(95, 2))
+        # A budget this loose plans fewer draws than a store's 1,024
+        # entries, so every trace samples, each in one pass.
+        args = (v, ms, 4.0 * v.r_tilde * ms.tau, 0.1)
+        stream = RandomOnly(rngmod.substream(95, 3))
+        core = estimate_vav(*args, rng=stream)
+        r = v.r_tilde
+        assert r > 1
+        assert stream.calls == len(ms.terms) * r * (r + 1) // 2
+        assert np.array_equal(core, estimate_vav(*args, rng=rngmod.substream(95, 3)))
 
 
 class TestExactBranch:
