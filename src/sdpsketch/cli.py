@@ -254,7 +254,7 @@ def _run_shadow(args) -> int:
                     effect,
                     eps_est,
                     delta,
-                    rngmod.substream(config.seed, rngmod.TRACE, 0, k),
+                    rngmod.LazyStream(config.seed, rngmod.TRACE, 0, k),
                 )
             )
     solve_seconds = time.perf_counter() - timer

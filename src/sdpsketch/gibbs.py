@@ -24,16 +24,19 @@ _BOUND_SLACK = 1e-9
 class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
-    Immutable in meaning; internal caches only memoize basis rows.  Entry
-    queries cost O(distinct rows x distinct stores) on the first touch of
-    a row in the basis support and O(r_tilde) after; rows off the support
-    are exactly zero and are never rebuilt.  The rows missing from a
-    request are filled in one batch (`BasisSketch.rows_dense`, then
-    `linalg.rowwise_matmul` by the core); when that is the whole support,
-    as for the norm of a fresh candidate, the basis's memo of it
-    (`BasisSketch.support_rows`) is read instead.  A cached row's bits do
-    not depend on which other rows shared its batch, so an entry queried
-    on a fresh candidate equals the same entry after any bulk fill.
+    Immutable in meaning; internal caches only memoize basis rows.  The
+    caches hold |support| + 1 rows, whatever n: row k is the basis row of
+    ``support()[k]`` and the last is the zero row that every row off the
+    support reads (`BasisSketch.support_index`), so no row off the
+    support is ever built.  Entry queries cost O(distinct rows x distinct
+    stores) on the first touch of a row in the basis support and
+    O(r_tilde) after.  The rows missing from a request are filled in one
+    batch (`BasisSketch.rows_dense`, then `linalg.rowwise_matmul` by the
+    core); when that is the whole support, as for the norm of a fresh
+    candidate, the basis's memo of it (`BasisSketch.support_rows`) is
+    read instead.  A cached row's bits do not depend on which other rows
+    shared its batch, so an entry queried on a fresh candidate equals the
+    same entry after any bulk fill.
     """
 
     def __init__(
@@ -81,27 +84,32 @@ class GibbsDescription:
 
     # -- basis row cache ----------------------------------------------
 
-    def _ensure_rows(self, indices: np.ndarray) -> None:
+    def _ensure_rows(self, indices: np.ndarray) -> np.ndarray:
+        """Cache positions of the given rows, filling any not yet cached."""
+        support = self.basis.support()
         if self._v_rows is None:
-            self._v_rows = np.zeros((self.n, self.r_tilde), dtype=np.complex128)
-            self._vm_rows = np.zeros((self.n, self.r_tilde), dtype=np.complex128)
-            # Rows off the basis support are exactly zero, so they start filled.
-            self._filled = np.ones(self.n, dtype=bool)
-            self._filled[self.basis.support()] = False
-        missing = np.unique(indices[~self._filled[indices]])
+            shape = (support.shape[0] + 1, self.r_tilde)
+            self._v_rows = np.zeros(shape, dtype=np.complex128)
+            self._vm_rows = np.zeros(shape, dtype=np.complex128)
+            # The trailing zero row stands for every row off the support.
+            self._filled = np.zeros(shape[0], dtype=bool)
+            self._filled[-1] = True
+        pos = self.basis.support_index(indices)
+        missing = np.unique(pos[~self._filled[pos]])
         if missing.size:
             # Only support rows are ever missing, so equal sizes mean all.
-            if missing.size == self.basis.support().size:
+            if missing.size == support.shape[0]:
                 rows = self.basis.support_rows()
             else:
-                rows = self.basis.rows_dense(missing)
+                rows = self.basis.rows_dense(support[missing])
             self._v_rows[missing] = rows
             self._vm_rows[missing] = linalg.rowwise_matmul(rows, self._core)
             self._filled[missing] = True
+        return pos
 
     def _entry_gibbs(self, i: int, j: int) -> complex:
-        self._ensure_rows(np.array([i, j]))
-        return complex(np.sum(self._vm_rows[i] * np.conj(self._v_rows[j])))
+        a, b = self._ensure_rows(np.array([i, j]))
+        return complex(np.sum(self._vm_rows[a] * np.conj(self._v_rows[b])))
 
     # -- queries ------------------------------------------------------
 
@@ -150,9 +158,10 @@ class GibbsDescription:
             )
 
         def bulk_gibbs(rows, cols):
-            self._ensure_rows(np.concatenate([rows, cols]))
+            pos = self._ensure_rows(np.concatenate([rows, cols]))
+            at_rows, at_cols = pos[: rows.shape[0]], pos[rows.shape[0] :]
             return np.einsum(
-                "bl,bl->b", self._vm_rows[rows], np.conj(self._v_rows[cols])
+                "bl,bl->b", self._vm_rows[at_rows], np.conj(self._v_rows[at_cols])
             )
 
         return QueryableOperator(

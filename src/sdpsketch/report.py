@@ -291,6 +291,8 @@ def parse(text: str) -> RunReport:
         elif key == "witness":
             if len(tokens) != 2:
                 raise ManifestError(f"report line {lineno}: witness takes one value")
+            if witness_kind is not None:
+                raise ManifestError(f"report line {lineno}: duplicate {key!r}")
             witness_kind = tokens[1]
         elif key in ("left", "core-u"):
             if len(tokens) < 2:
@@ -301,6 +303,8 @@ def parse(text: str) -> RunReport:
                 raise ManifestError(f"report line {lineno}: duplicate {key} {k}")
             vecs[k] = (lineno, _complex_vec(tokens[2:], lineno))
         elif key in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
+            if key in payload:
+                raise ManifestError(f"report line {lineno}: duplicate {key!r}")
             payload[key] = (lineno, tokens[1:])
         elif key in _SCALARS:
             if key in scalars:

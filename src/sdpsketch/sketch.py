@@ -253,6 +253,21 @@ class BasisSketch:
             )
         return self._support
 
+    def support_index(self, indices) -> np.ndarray:
+        """Position of each row index in `support()`; ``len(support())`` if off it.
+
+        Callers hold basis rows on the support with one trailing zero row,
+        so a row off the support, which is exactly zero, reads that row.
+        """
+        support = self.support()
+        indices = np.asarray(indices, dtype=np.int64)
+        if support.shape[0] == self.n:
+            # The support is every row, so a row's position is its index.
+            return indices
+        pos = support.searchsorted(indices)
+        hit = support.take(pos, mode="clip") == indices
+        return np.where(hit, pos, support.shape[0])
+
     def support_rows(self) -> np.ndarray:
         """``rows_dense(support())``, every basis row that can be nonzero.
 

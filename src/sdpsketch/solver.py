@@ -183,7 +183,7 @@ def _rebuild_candidate(
         ms,
         eps_s,
         config.delta_total,
-        rngmod.substream(config.seed, rngmod.CORE, round_index),
+        rngmod.LazyStream(config.seed, rngmod.CORE, round_index),
     )
     surrogate = decompose(core, basis=basis)
     return make_gibbs(basis, surrogate, config.beta_scale * problem.eps)
@@ -197,7 +197,8 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
     current candidate as witness.  A violation in the last round ends
     the run infeasible, so no candidate is built after it.  All
     randomness derives from config.seed through keyed substreams, so
-    outcomes are reproducible regardless of scheduling.
+    outcomes are reproducible regardless of scheduling; the trace and
+    compression streams are built only if a sampled trace reads them.
     """
     eps_est, margin = config.resolved(problem.eps)
     rounds = config.round_budget(problem.n, problem.eps)
@@ -213,7 +214,7 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
                 problem.constraints[j],
                 eps_est,
                 delta_call,
-                rngmod.substream(config.seed, rngmod.TRACE, t, j),
+                rngmod.LazyStream(config.seed, rngmod.TRACE, t, j),
             )
             if zeta > problem.bounds[j] + margin:
                 hit = (j, zeta)

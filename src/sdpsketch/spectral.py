@@ -82,7 +82,8 @@ def estimate_vav(
     the stream and an exact one reads none.  Only the
     basis rows in `v.support()` are filled (`v.support_rows()`); the rest
     are exactly zero, so the fill costs O(|support| x distinct rows x
-    distinct stores), independent of n.
+    distinct stores), independent of n, and the per-sample lookups search
+    the support (`v.support_index`) rather than index an n-row array.
     """
     r = v.r_tilde
     if r == 0:
@@ -90,13 +91,11 @@ def estimate_vav(
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
     if not signed:
         return np.zeros((r, r), dtype=np.complex128)
-    support = v.support()
     support_rows = v.support_rows()
     col_norms = np.sqrt((np.abs(support_rows) ** 2).sum(axis=0))
-    # Indexed by global row for the per-sample lookups; np.zeros is lazily
-    # zeroed, so rows off the support cost nothing until a sample reads them.
-    dense_cols = np.zeros((v.n, r), dtype=np.complex128)
-    dense_cols[support] = support_rows
+    # Indexed by `v.support_index`: the support's rows, then one zero row
+    # for every row off it.
+    cached = np.vstack([support_rows, np.zeros((1, r), dtype=np.complex128)])
     k = len(signed)
     eps_entry = eps_s / (r * sum(abs(coef) for _, coef in signed))
     delta_entry = 2.0 * delta / (k * (r**2 + r))
@@ -106,7 +105,9 @@ def estimate_vav(
     out = np.zeros((r, r), dtype=np.complex128)
     for i, j in pairs:
         def bulk(rows, cols, _i=i, _j=j):
-            return dense_cols[rows, _j] * np.conj(dense_cols[cols, _i])
+            return cached[v.support_index(rows), _j] * np.conj(
+                cached[v.support_index(cols), _i]
+            )
 
         oracle = QueryableOperator(
             n=v.n,

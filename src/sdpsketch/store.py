@@ -10,13 +10,20 @@ column within a row by squared magnitude on that row's own running sum
 (`cols_at`), so a light row keeps its law in full however heavy the
 rows stored before it.
 
-Reads and draws over many rows are bulk numpy calls, never a loop per
-row or per draw: `row_masses` indexes the running sums, and `cols_at`
-and `block` search every requested row's own span at once by a
-vectorized bisection (`_segment_search`), one numpy step per bit of the
-longest row's length.  An entry draw (`sample_entries`) is the same two
-searches in turn, a row by `rows_at` and then a column in it by
-`cols_at`, so no law has a second copy.
+Nothing held grows with n.  The store keeps the sorted ids of its
+nonempty rows and where each one's entries start, and finds a row by
+searching those ids; a row with no stored entries is not among them and
+reads as an empty span.  Reads and draws over many rows are bulk numpy
+calls, never a loop per row or per draw: one search pair over the row
+ids gives every requested row's span (`_spans`; a store with no empty
+row indexes its bounds by row instead), `row_masses` indexes
+the running sums, and `cols_at` and `block` search every span at once
+by a vectorized bisection (`_segment_search`), one numpy step per bit
+of the longest row's length.  A single row (`row_support`, `query`)
+takes one scalar search instead.  An entry draw (`sample_entries`) is
+the same two searches in turn, a row by `rows_at` and then a column in
+it by `cols_at`, so no law has a second copy; the drawn row's span is
+read off the row draw, with no search.
 
 Input data lists one triangle only; the store mirrors the conjugate so the
 matrix is Hermitian by construction.  Indices are 0-based in this API; the
@@ -24,6 +31,7 @@ text file format (see `save`/`load`) is 1-based.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 
@@ -149,17 +157,21 @@ class SampledMatrix:
         order = np.lexsort((j, i))
         self._rows, self._cols, self._vals = i[order], j[order], v[order]
         del i, j, v, order
-        # Where each nonempty row starts, then the entry count; row i of n
-        # starts where the first nonempty row at or after it does.
-        bounds = np.append(np.flatnonzero(np.diff(self._rows, prepend=-1)), self.nnz)
-        self._row_ids = self._rows[bounds[:-1]]
-        self._indptr = np.repeat(bounds, np.diff(self._row_ids, prepend=-1, append=n))
+        # The sorted ids of the nonempty rows, and where each one's entries
+        # start followed by the entry count: row _row_ids[k] spans
+        # [_bounds[k], _bounds[k + 1]).  A row with no stored entries has
+        # no id here, so nothing held grows with n.
+        self._bounds = np.append(np.flatnonzero(np.diff(self._rows, prepend=-1)), self.nnz)
+        self._row_ids = self._rows[self._bounds[:-1]]
+        # What `row_support` gives an empty row, made once: most rows of a
+        # wide sparse store are empty.
+        self._no_entries = (self._cols[:0], self._vals[:0])
         self._run = np.abs(self._vals) ** 2
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for a, b in zip(self._bounds[:-1].tolist(), self._bounds[1:].tolist()):
             np.cumsum(self._run[a:b], out=self._run[a:b])
         # Over nonempty rows only: an empty row adds nothing and is never
-        # drawn, and a wide sparse store sums no n-length array.
-        self._row_prefix = np.cumsum(self._run[bounds[1:] - 1])
+        # drawn.
+        self._row_prefix = np.cumsum(self._run[self._bounds[1:] - 1])
 
     # -- construction -------------------------------------------------
 
@@ -196,18 +208,42 @@ class SampledMatrix:
     # -- access -------------------------------------------------------
 
     def _spans(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Positions [a, b) of each given row's stored entries, as arrays."""
+        """Positions [a, b) of each given row's stored entries, as arrays.
+
+        A row with no stored entries is found between the nonempty rows
+        around it, so its span is empty (a == b).
+        """
         rows = np.asarray(rows, dtype=np.int64)
         bad = (rows < 0) | (rows >= self.n)
         if bad.any():
             raise IndexError(f"row {int(rows[bad][0])} outside [0, {self.n})")
-        return self._indptr[rows], self._indptr[rows + 1]
+        if self._row_ids.shape[0] == self.n:
+            # Every row is stored, so row i is nonempty row i: no search.
+            return self._bounds[rows], self._bounds[rows + 1]
+        return (
+            self._bounds[self._row_ids.searchsorted(rows, "left")],
+            self._bounds[self._row_ids.searchsorted(rows, "right")],
+        )
+
+    def _slot(self, i: int):
+        """Index k of in-range row i in `_row_ids`, or None if it stores nothing.
+
+        One scalar search of the row ids and a hit check; the single-row
+        reads take it rather than `_spans`, whose array set-up costs
+        several times more for one row.
+        """
+        ids = self._row_ids.data
+        k = bisect.bisect_left(ids, i)
+        return k if k < len(ids) and ids[k] == i else None
 
     def query(self, i: int, j: int) -> complex:
         """Stored value at (i, j); zero for unstored positions."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"index ({i}, {j}) outside [0, {self.n})")
-        a, b = int(self._indptr[i]), int(self._indptr[i + 1])
+        k = self._slot(i)
+        if k is None:
+            return 0j
+        a, b = self._bounds[k], self._bounds[k + 1]
         pos = a + int(np.searchsorted(self._cols[a:b], j))
         if pos < b and self._cols[pos] == j:
             self.touches += 1
@@ -236,7 +272,10 @@ class SampledMatrix:
         """Sorted column indices and values of row ``i`` (views, do not mutate)."""
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} outside [0, {self.n})")
-        a, b = self._indptr[i], self._indptr[i + 1]
+        k = self._slot(i)
+        if k is None:
+            return self._no_entries
+        a, b = self._bounds[k], self._bounds[k + 1]
         return self._cols[a:b], self._vals[a:b]
 
     def block(self, rows, cols) -> np.ndarray:
@@ -272,13 +311,17 @@ class SampledMatrix:
         Row i comes with probability ||row i||^2 / ||M||_F^2: the
         nonempty row at ``searchsorted(row_prefix, u * total, side="right")``.
         """
+        return self._row_ids[self._row_slots(u)]
+
+    def _row_slots(self, u) -> np.ndarray:
+        """For each uniform, the index in `_row_ids` of the row `rows_at` draws."""
         total = self.total_mass()
         if total <= 0.0:
             raise ZeroMassError("matrix has zero Frobenius mass")
         k = np.searchsorted(self._row_prefix, np.asarray(u) * total, side="right")
         if k.size and int(k.max()) >= self._row_ids.shape[0]:
             raise InternalError("row draw landed past the last row")
-        return self._row_ids[k]
+        return k
 
     def cols_at(self, rows, u) -> np.ndarray:
         """Column drawn in ``rows[k]`` by squared magnitude, for each ``u[k]``.
@@ -287,11 +330,13 @@ class SampledMatrix:
         the entry at ``searchsorted(run, u * mass, side="right")`` on row
         i's own running sum ``run``, whose last value is ``mass``.
         """
-        return self._cols[self._positions_at(rows, u)]
+        return self._cols[self._positions_at(rows, *self._spans(rows), u)]
 
-    def _positions_at(self, rows, u) -> np.ndarray:
-        """Stored position of the entry `cols_at` draws for each (row, u)."""
-        a, b = self._spans(rows)
+    def _positions_at(self, rows, a, b, u) -> np.ndarray:
+        """Stored position of the entry `cols_at` draws for each (row, u).
+
+        ``a`` and ``b`` are the rows' spans, as `_spans` gives them.
+        """
         mass = self._masses(a, b)
         if np.any(mass <= 0.0):
             raise ZeroMassError(
@@ -311,8 +356,10 @@ class SampledMatrix:
         Adds k to ``touches``.
         """
         u = np.asarray(u, dtype=np.float64)
-        rows = self.rows_at(u[:, 0])
-        pos = self._positions_at(rows, u[:, 1])
+        k = self._row_slots(u[:, 0])
+        rows = self._row_ids[k]
+        # A drawn row's span is read off its slot, with no search.
+        pos = self._positions_at(rows, self._bounds[k], self._bounds[k + 1], u[:, 1])
         self.touches += pos.shape[0]
         return rows, self._cols[pos], self._vals[pos]
 

@@ -195,7 +195,8 @@ def test_criterion_01_sampling_fidelity(capsys):
         assert got_rows == want_rows
         got_joint = {}
         for i, p_row in got_rows.items():
-            span = slice(int(store._indptr[i]), int(store._indptr[i + 1]))
+            a, b = store._spans([i])
+            span = slice(int(a[0]), int(b[0]))
             for pos, frac in prefix_law(store._run[span]).items():
                 got_joint[(i, int(store._cols[span][pos]))] = p_row * frac
         assert got_joint == want_joint

@@ -302,6 +302,21 @@ class TestEntry:
         message = message.format(d=d, d1=d - 1)
         assert capsys.readouterr().err == f"error: report line {at + 1}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "key", ["exponent", "rows", "row-probs", "counts", "sigma", "core-d", "witness"]
+    )
+    def test_repeated_payload_line_named(self, work, tmp_path, capsys, key):
+        out = tmp_path / "wit5.rep"
+        run_cli(["feastest", work["plant"], *FAST, "--out", str(out)])
+        lines = out.read_text().splitlines()
+        at = next(k for k, line in enumerate(lines) if line.split()[0] == key)
+        lines.insert(at + 1, lines[at])
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["plant"]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: report line {at + 2}: duplicate '{key}'\n"
+
     def test_exponent_past_manifest_exits_two(self, work, tmp_path, capsys):
         out = tmp_path / "wit5.rep"
         run_cli(["feastest", work["readme"], "--seed", "3", "--out", str(out)])

@@ -1,5 +1,7 @@
 """Gibbs-weighted candidate: normalization, queries, and trace estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sdpsketch.oracle import dense_realize, dense_solution
 from sdpsketch.rng import substream
 from sdpsketch.sketch import MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
+from sdpsketch.store import NegatedView, SampledMatrix
 
 
 def candidate(n=16, tau=1, rank=2, p=120, beta=1.0, seed=60):
@@ -42,6 +45,62 @@ class TestBatchIndependentQueries:
         g.operator().bulk_entries(pairs[:, 0], pairs[:, 1])
         for i, j in pairs.tolist():
             assert make_gibbs(v, s, beta=1.5).query(i, j) == g.query(i, j)
+
+
+def wide_round(n, seed=65):
+    """A round's sketch, compression and candidate on 12 coordinates of n.
+
+    The coordinates and values do not depend on n, except that the last
+    coordinate is n - 1.
+    """
+    rng = substream(seed, 1)
+    coords = np.append(np.sort(rng.choice(900, 11, replace=False)), n - 1)
+    stores = []
+    for block in (random_low_rank(12, 2, rng) for _ in range(2)):
+        a, b, vals = block.entries()
+        stores.append(SampledMatrix(coords[a], coords[b], vals, n, 2))
+    ms = MatrixSum([stores[0], NegatedView(stores[1]), stores[0]], rank=2)
+    v = build_sketch(ms, SketchParams(p=80, gamma=1e-9), substream(seed, 2))
+    core = estimate_vav(v, ms, eps_s=0.5 * v.r_tilde * ms.tau, delta=0.1,
+                        rng=substream(seed, 3))
+    return v, decompose(core, basis=v), coords
+
+
+class TestWideCandidate:
+    """A candidate's row caches hold |support| + 1 rows, whatever n."""
+
+    @pytest.mark.parametrize("n", [1000, 10**7])
+    def test_row_caches_sized_by_support(self, n):
+        wide_round(n)  # first-call allocations (imports, LAPACK set-up)
+        tracemalloc.start()
+        try:
+            v, s, coords = wide_round(n)
+            g = make_gibbs(v, s, beta=1.0)
+            g.query(int(coords[0]), 0)
+            g.operator().bulk_entries(np.array([0, n - 1, 3]), coords[:3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shape = (v.support().shape[0] + 1, v.r_tilde)
+        assert g._v_rows.shape == g._vm_rows.shape == shape
+        assert g._filled.shape == shape[:1]
+        # One n-row complex array alone would take 16 n bytes.
+        assert peak < 1e6
+
+    def test_fresh_query_equals_query_after_bulk_fill(self):
+        n = 10**7
+        v, s, coords = wide_round(n)
+        g = make_gibbs(v, s, beta=1.5)
+        rng = np.random.default_rng(65)
+        # Support rows, and rows off it before, between and after them.
+        pick = np.concatenate([coords, [0, coords[0] + 1, n // 2, n - 2]])
+        pairs = rng.choice(pick, size=(60, 2))
+        g.operator().bulk_entries(pairs[:, 0], pairs[:, 1])
+        g.frobenius_norm()
+        for i, j in pairs.tolist():
+            assert make_gibbs(v, s, beta=1.5).query(i, j) == g.query(i, j)
+        on = np.isin(pairs, v.support()).all(axis=1)
+        assert on.any() and not on.all()
 
 
 class TestNormalizer:
@@ -164,7 +223,10 @@ class TestQueriesAgainstDense:
         rows = np.array([0, 3, 5, 5, 12, 3, 0, 15, 5])
         cols = np.array([1, 3, 0, 5, 9, 3, 1, 0, 12])
         lazy = op.bulk_entries(rows, cols)
-        assert set(np.flatnonzero(fresh._filled)) == {0, 1, 3, 5, 9, 12, 15}
+        # The cache is kept by support position; a global row counts as
+        # filled when its position (the zero row, if off the support) is.
+        at = fresh.basis.support_index(np.arange(fresh.n))
+        assert set(np.flatnonzero(fresh._filled[at])) == {0, 1, 3, 5, 9, 12, 15}
         singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
         assert np.allclose(lazy, singles, atol=1e-13)
         monkeypatch.undo()

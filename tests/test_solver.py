@@ -206,6 +206,34 @@ class TestUpdateLoop:
         # One rebuild per violation except the last, whose candidate is never used.
         assert calls == [1, 2]
 
+    def test_unread_streams_are_not_built(self, monkeypatch):
+        from sdpsketch import rng
+
+        built = []
+        real = rng.substream
+
+        def counting(seed, *path):
+            built.append(path[0])
+            return real(seed, *path)
+
+        monkeypatch.setattr(rng, "substream", counting)
+        problem = planted_infeasible(12, eps=0.4, rng=real(88, 1))
+        cfg = SolverConfig(seed=1, t_override=3,
+                           sketch=SketchParams(p=150, gamma=1e-8))
+        out = run_feasibility(problem, cfg)
+        assert out.verdict == "infeasible"
+        # Every trace on these small stores is exact, so of the 3 trace
+        # streams per round and the compression stream per rebuild, none
+        # is read; only the two rebuilds' sketch streams are built.
+        assert built == [rng.SKETCH, rng.SKETCH]
+
+    def test_lazy_stream_draws_as_its_substream(self):
+        from sdpsketch.rng import LazyStream
+
+        lazy, eager = LazyStream(7, 1, 2), substream(7, 1, 2)
+        assert np.array_equal(lazy.random((3, 2)), eager.random((3, 2)))
+        assert np.array_equal(lazy.integers(9, size=4), eager.integers(9, size=4))
+
     def test_runs_are_reproducible(self):
         problem, _ = planted_one_update(16, eps=0.25, rng=substream(89, 1))
         a = run_feasibility(problem, FAST)

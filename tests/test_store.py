@@ -42,7 +42,9 @@ def prefix_law(prefix) -> dict[int, Fraction]:
 
 
 def row_slice(store: SampledMatrix, i: int) -> slice:
-    return slice(int(store._indptr[i]), int(store._indptr[i + 1]))
+    """Row i's stored positions, as the store's own bulk lookup finds them."""
+    a, b = store._spans([i])
+    return slice(int(a[0]), int(b[0]))
 
 
 def row_law(store: SampledMatrix) -> dict[int, Fraction]:
@@ -375,6 +377,54 @@ class TestArrayFootprint:
         assert store.nnz == 10**6
         assert held / store.nnz <= 41
         assert build_peak < 347e6 / 2
+
+
+class TestWideStore:
+    """A store holds O(stored entries) at any n; empty rows read as empty."""
+
+    N = 10**7
+    COORDS = [5, 17, 2_500_000, 2_500_001, 7_000_000, N - 3]
+    PAIRS = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5), (0, 5)]
+    # Before the first stored row, between stored rows, after the last.
+    EMPTY = [0, 4, 6, 16, 18, 2_499_999, 2_500_002, 6_999_999, N - 2, N - 1]
+
+    def store(self) -> SampledMatrix:
+        """Six diagonal entries and nine mirrored pairs: 24 stored entries."""
+        c = np.array(self.COORDS)
+        a, b = np.array(self.PAIRS).T
+        rows = np.concatenate([c, c[a]])
+        cols = np.concatenate([c, c[b]])
+        vals = np.arange(1, rows.shape[0] + 1) * (1.0 + 0.5j)
+        vals[: c.shape[0]] = vals[: c.shape[0]].real
+        return SampledMatrix(rows, cols, vals, self.N, rank_hint=2)
+
+    def test_held_bytes_do_not_grow_with_n(self):
+        store = self.store()
+        assert store.nnz == 24
+        held = sum(a.nbytes for a in vars(store).values() if isinstance(a, np.ndarray))
+        assert held < 1e6
+
+    def test_empty_rows_read_empty(self):
+        store = self.store()
+        empty = np.array(self.EMPTY)
+        assert np.array_equal(store.row_masses(empty), np.zeros(empty.shape[0]))
+        assert np.array_equal(
+            store.block(empty, self.COORDS), np.zeros((empty.shape[0], len(self.COORDS)))
+        )
+        assert store.row_columns(empty).shape == (0,)
+        for i in self.EMPTY:
+            cols, vals = store.row_support(i)
+            assert cols.shape == vals.shape == (0,)
+            for j in self.COORDS + [i]:
+                assert store.query(i, j) == 0j
+                assert store.query(j, i) == 0j
+        assert store.touches == 0
+
+    def test_cols_at_on_empty_row_names_it(self):
+        store = self.store()
+        for r in self.EMPTY:
+            with pytest.raises(ZeroMassError, match=f"row {r} has zero mass"):
+                store.cols_at([self.COORDS[0], r], [0.5, 0.5])
 
 
 class TestAccessorCost:
