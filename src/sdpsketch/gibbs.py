@@ -24,19 +24,18 @@ _BOUND_SLACK = 1e-9
 class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
-    Immutable in meaning; internal caches only memoize basis rows.  The
-    caches hold |support| + 1 rows, whatever n: row k is the basis row of
-    ``support()[k]`` and the last is the zero row that every row off the
-    support reads (`BasisSketch.support_index`), so no row off the
-    support is ever built.  Entry queries cost O(distinct rows x distinct
-    stores) on the first touch of a row in the basis support and
-    O(r_tilde) after.  The rows missing from a request are filled in one
-    batch (`BasisSketch.rows_dense`, then `linalg.rowwise_matmul` by the
-    core); when that is the whole support, as for the norm of a fresh
-    candidate, the basis's memo of it (`BasisSketch.support_rows`) is
-    read instead.  A cached row's bits do not depend on which other rows
-    shared its batch, so an entry queried on a fresh candidate equals the
-    same entry after any bulk fill.
+    Immutable in meaning; internal caches only memoize rows.  Basis rows
+    V are read in place from the basis's table (`BasisSketch.fill`),
+    which holds |support| + 1 rows whatever n, the last being the zero
+    row that every row off the support reads.  The candidate keeps only
+    what it derives: the rows of V times the core, by table position
+    with their own fill mask, and the norm.  Entry queries cost
+    O(distinct rows x distinct stores) on the first touch of a row in
+    the basis support and O(r_tilde) after.  The rows missing from a
+    request are built in one batch (`BasisSketch.rows_dense`, then
+    `linalg.rowwise_matmul` by the core).  A row's bits do not depend on
+    which other rows shared its batch, so an entry queried on a fresh
+    candidate equals the same entry after any bulk fill.
     """
 
     def __init__(
@@ -68,9 +67,8 @@ class GibbsDescription:
             core = (surrogate.u * weights[np.newaxis, :]) @ surrogate.u.conj().T
             core /= self.eta_mantissa
             self._core = 0.5 * (core + core.conj().T)
-        self._v_rows = None
         self._vm_rows = None
-        self._filled = None
+        self._vm_filled = None
         self._fro = None
 
     @classmethod
@@ -82,34 +80,27 @@ class GibbsDescription:
     def eta(self) -> float:
         return self.eta_mantissa * float(np.exp(self.eta_log))
 
-    # -- basis row cache ----------------------------------------------
+    # -- row caches ---------------------------------------------------
 
     def _ensure_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Cache positions of the given rows, filling any not yet cached."""
-        support = self.basis.support()
-        if self._v_rows is None:
-            shape = (support.shape[0] + 1, self.r_tilde)
-            self._v_rows = np.zeros(shape, dtype=np.complex128)
-            self._vm_rows = np.zeros(shape, dtype=np.complex128)
-            # The trailing zero row stands for every row off the support.
-            self._filled = np.zeros(shape[0], dtype=bool)
-            self._filled[-1] = True
-        pos = self.basis.support_index(indices)
-        missing = np.unique(pos[~self._filled[pos]])
-        if missing.size:
-            # Only support rows are ever missing, so equal sizes mean all.
-            if missing.size == support.shape[0]:
-                rows = self.basis.support_rows()
-            else:
-                rows = self.basis.rows_dense(support[missing])
-            self._v_rows[missing] = rows
-            self._vm_rows[missing] = linalg.rowwise_matmul(rows, self._core)
-            self._filled[missing] = True
+        """Table positions of the given rows, building any row not yet built."""
+        pos = self.basis.fill(indices)
+        if self._vm_rows is None:
+            rows = self.basis.table.shape[0]
+            self._vm_rows = np.zeros_like(self.basis.table)
+            self._vm_filled = np.arange(rows) == rows - 1
+        fresh = pos[~self._vm_filled[pos]]
+        if fresh.size:
+            missing = np.unique(fresh)
+            self._vm_rows[missing] = linalg.rowwise_matmul(
+                self.basis.table[missing], self._core
+            )
+            self._vm_filled[missing] = True
         return pos
 
     def _entry_gibbs(self, i: int, j: int) -> complex:
         a, b = self._ensure_rows(np.array([i, j]))
-        return complex(np.sum(self._vm_rows[a] * np.conj(self._v_rows[b])))
+        return complex(np.sum(self._vm_rows[a] * np.conj(self.basis.table[b])))
 
     # -- queries ------------------------------------------------------
 
@@ -134,7 +125,7 @@ class GibbsDescription:
             return 1.0 / float(np.sqrt(self.n))
         if self._fro is None:
             self._ensure_rows(self.basis.support())
-            rows = self.basis.support_rows()
+            rows = self.basis.table[:-1]
             gram = rows.conj().T @ rows
             sq = float(
                 np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram))
@@ -161,7 +152,7 @@ class GibbsDescription:
             pos = self._ensure_rows(np.concatenate([rows, cols]))
             at_rows, at_cols = pos[: rows.shape[0]], pos[rows.shape[0] :]
             return np.einsum(
-                "bl,bl->b", self._vm_rows[at_rows], np.conj(self._v_rows[at_cols])
+                "bl,bl->b", self._vm_rows[at_rows], np.conj(self.basis.table[at_cols])
             )
 
         return QueryableOperator(

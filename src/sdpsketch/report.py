@@ -121,6 +121,10 @@ def rebuild_witness(dump: WitnessDump, constraints: list, n: int) -> GibbsDescri
     summands = [constraints[j] for j in dump.exponent]
     if not summands:
         raise ManifestError("gibbs witness with an empty exponent list")
+    if summands[0].n != n:
+        raise ManifestError(
+            f"manifest dimension {summands[0].n} does not match the report's dimension {n}"
+        )
     ms = MatrixSum(summands, rank=max(s.rank_hint for s in summands))
     basis = BasisSketch(ms, dump.rows, dump.row_probs, dump.counts, dump.sigma, dump.left)
     surrogate = SpectralSurrogate(u=dump.core_u, d=dump.core_d, basis=basis)
@@ -183,10 +187,15 @@ def render(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check(ok, lineno: int, rule: str) -> None:
+    """Reject the report, naming its line, unless ``ok``."""
+    if not ok:
+        raise ManifestError(f"report line {lineno}: {rule}")
+
+
 def _toks(line: str, lineno: int) -> list[str]:
     tokens = line.split()
-    if not tokens:
-        raise ManifestError(f"report line {lineno}: empty line inside report")
+    _check(tokens, lineno, "empty line inside report")
     return tokens
 
 
@@ -195,6 +204,12 @@ def _float_tok(token: str, lineno: int) -> float:
         return float(token)
     except ValueError:
         raise ManifestError(f"report line {lineno}: bad float {token!r}") from None
+
+
+def _beta_tok(token: str, lineno: int) -> float:
+    beta = _float_tok(token, lineno)
+    _check(0.0 <= beta < np.inf, lineno, "beta must be nonnegative and finite")
+    return beta
 
 
 def _int_tok(token: str, lineno: int) -> int:
@@ -226,18 +241,18 @@ _SCALARS = {
     "iterations": _int_tok,
     "value": _float_tok,
     "calls": _int_tok,
-    "beta": _float_tok,
+    "beta": _beta_tok,
     "tau": _int_tok,
     "p": _int_tok,
     "rank": _int_tok,
 }
 
 
-def _complex_vec(tokens: list[str], lineno: int) -> np.ndarray:
-    if len(tokens) % 2:
-        raise ManifestError(f"report line {lineno}: odd number of components")
+def _complex_vec(tokens: list[str], lineno: int, name: str) -> np.ndarray:
+    _check(len(tokens) % 2 == 0, lineno, "odd number of components")
     values = [_float_tok(t, lineno) for t in tokens]
     arr = np.array(values, dtype=np.float64).reshape(-1, 2)
+    _check(np.all(np.isfinite(arr)), lineno, f"{name} must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -271,8 +286,7 @@ def parse(text: str) -> RunReport:
         tokens = _toks(line, lineno)
         key = tokens[0]
         if key == "violation":
-            if len(tokens) != 4:
-                raise ManifestError(f"report line {lineno}: violation takes three fields")
+            _check(len(tokens) == 4, lineno, "violation takes three fields")
             violations.append(
                 (
                     _int_tok(tokens[1], lineno),
@@ -281,36 +295,27 @@ def parse(text: str) -> RunReport:
                 )
             )
         elif key == "estimate":
-            if len(tokens) != 3:
-                raise ManifestError(f"report line {lineno}: estimate takes two fields")
+            _check(len(tokens) == 3, lineno, "estimate takes two fields")
             estimates.append((_int_tok(tokens[1], lineno), _float_tok(tokens[2], lineno)))
         elif key == "timing":
-            if len(tokens) != 3:
-                raise ManifestError(f"report line {lineno}: timing takes two fields")
+            _check(len(tokens) == 3, lineno, "timing takes two fields")
             timings.append((tokens[1], _float_tok(tokens[2], lineno)))
         elif key == "witness":
-            if len(tokens) != 2:
-                raise ManifestError(f"report line {lineno}: witness takes one value")
-            if witness_kind is not None:
-                raise ManifestError(f"report line {lineno}: duplicate {key!r}")
+            _check(len(tokens) == 2, lineno, "witness takes one value")
+            _check(witness_kind is None, lineno, f"duplicate {key!r}")
             witness_kind = tokens[1]
         elif key in ("left", "core-u"):
-            if len(tokens) < 2:
-                raise ManifestError(f"report line {lineno}: {key} takes an index")
+            _check(len(tokens) >= 2, lineno, f"{key} takes an index")
             vecs = left_rows if key == "left" else core_rows
             k = _int_tok(tokens[1], lineno)
-            if k in vecs:
-                raise ManifestError(f"report line {lineno}: duplicate {key} {k}")
-            vecs[k] = (lineno, _complex_vec(tokens[2:], lineno))
+            _check(k not in vecs, lineno, f"duplicate {key} {k}")
+            vecs[k] = (lineno, _complex_vec(tokens[2:], lineno, f"{key} {k}"))
         elif key in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
-            if key in payload:
-                raise ManifestError(f"report line {lineno}: duplicate {key!r}")
+            _check(key not in payload, lineno, f"duplicate {key!r}")
             payload[key] = (lineno, tokens[1:])
         elif key in _SCALARS:
-            if key in scalars:
-                raise ManifestError(f"report line {lineno}: duplicate {key!r}")
-            if len(tokens) != 2:
-                raise ManifestError(f"report line {lineno}: {key} takes one value")
+            _check(key not in scalars, lineno, f"duplicate {key!r}")
+            _check(len(tokens) == 2, lineno, f"{key} takes one value")
             scalars[key] = _SCALARS[key](tokens[1], lineno)
         else:
             raise ManifestError(f"report line {lineno}: unknown key {key!r}")
@@ -334,24 +339,21 @@ def parse(text: str) -> RunReport:
             if required not in payload:
                 raise ManifestError(f"gibbs witness is missing {required!r}")
         at, exponent = _vec(payload, "exponent", _int_tok)
-        if np.any(exponent < 1):
-            raise ManifestError(f"report line {at}: exponent entries must be at least 1")
+        _check(np.all(exponent >= 1), at, "exponent entries must be at least 1")
         exponent = [int(j) - 1 for j in exponent]
         at, rows = _vec(payload, "rows", _int_tok)
-        if np.any(np.diff(rows) <= 0):
-            raise ManifestError(f"report line {at}: rows must be strictly increasing")
-        if np.any((rows < 1) | (rows > dimension)):
-            raise ManifestError(f"report line {at}: rows must lie in [1, {dimension}]")
+        _check(np.all(np.diff(rows) > 0), at, "rows must be strictly increasing")
+        _check(np.all((rows >= 1) & (rows <= dimension)), at, f"rows must lie in [1, {dimension}]")
         at, row_probs = _vec(payload, "row-probs", _float_tok)
-        if not np.all((row_probs > 0.0) & (row_probs < np.inf)):
-            raise ManifestError(f"report line {at}: row-probs must be positive and finite")
+        _check(np.all((row_probs > 0.0) & (row_probs < np.inf)), at,
+               "row-probs must be positive and finite")
         at, counts = _vec(payload, "counts", _int_tok)
-        if np.any(counts < 1):
-            raise ManifestError(f"report line {at}: counts must be positive")
-        if int(counts.sum()) != p:
-            raise ManifestError(f"report line {at}: counts sum to {int(counts.sum())}, p says {p}")
-        sigma = _vec(payload, "sigma", _float_tok)[1]
-        core_d = _vec(payload, "core-d", _float_tok)[1]
+        _check(np.all(counts >= 1), at, "counts must be positive")
+        _check(int(counts.sum()) == p, at, f"counts sum to {int(counts.sum())}, p says {p}")
+        at, sigma = _vec(payload, "sigma", _float_tok)
+        _check(np.all((sigma > 0.0) & (sigma < np.inf)), at, "sigma must be positive and finite")
+        at, core_d = _vec(payload, "core-d", _float_tok)
+        _check(np.all(np.isfinite(core_d)), at, "core-d must be finite")
         if len(exponent) != tau:
             raise ManifestError(f"exponent lists {len(exponent)} entries, tau says {tau}")
         if sigma.size != r or core_d.size != r:
@@ -363,16 +365,10 @@ def parse(text: str) -> RunReport:
         lengths = [(payload[key][0], key, len(payload[key][1])) for key in ("row-probs", "counts")]
         lengths += [(at, f"left {k}", vec.size) for k, (at, vec) in left_rows.items()]
         for at, key, size in sorted(lengths):
-            if size != rows.size:
-                raise ManifestError(
-                    f"report line {at}: {key} lists {size} values for {rows.size} rows"
-                )
+            _check(size == rows.size, at, f"{key} lists {size} values for {rows.size} rows")
         left = np.stack([left_rows[k][1] for k in range(1, r + 1)], axis=1)
         for at, vec in core_rows.values():
-            if vec.size != r:
-                raise ManifestError(
-                    f"report line {at}: core-u lists {vec.size} values for rank {r}"
-                )
+            _check(vec.size == r, at, f"core-u lists {vec.size} values for rank {r}")
         core_u = np.stack([core_rows[k][1] for k in range(1, r + 1)], axis=1)
         witness = WitnessDump(
             kind="gibbs",

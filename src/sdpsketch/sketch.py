@@ -11,10 +11,11 @@ root of each multiplicity; no p-by-p array exists.  The surviving basis
 is kept succinctly, with nothing of length p: the distinct sampled rows
 with their probabilities and multiplicities, the singular values, and
 the left vectors on the distinct rows.  Basis rows are rebuilt
-from the stores on demand and never materialized here, at O(distinct
-rows x distinct stores) each.  A row can be nonzero only on the union of
-the sampled rows' stored supports (`support`), so callers that need
-every nonzero row fill that many, not n.
+from the stores on demand, at O(distinct rows x distinct stores) each.
+A row can be nonzero only on the union of the sampled rows' stored
+supports (`support`), so the sketch's one row table (`fill`) holds that
+many rows and one zero row, not n, and every reader of basis rows reads
+it in place.
 
 Every step is a few numpy calls per distinct store, never a Python loop
 over draws or over basis rows: draws go through the stores' bulk
@@ -201,7 +202,10 @@ class BasisSketch:
     sum) and the distinct core's left vectors.  Rows are reconstructed
     from the stores on demand at O(distinct rows x distinct stores) cost
     each.  The n-by-r_tilde matrix itself is never stored, and rows off
-    `support()` are exactly zero.
+    `support()` are exactly zero.  `table` holds the rows built so far:
+    row k is the basis row of ``support()[k]`` once `fill` has built it,
+    and the last row is the zero row that every row off the support
+    reads.  It is None until the first `fill`.
     """
 
     def __init__(self, ms, rows, row_probs, counts, singular_values, left_vectors):
@@ -231,7 +235,8 @@ class BasisSketch:
             self.counts / (self.p * self.row_probs)
         )[:, np.newaxis]
         self._support = None
-        self._support_rows = None
+        self.table = None
+        self._filled = None
 
     @property
     def n(self) -> int:
@@ -256,8 +261,8 @@ class BasisSketch:
     def support_index(self, indices) -> np.ndarray:
         """Position of each row index in `support()`; ``len(support())`` if off it.
 
-        Callers hold basis rows on the support with one trailing zero row,
-        so a row off the support, which is exactly zero, reads that row.
+        This is the row's position in `table`: a row off the support, which
+        is exactly zero, reads the table's trailing zero row.
         """
         support = self.support()
         indices = np.asarray(indices, dtype=np.int64)
@@ -268,14 +273,24 @@ class BasisSketch:
         hit = support.take(pos, mode="clip") == indices
         return np.where(hit, pos, support.shape[0])
 
-    def support_rows(self) -> np.ndarray:
-        """``rows_dense(support())``, every basis row that can be nonzero.
+    def fill(self, indices) -> np.ndarray:
+        """Positions in `table` of the given rows, building any not yet built.
 
-        Memoized: the compression and the candidate's norm both read it.
+        Missing rows are built in one `rows_dense` batch, whose bits do not
+        depend on the batch, so a table row is the same however it was filled.
         """
-        if self._support_rows is None:
-            self._support_rows = self.rows_dense(self.support())
-        return self._support_rows
+        pos = self.support_index(indices)
+        if self.table is None:
+            rows = self.support().shape[0] + 1
+            self.table = np.zeros((rows, self.r_tilde), dtype=np.complex128)
+            # Only the trailing zero row is filled from the start.
+            self._filled = np.arange(rows) == rows - 1
+        fresh = pos[~self._filled[pos]]
+        if fresh.size:
+            missing = np.unique(fresh)
+            self.table[missing] = self.rows_dense(self.support()[missing])
+            self._filled[missing] = True
+        return pos
 
     def row(self, i: int) -> np.ndarray:
         """All r_tilde basis entries V(i, :); equal to ``rows_dense([i])[0]``."""

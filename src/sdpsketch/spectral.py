@@ -79,11 +79,11 @@ def estimate_vav(
     exactly zero and so is the result, with no trace made.  The traces
     share `rng`, taken in order (upper-triangle pairs row by row, then
     stores in term order): a sampled trace reads the next uniforms of
-    the stream and an exact one reads none.  Only the
-    basis rows in `v.support()` are filled (`v.support_rows()`); the rest
-    are exactly zero, so the fill costs O(|support| x distinct rows x
-    distinct stores), independent of n, and the per-sample lookups search
-    the support (`v.support_index`) rather than index an n-row array.
+    the stream and an exact one reads none.  The whole support is
+    filled (`v.fill`), since the column norms need every row that can be
+    nonzero; the rest are exactly zero, so the fill costs O(|support| x
+    distinct rows x distinct stores), independent of n.  The oracles read
+    the basis's table in place, through `v.support_index`.
     """
     r = v.r_tilde
     if r == 0:
@@ -91,11 +91,9 @@ def estimate_vav(
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
     if not signed:
         return np.zeros((r, r), dtype=np.complex128)
-    support_rows = v.support_rows()
-    col_norms = np.sqrt((np.abs(support_rows) ** 2).sum(axis=0))
-    # Indexed by `v.support_index`: the support's rows, then one zero row
-    # for every row off it.
-    cached = np.vstack([support_rows, np.zeros((1, r), dtype=np.complex128)])
+    v.fill(v.support())
+    table = v.table
+    col_norms = np.sqrt((np.abs(table[:-1]) ** 2).sum(axis=0))
     k = len(signed)
     eps_entry = eps_s / (r * sum(abs(coef) for _, coef in signed))
     delta_entry = 2.0 * delta / (k * (r**2 + r))
@@ -105,8 +103,8 @@ def estimate_vav(
     out = np.zeros((r, r), dtype=np.complex128)
     for i, j in pairs:
         def bulk(rows, cols, _i=i, _j=j):
-            return cached[v.support_index(rows), _j] * np.conj(
-                cached[v.support_index(cols), _i]
+            return table[v.support_index(rows), _j] * np.conj(
+                table[v.support_index(cols), _i]
             )
 
         oracle = QueryableOperator(

@@ -5,6 +5,7 @@ import pytest
 
 from sdpsketch.gibbs import estimate_constraint_trace, make_gibbs
 from sdpsketch.instances import random_low_rank, random_matrix_sum
+from sdpsketch.report import RunReport, dump_witness, parse, rebuild_witness, render
 from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
@@ -228,3 +229,40 @@ class TestBatchIndependence:
         for bad in ([0, v.n], [-1], [v.n + 5, 0]):
             with pytest.raises(IndexError):
                 v.rows_dense(bad)
+
+
+class TestRebuiltWitnessQuery:
+    def test_query_builds_only_the_rows_it_reads(self, monkeypatch):
+        """A rebuilt witness's entry query builds at most its two rows.
+
+        Only their table rows are then marked filled; a row off the
+        support reads the zero row and builds nothing.
+        """
+        rng = substream(95, 1)
+        a, b = (random_sparse_store(300, 10, rng) for _ in range(2))
+        ms = MatrixSum([a, b, a], rank=2)
+        v = build_sketch(ms, SketchParams(p=60, gamma=1e-9), substream(95, 2))
+        core = estimate_vav(v, ms, eps_s=0.5 * v.r_tilde * ms.tau, delta=0.1,
+                            rng=substream(95, 3))
+        g = make_gibbs(v, decompose(core, basis=v), beta=1.0)
+        text = render(RunReport(
+            command="feastest", dimension=300, seed=0, epsilon=0.2, rounds=1,
+            verdict="feasible", iterations=1, witness=dump_witness(g, [0, 1, 0]),
+        ))
+        dump = parse(text).witness
+        support = v.support().tolist()
+        off = [i for i in range(300) if i not in support][:2]
+        s0, s1, s2 = support[0], support[len(support) // 2], support[-1]
+        pairs = [(s0, s1), (s1, s1), (s2, off[0]), (off[0], s0), (off[1], off[0])]
+        full = rebuild_witness(dump, [a, b], 300)
+        full.frobenius_norm()
+        calls = count_rows(monkeypatch)
+        for i, j in pairs:
+            w = rebuild_witness(dump, [a, b], 300)
+            before = calls[0]
+            z = w.query(i, j)
+            read = sorted({k for k in (i, j) if k in support})
+            assert calls[0] - before == len(read) <= 2
+            filled = np.flatnonzero(w.basis._filled[:-1])
+            assert filled.tolist() == w.basis.support_index(read).tolist()
+            assert z == full.query(i, j)

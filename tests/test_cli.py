@@ -278,13 +278,22 @@ class TestEntry:
             ("witness ", lambda v: [], "witness takes one value"),
             ("left ", lambda v: [], "left takes an index"),
             ("core-u ", lambda v: [], "core-u takes an index"),
+            ("beta ", lambda v: ["nan"], "beta must be nonnegative and finite"),
+            ("beta ", lambda v: ["inf"], "beta must be nonnegative and finite"),
+            ("beta ", lambda v: ["-1"], "beta must be nonnegative and finite"),
+            ("sigma ", lambda v: ["0", *v[1:]], "sigma must be positive and finite"),
+            ("sigma ", lambda v: ["nan", *v[1:]], "sigma must be positive and finite"),
+            ("core-d ", lambda v: ["nan", *v[1:]], "core-d must be finite"),
+            ("left 1 ", lambda v: ["nan"] * len(v), "left 1 must be finite"),
+            ("core-u 1 ", lambda v: ["inf", *v[1:]], "core-u 1 must be finite"),
         ],
         ids=[
             "rows_not_increasing", "row_zero", "row_past_dimension", "row_prob_zero",
             "count_zero", "count_not_integer", "counts_sum_off", "row_probs_short",
             "counts_short", "left_short", "version_1", "p_not_integer",
             "seed_not_integer", "beta_not_float", "exponent_zero", "witness_bare",
-            "left_bare", "core_u_bare",
+            "left_bare", "core_u_bare", "beta_nan", "beta_inf", "beta_negative",
+            "sigma_zero", "sigma_nan", "core_d_nan", "left_nan", "core_u_inf",
         ],
     )
     def test_bad_witness_line_named(self, work, tmp_path, capsys, prefix, edit, message):
@@ -328,6 +337,21 @@ class TestEntry:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: witness exponent names constraint 9, past the 4 of the manifest\n"
+        )
+
+    def test_manifest_of_another_dimension_exits_two(self, work, tmp_path, capsys):
+        out = tmp_path / "wit7.rep"
+        run_cli(["feastest", work["readme"], "--seed", "3", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert "dimension 32" in lines and "exponent 1" in lines
+        # Without the digest line, only the dimensions tell the manifests apart.
+        kept = [line for line in lines if not line.startswith("manifest-sha256 ")]
+        out.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["opt"]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: manifest dimension 8 does not match the report's dimension 32\n"
         )
 
     def test_undecodable_report_names_line(self, work, tmp_path, capsys):
@@ -548,3 +572,27 @@ class TestScripts:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout
+
+
+class TestReadmeReport:
+    def test_example_block_is_what_its_command_prints(self, work):
+        """README's report block, less the digest line, is its command's output.
+
+        The command is the last `sdpsketch feastest` line above the block,
+        run on the instance of README's Python API section; a line cut
+        with " ..." matches as a prefix.
+        """
+        text = (CHECKOUT / "README.md").read_text(encoding="utf-8")
+        head, block = text.split("```\nsdpsketch-report 2\n", 1)
+        command = [line for line in head.splitlines() if line.startswith("sdpsketch feastest ")]
+        flags = command[-1].split()[3:]
+        code, out = run_cli(["feastest", work["readme"], *flags])
+        assert code == 0
+        got = [line for line in out.splitlines() if not line.startswith("manifest-sha256 ")]
+        want = ["sdpsketch-report 2", *block.split("```", 1)[0].splitlines()]
+        assert len(got) == len(want)
+        for line, shown in zip(got, want):
+            if shown.endswith(" ..."):
+                assert line.startswith(shown[: -len("...")])
+            else:
+                assert line == shown

@@ -14,7 +14,7 @@ from sdpsketch.gibbs import (
 from sdpsketch.instances import random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_realize, dense_solution
 from sdpsketch.rng import substream
-from sdpsketch.sketch import MatrixSum, SketchParams, build_sketch
+from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
 from sdpsketch.store import NegatedView, SampledMatrix
 
@@ -67,7 +67,7 @@ def wide_round(n, seed=65):
 
 
 class TestWideCandidate:
-    """A candidate's row caches hold |support| + 1 rows, whatever n."""
+    """Basis table and V core rows hold |support| + 1 rows, whatever n."""
 
     @pytest.mark.parametrize("n", [1000, 10**7])
     def test_row_caches_sized_by_support(self, n):
@@ -82,8 +82,8 @@ class TestWideCandidate:
         finally:
             tracemalloc.stop()
         shape = (v.support().shape[0] + 1, v.r_tilde)
-        assert g._v_rows.shape == g._vm_rows.shape == shape
-        assert g._filled.shape == shape[:1]
+        assert v.table.shape == g._vm_rows.shape == shape
+        assert v._filled.shape == g._vm_filled.shape == shape[:1]
         # One n-row complex array alone would take 16 n bytes.
         assert peak < 1e6
 
@@ -213,25 +213,29 @@ class TestQueriesAgainstDense:
 
     def test_bulk_entries_with_repeats_lazy_and_filled(self, monkeypatch):
         _, g = candidate(seed=74)
-        fresh = GibbsDescription(n=g.n, beta=g.beta, basis=g.basis,
+        v = g.basis
+        basis = BasisSketch(v.ms, v.rows, v.row_probs, v.counts,
+                            v.singular_values, v.left_vectors)
+        fresh = GibbsDescription(n=g.n, beta=g.beta, basis=basis,
                                  surrogate=g.surrogate)
         # Keep operator() from filling every row, so bulk_entries takes
         # the lazy path that fills only the rows it touches.
         monkeypatch.setattr(fresh, "frobenius_norm", lambda: g.frobenius_norm())
         op = fresh.operator()
-        assert fresh._filled is None
+        assert basis.table is None and fresh._vm_filled is None
         rows = np.array([0, 3, 5, 5, 12, 3, 0, 15, 5])
         cols = np.array([1, 3, 0, 5, 9, 3, 1, 0, 12])
         lazy = op.bulk_entries(rows, cols)
-        # The cache is kept by support position; a global row counts as
+        # Both masks are kept by table position; a global row counts as
         # filled when its position (the zero row, if off the support) is.
-        at = fresh.basis.support_index(np.arange(fresh.n))
-        assert set(np.flatnonzero(fresh._filled[at])) == {0, 1, 3, 5, 9, 12, 15}
+        at = basis.support_index(np.arange(fresh.n))
+        for filled in (basis._filled, fresh._vm_filled):
+            assert set(np.flatnonzero(filled[at])) == {0, 1, 3, 5, 9, 12, 15}
         singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
         assert np.allclose(lazy, singles, atol=1e-13)
         monkeypatch.undo()
         fresh.frobenius_norm()
-        assert fresh._filled.all()
+        assert basis._filled.all() and fresh._vm_filled.all()
         assert np.array_equal(op.bulk_entries(rows, cols), lazy)
         assert np.array_equal(g.operator().bulk_entries(rows, cols), lazy)
 

@@ -576,9 +576,9 @@ class TestDistinctCore:
     def test_holds_no_p_length_array(self):
         ms = MatrixSum([random_low_rank(32, 2, substream(35, 1))], rank=2)
         v = build_sketch(ms, SketchParams(p=5000, gamma=1e-6), substream(35, 2))
-        v.support_rows()
+        v.fill(v.support())
         held = [a for a in vars(v).values() if isinstance(a, np.ndarray)]
-        assert len(held) == 8
+        assert len(held) == 9
         assert all(v.p not in a.shape for a in held)
 
     def test_svd_sees_only_the_distinct_grid(self, monkeypatch):
