@@ -36,10 +36,13 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and adds, each rounded once, and every row is summed in one fixed
     order whatever the batch, so a row computed alone equals the same row
     computed among others.  Rows go through in blocks that keep the
-    (rows, k, m) product arrays within `ROWWISE_BLOCK` elements.
+    (rows, k, m) product arrays within `ROWWISE_BLOCK` elements.  Both
+    factors are made C-ordered first: the sum's order follows the
+    product array's memory layout, which follows theirs, so equal values
+    in another memory order give the same bits.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.complex128)
     step = max(1, ROWWISE_BLOCK // max(1, b.size))
     for lo in range(0, a.shape[0], step):

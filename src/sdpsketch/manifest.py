@@ -19,7 +19,8 @@ manifests add a single `cost <path>`; shadow manifests use
 `effect <path> <value>` with values in [-1, 1].  The slack handed to
 the solver is epsilon / (rp * rd), so width renormalization lives in
 the file, not the code.  `sha256` lines are optional integrity pins,
-verified when present.
+verified when present against the bytes that are then parsed: each
+matrix file is read once.
 """
 from __future__ import annotations
 
@@ -162,13 +163,8 @@ def load_manifest(path: str) -> Manifest:
 
 def _load_matrix(manifest: Manifest, rel_path: str, n: int) -> SampledMatrix:
     full = os.path.join(manifest.base_dir, rel_path)
-    if rel_path in manifest.hashes:
-        actual = file_sha256(full)
-        if actual != manifest.hashes[rel_path]:
-            raise ManifestError(
-                f"{full}: sha256 mismatch (manifest pins {manifest.hashes[rel_path]}, file is {actual})"
-            )
-    matrix = SampledMatrix.load(full)
+    # The file is read once: a pin covers the very bytes that are parsed.
+    matrix = SampledMatrix.load(full, manifest.hashes.get(rel_path))
     if matrix.n != n:
         raise ManifestError(f"{full}: dimension {matrix.n} does not match manifest dimension {n}")
     return matrix

@@ -28,12 +28,20 @@ read off the row draw, with no search.
 Input data lists one triangle only; the store mirrors the conjugate so the
 matrix is Hermitian by construction.  Indices are 0-based in this API; the
 text file format (see `save`/`load`) is 1-based.
+
+A store is built in whole-array passes too.  Each row's running sum is
+one ``np.cumsum`` along the rows of a 2-D array per distinct row length
+(`_running_sums`), and `load` reads a file once, converts each column
+with one call and checks every line with masks.  A malformed file's
+error names the first bad line in file order, as a line-by-line reader
+would, and a ``sha256`` pin is checked against the very bytes parsed.
 """
 from __future__ import annotations
 
 import bisect
 import hashlib
 import math
+import re
 
 import numpy as np
 
@@ -42,6 +50,11 @@ from .errors import HermiticityError, InternalError, ManifestError, ZeroMassErro
 # Diagonal entries and mirror conflicts beyond this are rejected as
 # non-Hermitian rather than silently repaired.
 HERMITICITY_TOL = 1e-12
+
+# A comment runs from '#' to the end of its line.  `read_text` has made
+# every "\r" a "\n"; the other characters here are the rest of the line
+# boundaries `str.splitlines` splits at.
+_COMMENT = re.compile("#[^\n\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def _segment_search(keys, lo, hi, targets, side: str) -> np.ndarray:
@@ -67,6 +80,27 @@ def _segment_search(keys, lo, hi, targets, side: str) -> np.ndarray:
         base = np.where(before(keys.take(mid, mode="clip"), targets), mid, base)
         length -= half
     return base + (length & before(keys.take(base, mode="clip"), targets))
+
+
+def _running_sums(run: np.ndarray, bounds: np.ndarray) -> None:
+    """Replace each span ``run[bounds[k]:bounds[k + 1]]`` by its running sum.
+
+    Spans of one length are summed together, as the rows of one 2-D
+    array: ``np.cumsum`` along a row adds left to right, as it does on
+    each span alone, so the bits are those of one call per span.  One
+    pass per distinct length, of which a store of e entries has fewer
+    than sqrt(2e); a diagonal store has nothing to add.
+    """
+    lengths = bounds[1:] - bounds[:-1]
+    spans = np.flatnonzero(lengths > 1)
+    if not spans.size:
+        return
+    spans = spans[lengths[spans].argsort()]
+    sizes = lengths[spans]
+    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), spans.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        at = bounds[spans[lo:hi], np.newaxis] + np.arange(sizes[lo])
+        run[at] = np.cumsum(run[at], axis=1)
 
 
 def _mirrored(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
@@ -161,14 +195,16 @@ class SampledMatrix:
         # start followed by the entry count: row _row_ids[k] spans
         # [_bounds[k], _bounds[k + 1]).  A row with no stored entries has
         # no id here, so nothing held grows with n.
-        self._bounds = np.append(np.flatnonzero(np.diff(self._rows, prepend=-1)), self.nnz)
+        starts = np.empty(self.nnz + 1, dtype=bool)
+        starts[0] = starts[-1] = True
+        np.not_equal(self._rows[1:], self._rows[:-1], out=starts[1:-1])
+        self._bounds = np.flatnonzero(starts)
         self._row_ids = self._rows[self._bounds[:-1]]
         # What `row_support` gives an empty row, made once: most rows of a
         # wide sparse store are empty.
         self._no_entries = (self._cols[:0], self._vals[:0])
         self._run = np.abs(self._vals) ** 2
-        for a, b in zip(self._bounds[:-1].tolist(), self._bounds[1:].tolist()):
-            np.cumsum(self._run[a:b], out=self._run[a:b])
+        _running_sums(self._run, self._bounds)
         # Over nonempty rows only: an empty row adds nothing and is never
         # drawn.
         self._row_prefix = np.cumsum(self._run[self._bounds[1:] - 1])
@@ -389,79 +425,131 @@ class SampledMatrix:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path: str) -> "SampledMatrix":
+    def load(cls, path: str, sha256: str | None = None) -> "SampledMatrix":
         """Read the 1-based upper-triangle text format.
 
         Every malformed line raises `ManifestError` (or `HermiticityError`
-        for an imaginary diagonal) naming ``path:line``.
+        for an imaginary diagonal) naming ``path:line``: the first bad
+        line in file order, under the first rule it breaks.  ``sha256``,
+        if given, pins the bytes that are parsed (`read_text`).
+
+        The file is read once, then split, converted and checked in
+        whole-array passes: one ``np.array`` call per column (accepting
+        what ``int`` and ``float`` accept) and one mask per rule.  Only a
+        field that does not convert sends it line by line, to find that
+        line.
         """
-        raw = read_text(path)
-        header = None
-        entries = []
-        lines = []
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            fields = body.split()
-            if header is None:
-                if len(fields) != 4 or fields[0] != "n" or fields[2] != "rank":
-                    raise ManifestError(
-                        f"{path}:{lineno}: expected header 'n <dim> rank <r>'"
-                    )
-                try:
-                    header = (int(fields[1]), int(fields[3]))
-                except ValueError as exc:
-                    raise ManifestError(f"{path}:{lineno}: bad header numbers") from exc
-                if min(header) < 1:
-                    raise ManifestError(
-                        f"{path}:{lineno}: dimension and rank must be positive"
-                    )
-                continue
-            if len(fields) != 4:
-                raise ManifestError(f"{path}:{lineno}: expected 'i j re im'")
-            try:
-                i, j = int(fields[0]), int(fields[1])
-                re, im = float(fields[2]), float(fields[3])
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: bad entry fields") from exc
-            if i < 1 or j < 1:
-                raise ManifestError(f"{path}:{lineno}: indices are 1-based")
-            if j < i:
-                raise ManifestError(
-                    f"{path}:{lineno}: lower-triangle entry ({i}, {j}); list the upper triangle only"
-                )
-            if j > header[0]:
-                raise ManifestError(
-                    f"{path}:{lineno}: entry ({i}, {j}) outside [1, {header[0]}]"
-                )
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ManifestError(
-                    f"{path}:{lineno}: entry ({i}, {j}) has a non-finite value"
-                )
-            if i == j and abs(im) > HERMITICITY_TOL:
-                raise HermiticityError(
-                    f"{path}:{lineno}: diagonal entry ({i}, {i}) has imaginary part {im!r}"
-                )
-            entries.append((i - 1, j - 1, complex(re, im)))
-            lines.append(lineno)
-        if header is None:
+        text = _COMMENT.sub("", read_text(path, sha256))
+        # Each line is split once to count its fields and the whole text
+        # once for the fields themselves, so no list is kept per line.
+        width = np.fromiter(map(len, map(str.split, text.splitlines())), dtype=np.int64)
+        tokens = text.split()
+        del text
+        nonblank = np.flatnonzero(width)
+        if not nonblank.size:
             raise ManifestError(f"{path}: missing header line")
-        n, rank_hint = header
+        head = int(nonblank[0])
+        header = tokens[: width[head]]
+        if len(header) != 4 or header[0] != "n" or header[2] != "rank":
+            raise ManifestError(f"{path}:{head + 1}: expected header 'n <dim> rank <r>'")
         try:
-            return cls.build(entries, n, rank_hint)
+            n, rank_hint = int(header[1]), int(header[3])
         except ValueError as exc:
-            # With indices and values checked above, build only rejects a
-            # repeated key; name its lines here rather than track keys per line.
+            raise ManifestError(f"{path}:{head + 1}: bad header numbers") from exc
+        if min(n, rank_hint) < 1:
+            raise ManifestError(f"{path}:{head + 1}: dimension and rank must be positive")
+        # The first line that fails before the checks (a field count, then
+        # a conversion), if any; the checks cover the entry lines above it.
+        stop = None
+        lines = nonblank[1:] + 1
+        short = np.flatnonzero(width[lines - 1] != 4)
+        if short.size:
+            stop = (int(lines[short[0]]), "expected 'i j re im'")
+            lines = lines[: short[0]]
+        # Four fields per entry line, after the header's four.
+        tokens = tokens[4 : 4 * (lines.shape[0] + 1)]
+        try:
+            i, j = (np.array(tokens[c::4], dtype=np.int64) for c in (0, 1))
+            real, imag = (np.array(tokens[c::4], dtype=np.float64) for c in (2, 3))
+        except (ValueError, OverflowError):
+            i, j, real, imag = _scan_entries(tokens)
+            if i.shape[0] < lines.shape[0]:
+                stop = (int(lines[i.shape[0]]), "bad entry fields")
+                lines = lines[: i.shape[0]]
+        _check_entries(path, lines, i, j, real, imag, n)
+        if stop is not None:
+            raise ManifestError(f"{path}:{stop[0]}: {stop[1]}")
+        vals = np.empty(real.shape, dtype=np.complex128)
+        vals.real, vals.imag = real, imag
+        try:
+            return cls(i - 1, j - 1, vals, n, rank_hint)
+        except ValueError as exc:
+            # With indices and values checked above, the constructor only
+            # rejects a repeated key; name its lines here rather than track
+            # keys per line.
             first = {}
-            for lineno, (i, j, _) in zip(lines, entries):
-                if (i, j) in first:
+            for lineno, key in zip(lines.tolist(), zip(i.tolist(), j.tolist())):
+                if key in first:
                     raise ManifestError(
-                        f"{path}:{lineno}: duplicate entry ({i + 1}, {j + 1}), "
-                        f"first listed on line {first[i, j]}"
+                        f"{path}:{lineno}: duplicate entry ({key[0]}, {key[1]}), "
+                        f"first listed on line {first[key]}"
                     ) from exc
-                first[i, j] = lineno
+                first[key] = lineno
             raise
+
+
+def _scan_entries(tokens: list[str]):
+    """Entry columns up to the first line that ``int`` or ``float`` rejects.
+
+    ``tokens`` holds four fields per line.  Indices come back as Python
+    ints in object arrays, so an index past int64 reaches the checks of
+    `_check_entries` unchanged rather than overflowing.
+    """
+    ints, floats = [], []
+    for k in range(0, len(tokens), 4):
+        try:
+            pair = int(tokens[k]), int(tokens[k + 1])
+            value = float(tokens[k + 2]), float(tokens[k + 3])
+        except ValueError:
+            break
+        ints.append(pair)
+        floats.append(value)
+    i, j = np.array(ints, dtype=object).reshape(-1, 2).T
+    real, imag = np.array(floats, dtype=np.float64).reshape(-1, 2).T
+    return i, j, real, imag
+
+
+def _check_entries(path: str, lines, i, j, real, imag, n: int) -> None:
+    """Raise for the first entry, in file order, that breaks a format rule.
+
+    Entry k, read from 1-based line ``lines[k]``, is tested against each
+    rule in turn, and the error names the first rule it breaks.
+    """
+    rules = (
+        (i < 1) | (j < 1),
+        j < i,
+        j > n,
+        ~(np.isfinite(real) & np.isfinite(imag)),
+        (i == j) & (np.abs(imag) > HERMITICITY_TOL),
+    )
+    bad = np.logical_or.reduce(rules)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    a, b, at = int(i[k]), int(j[k]), f"{path}:{lines[k]}"
+    if rules[0][k]:
+        raise ManifestError(f"{at}: indices are 1-based")
+    if rules[1][k]:
+        raise ManifestError(
+            f"{at}: lower-triangle entry ({a}, {b}); list the upper triangle only"
+        )
+    if rules[2][k]:
+        raise ManifestError(f"{at}: entry ({a}, {b}) outside [1, {n}]")
+    if rules[3][k]:
+        raise ManifestError(f"{at}: entry ({a}, {b}) has a non-finite value")
+    raise HermiticityError(
+        f"{at}: diagonal entry ({a}, {a}) has imaginary part {float(imag[k])!r}"
+    )
 
 
 class NegatedView:
@@ -531,13 +619,22 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def read_text(path: str) -> str:
+def read_text(path: str, sha256: str | None = None) -> str:
     """A text file decoded as UTF-8, line ends read as text mode reads them.
 
+    The file is read once.  If ``sha256`` is given, those bytes must hash
+    to it, or `ManifestError` reports the mismatch before anything is
+    decoded, so the pin covers exactly the bytes that are parsed.
     Invalid bytes raise `ManifestError` naming ``path:line``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if sha256 is not None:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != sha256:
+            raise ManifestError(
+                f"{path}: sha256 mismatch (manifest pins {sha256}, file is {actual})"
+            )
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

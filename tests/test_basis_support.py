@@ -266,3 +266,31 @@ class TestRebuiltWitnessQuery:
             filled = np.flatnonzero(w.basis._filled[:-1])
             assert filled.tolist() == w.basis.support_index(read).tolist()
             assert z == full.query(i, j)
+
+
+class TestRebuiltWitnessBits:
+    def test_wide_witness_answers_query_bit_for_bit_after_rebuild(self):
+        """A witness keeping r_tilde >= 2 directions rebuilds to the same bits.
+
+        The run holds its left vectors as a column selection of the SVD's
+        factor and the rebuild reads them from the report, so the two
+        differ in memory order, and every entry must still agree exactly.
+        """
+        rng = substream(95, 1)
+        a, b = (random_sparse_store(300, 10, rng) for _ in range(2))
+        ms = MatrixSum([a, b, a], rank=2)
+        v = build_sketch(ms, SketchParams(p=60, gamma=1e-9), substream(95, 2))
+        assert v.r_tilde >= 2
+        core = estimate_vav(v, ms, eps_s=0.5 * v.r_tilde * ms.tau, delta=0.1,
+                            rng=substream(95, 3))
+        g = make_gibbs(v, decompose(core, basis=v), beta=1.0)
+        text = render(RunReport(
+            command="feastest", dimension=300, seed=0, epsilon=0.2, rounds=1,
+            verdict="feasible", iterations=1, witness=dump_witness(g, [0, 1, 0]),
+        ))
+        w = rebuild_witness(parse(text).witness, [a, b], 300)
+        support = v.support().tolist()
+        for i in support:
+            for j in support:
+                assert w.query(i, j) == g.query(i, j)
+        assert w.frobenius_norm() == g.frobenius_norm()

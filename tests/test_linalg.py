@@ -83,3 +83,12 @@ class TestRowwiseMatmul:
             assert np.array_equal(rowwise_matmul(a, b), full)
         for i in range(rows):
             assert np.array_equal(rowwise_matmul(a[i : i + 1], b)[0], full[i])
+
+    def test_bits_do_not_depend_on_memory_order(self):
+        """C- and Fortran-ordered factors with equal values give equal bits."""
+        a = random_complex(200, 40, 5)
+        b = random_complex(40, 4, 6)
+        full = rowwise_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        for x in (a, np.asfortranarray(a)):
+            for y in (b, np.asfortranarray(b), np.asfortranarray(b)[:, ::-1][:, ::-1]):
+                assert np.array_equal(rowwise_matmul(x, y), full)

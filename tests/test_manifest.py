@@ -1,5 +1,7 @@
 """Manifest files: parsing, validation diagnostics, and writer round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sdpsketch.manifest import (
     write_optimize_manifest,
     write_shadow_manifest,
 )
+from sdpsketch import store as store_mod
 from sdpsketch.rng import substream
 from sdpsketch.store import NegatedView, file_sha256
 
@@ -88,6 +91,45 @@ sha256 a.mat {"0" * 64}
 """, name="bad.man")
         with pytest.raises(ManifestError, match="sha256 mismatch"):
             load_feasibility(bad)
+
+    def test_pin_covers_the_bytes_parsed(self, tmp_path, monkeypatch):
+        """A pinned matrix file is read once, and those bytes are parsed.
+
+        Hashing a file and then reading it again would parse a file
+        rewritten in between without checking it against its pin.
+        """
+        save_store(tmp_path, "a.mat")
+        man = write(tmp_path, f"""\
+kind feasibility
+dimension 6
+epsilon 0.25
+constraint a.mat 0.1
+sha256 a.mat {file_sha256(str(tmp_path / "a.mat"))}
+""")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+        assert load_feasibility(man).m == 1
+        assert opened == ["problem.man", "a.mat"]
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_pin_is_checked_before_parse_errors(self, tmp_path, pinned):
+        (tmp_path / "a.mat").write_text("n 6 rank 1\n2 1 1 0\n")
+        digest = file_sha256(str(tmp_path / "a.mat")) if pinned else "0" * 64
+        man = write(tmp_path, f"""\
+kind feasibility
+dimension 6
+epsilon 0.25
+constraint a.mat 0.1
+sha256 a.mat {digest}
+""")
+        expected = "lower-triangle entry" if pinned else "sha256 mismatch"
+        with pytest.raises(ManifestError, match=expected):
+            load_feasibility(man)
 
 
 class TestDiagnostics:

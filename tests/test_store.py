@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpsketch import rng as rngmod
+from sdpsketch import store as store_mod
 from sdpsketch.errors import (
     HermiticityError,
     ManifestError,
     ZeroMassError,
 )
 from sdpsketch.oracle import dense_store
-from sdpsketch.store import HERMITICITY_TOL, NegatedView, SampledMatrix
+from sdpsketch.store import HERMITICITY_TOL, NegatedView, SampledMatrix, read_text
 
 
 def build(entries: dict, n: int, rank_hint: int) -> SampledMatrix:
@@ -118,6 +119,27 @@ class TestPrefixArrays:
                 masses[i] = float(want[-1])
         assert store._row_ids.tolist() == list(masses)
         assert np.array_equal(store._row_prefix, np.cumsum(list(masses.values())))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, 2, 3, 5, 24, 40, 2_000]), max_size=30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_running_sums_equal_cumsum_per_span(self, lengths, seed):
+        """Bit for bit one np.cumsum per span, spans of many lengths mixed.
+
+        One long span among many short ones is an arrow matrix's shape.
+        """
+        gen = np.random.default_rng(seed)
+        gen.shuffle(lengths)
+        bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        squares = 10.0 ** (8.0 * (gen.random(int(bounds[-1])) - 0.5))
+        want = np.concatenate(
+            [np.zeros(0)] + [np.cumsum(squares[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        )
+        run = squares.copy()
+        store_mod._running_sums(run, bounds)
+        assert np.array_equal(run, want)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=33),
@@ -742,6 +764,229 @@ class TestFileFormat:
         path.write_text("# header comment\nn 2 rank 1\n\n1 1 1.5 0\n# tail\n")
         store = SampledMatrix.load(str(path))
         assert store.query(0, 0) == 1.5
+
+
+def reference_load(path: str) -> SampledMatrix:
+    """The line-at-a-time loader that `SampledMatrix.load` must match.
+
+    Every rule and message of the text format, one line and one check at
+    a time, then `SampledMatrix.build` on the entry list.
+    """
+    header = None
+    entries = []
+    lines = []
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        fields = body.split()
+        if header is None:
+            if len(fields) != 4 or fields[0] != "n" or fields[2] != "rank":
+                raise ManifestError(f"{path}:{lineno}: expected header 'n <dim> rank <r>'")
+            try:
+                header = (int(fields[1]), int(fields[3]))
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{lineno}: bad header numbers") from exc
+            if min(header) < 1:
+                raise ManifestError(f"{path}:{lineno}: dimension and rank must be positive")
+            continue
+        if len(fields) != 4:
+            raise ManifestError(f"{path}:{lineno}: expected 'i j re im'")
+        try:
+            i, j = int(fields[0]), int(fields[1])
+            re, im = float(fields[2]), float(fields[3])
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: bad entry fields") from exc
+        if i < 1 or j < 1:
+            raise ManifestError(f"{path}:{lineno}: indices are 1-based")
+        if j < i:
+            raise ManifestError(
+                f"{path}:{lineno}: lower-triangle entry ({i}, {j}); list the upper triangle only"
+            )
+        if j > header[0]:
+            raise ManifestError(f"{path}:{lineno}: entry ({i}, {j}) outside [1, {header[0]}]")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ManifestError(f"{path}:{lineno}: entry ({i}, {j}) has a non-finite value")
+        if i == j and abs(im) > HERMITICITY_TOL:
+            raise HermiticityError(
+                f"{path}:{lineno}: diagonal entry ({i}, {i}) has imaginary part {im!r}"
+            )
+        entries.append((i - 1, j - 1, complex(re, im)))
+        lines.append(lineno)
+    if header is None:
+        raise ManifestError(f"{path}: missing header line")
+    try:
+        return SampledMatrix.build(entries, *header)
+    except ValueError as exc:
+        first = {}
+        for lineno, (i, j, _) in zip(lines, entries):
+            if (i, j) in first:
+                raise ManifestError(
+                    f"{path}:{lineno}: duplicate entry ({i + 1}, {j + 1}), "
+                    f"first listed on line {first[i, j]}"
+                ) from exc
+            first[i, j] = lineno
+        raise
+
+
+STORE_ARRAYS = ("_rows", "_cols", "_vals", "_run", "_row_prefix", "_bounds", "_row_ids")
+
+
+def load_outcome(load, path: str):
+    """A loaded store's arrays as dtype and bytes, or its error's type and message."""
+    try:
+        store = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [getattr(store, name) for name in STORE_ARRAYS]
+    return store.n, store.rank_hint, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# Index fields: in range, past it, signed, underscored, non-ASCII digits,
+# a float, a 20-digit index and garbage.
+INDEX_TOKENS = ["1", "2", "3", "4", "0", "-1", "+3", "1_0", "٢", "３", "1.0",
+                "12345678901234567890", "x"]
+VALUE_TOKENS = ["0", "1", "-0.0", "0.5", "-2.25e3", "1e-13", "2e-12", "+1_0.5", "١.٥",
+                "infinity", "-inf", "nan", "1e400", "0x1p3", "y"]
+
+
+@st.composite
+def matrix_files(draw):
+    """Matrix-file texts, mostly valid, with every kind of line fault."""
+    lines = []
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(draw(st.sampled_from(["", "   ", "\t", "# comment"])))
+    lines.append(draw(st.sampled_from(
+        ["n 4 rank 2"] * 8 + ["n 3 rank 1", "n +4 rank 1", "n 4 rank 1 # header"]
+        + ["n 3 rank 0", "n 3 rank", "n x rank 1", "m 3 rank 1"]
+    )))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["entry"] * 8 + ["fields", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " \t ", "\x1f"])))
+            continue
+        if kind == "comment":
+            lines.append("#" + draw(st.sampled_from(["", " 1 2 3 4", "#"])))
+            continue
+        width = 4 if kind == "entry" else draw(st.sampled_from([3, 5, 1]))
+        i = draw(st.integers(1, 4))
+        j = draw(st.integers(i, 4))
+        fields = [str(i), str(j), str(draw(st.sampled_from([0.5, -1.0, 2.0]))), "0"]
+        if draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, 3))
+            fields[k] = draw(st.sampled_from(INDEX_TOKENS if k < 2 else VALUE_TOKENS))
+        fields = (fields + ["7"])[:width]
+        tail = draw(st.sampled_from(["", "", " # note", "# 1 2"]))
+        lines.append(" ".join(fields) + tail)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestBulkLoadParity:
+    """`load` gives the reference's stores byte for byte, or its error."""
+
+    def check(self, path, text: str):
+        path.write_bytes(text.encode("utf-8"))
+        want = load_outcome(reference_load, str(path))
+        assert load_outcome(SampledMatrix.load, str(path)) == want
+        return want
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_files())
+    def test_random_files_match_reference(self, tmp_path_factory, text):
+        self.check(tmp_path_factory.getbasetemp() / "parity.mat", text)
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            # A 3-field and a 5-field line: 8 fields, as two good lines have.
+            pytest.param("n 3 rank 1\n1 1 1\n2 2 1 0 0\n", ManifestError, id="three_five"),
+            pytest.param("n 3 rank 1\n1 1 1 0 0\n2 2 1\n", ManifestError, id="five_three"),
+            # A lower-triangle line before a 3-field one is named first.
+            pytest.param("n 3 rank 1\n2 1 1 0\n1 1 1\n", ManifestError, id="lower_before_three"),
+            pytest.param("n 3 rank 1\n1 1.0 1 0\n", ManifestError, id="float_col"),
+            pytest.param(
+                "n 3 rank 1\n3 1 1 0\n1.0 2 1 0\n",
+                ManifestError,
+                id="lower_before_float",
+            ),
+            pytest.param("n 3 rank 1\n1 12345678901234567890 1 0\n", ManifestError, id="big_col"),
+            pytest.param("n 3 rank 1\n12345678901234567890 2 1 0\n", ManifestError, id="big_row"),
+            pytest.param(
+                "n 3 rank 1\n-12345678901234567890 2 1 0\n",
+                ManifestError,
+                id="big_negative",
+            ),
+            pytest.param(
+                "n 3 rank 1\n1 1 1 0\n99999999999999999999 1 1 0\nx 2 1 0\n",
+                ManifestError,
+                id="big_before_garbage",
+            ),
+            pytest.param(
+                "n 3 rank 1\nx 2 1 0\n99999999999999999999 1 1 0\n",
+                ManifestError,
+                id="garbage_before_big",
+            ),
+            pytest.param(
+                "n 3 rank 1\n+3 +3 +1_0 0\n1_0 2 1 0\n",
+                ManifestError,
+                id="plus_underscore_outside",
+            ),
+            pytest.param(
+                "n 3 rank 1\n١ ٢ ١.٥ 0\n٣ ３ 1 0\n+1 1_0 1 0\n",
+                ManifestError,
+                id="non_ascii_outside",
+            ),
+            pytest.param("n 3 rank 1\n١ ٢ ١.٥ 0\n٣ ３ 1 0\n+1 +1 1_0 0\n", None, id="non_ascii_ok"),
+            pytest.param(
+                "n 3 rank 1\r\n1 1 1 0\r\n2 3 1 1\r\n3 1 1 0\r\n",
+                ManifestError,
+                id="crlf",
+            ),
+            pytest.param(
+                "n 3 rank 1 # hdr\n1 1 1 0# x\n2 3 1 1 #\n#\n   \t \n",
+                None,
+                id="comments_ok",
+            ),
+            pytest.param("n 3 rank 1\n1 1 1 # 0\n", ManifestError, id="comment_cuts_fields"),
+            pytest.param(
+                "n 3 rank 1\n1 1 1 0 # c\x852 2 1 0\n3 1 1 0\n",
+                ManifestError,
+                id="next_line_separator",
+            ),
+            pytest.param("", ManifestError, id="empty"),
+            pytest.param("\n  \n# only a comment\n", ManifestError, id="blank_only"),
+            pytest.param("n 3 rank 1\n", None, id="header_only"),
+            pytest.param(
+                "n 3 rank 1\n1 2 1 0\n2 2 1 0\n2 2 1 0\n1 2 3 0\n",
+                ManifestError,
+                id="duplicate",
+            ),
+            pytest.param(
+                "n 3 rank 1\n1 1 1 1e-13\n2 2 1 -1e-12\n3 3 1 2e-12\n",
+                HermiticityError,
+                id="imaginary_diagonal",
+            ),
+            pytest.param(
+                "n 3 rank 1\n1 1 -0.0 -0.0\n1 2 -0.0 -0.0\n2 3 0 -0.0\n",
+                None,
+                id="signed_zeros",
+            ),
+            # Non-finite, lower-triangle, short and garbage lines: the first
+            # (line 3) is named, though each rule is found in bulk.
+            pytest.param(
+                "n 3 rank 1\n1 1 1 0\n1 2 nan 0\n2 1 1 0\n1 1\nx 1 1 0\n",
+                ManifestError,
+                id="several_bad_lines",
+            ),
+        ],
+    )
+    def test_named_cases_match_reference(self, tmp_path, text, kind):
+        want = self.check(tmp_path / "case.mat", text)
+        if kind is None:
+            assert isinstance(want[0], int)
+        else:
+            assert want[0] is kind
 
 
 @settings(max_examples=40, deadline=None)
