@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
-"""Time matrix-file loading and store construction per stored entry.
+"""Time matrix-file loading, store construction and block gathers.
 
 Three kinds of store: a 24x24 Hermitian block on random coordinates at
 n = 10^5 (the shape of one `sparse_wide` constraint), a dense 32x32
 store, and diagonal stores at several n.  Each store's upper triangle is
 written once in the text format; then `SampledMatrix.load` on that file
 and the constructor on the same entry arrays are each timed after one
-untimed warm-up call.  The table gives the median over the repeats in
-microseconds per listed entry (one file line, one upper-triangle entry).
+untimed warm-up call.  The first table gives the median over the repeats
+in microseconds per listed entry (one file line, one upper-triangle
+entry).
+
+The second table times `SampledMatrix.block` per call at the sketch's
+two request shapes on the block and dense 32x32 stores: the distinct
+rows x distinct columns of p entry draws (the core), and every stored
+row x those rows (the basis-row fill).  It adds a dense rank-2 store at
+n = --dense-n, requested at 100 x 100, n x 100 and 2 x 100.
 
 Example:
     python3 scripts/store_scaling.py --repeats 7
@@ -39,6 +46,13 @@ def diagonal_entries(n: int, rng):
     return index, index, rng.standard_normal(n).astype(np.complex128)
 
 
+def rank_two(n: int, rng) -> np.ndarray:
+    """Dense Hermitian n-by-n matrix of rank 2, every entry nonzero."""
+    g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    q, _ = np.linalg.qr(g)
+    return (q * np.array([1.0, -0.5])) @ q.conj().T
+
+
 def median_seconds(fn, repeats: int) -> float:
     fn()
     times = []
@@ -55,6 +69,11 @@ def main() -> None:
     ap.add_argument(
         "--diag-sizes", type=int, nargs="+", default=[10**4, 10**5, 10**6],
         help="dimensions of the diagonal stores",
+    )
+    ap.add_argument("--p", type=int, default=200, help="entry draws behind a sketch request")
+    ap.add_argument(
+        "--dense-n", type=int, default=2000,
+        help="dimension of the dense rank-2 store for block timing (0 skips it)",
     )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -77,6 +96,31 @@ def main() -> None:
             )
             count = rows.shape[0]
             print(f"{name:<22} {count:>9} {load / count * 1e6:>9.3f} {build / count * 1e6:>10.3f}")
+
+    requests = []
+    for name, n, (rows, cols, vals) in stores[:2]:
+        store = SampledMatrix(rows, cols, vals, n, rank_hint=1)
+        drawn, _, _ = store.sample_entries(rng.random((args.p, 2)))
+        urows = np.unique(drawn)
+        ucols = np.unique(store.cols_at(drawn, rng.random(args.p)))
+        requests.append((name, store, "core", urows, ucols))
+        requests.append((name, store, "fill", np.unique(store.entries()[0]), urows))
+    if args.dense_n:
+        n = args.dense_n
+        store = SampledMatrix.from_dense(rank_two(n, rng), rank_hint=2)
+        sampled = np.sort(rng.choice(n, min(n, 100), replace=False))
+        name = f"dense rank 2, n={n}"
+        requests.append((name, store, "core", sampled, sampled))
+        requests.append((name, store, "fill", np.arange(n), sampled))
+        requests.append((name, store, "two rows", sampled[:2], sampled))
+
+    print()
+    print(f"`block` per call: median of {args.repeats} after a warm-up, microseconds")
+    print(f"{'store':<22} {'request':<9} {'shape':>12} {'block':>10}")
+    for name, store, request, rows, cols in requests:
+        seconds = median_seconds(lambda: store.block(rows, cols), args.repeats)
+        shape = f"{rows.shape[0]}x{cols.shape[0]}"
+        print(f"{name:<22} {request:<9} {shape:>12} {seconds * 1e6:>10.1f}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ it in place.
 Every step is a few numpy calls per distinct store, never a Python loop
 over draws or over basis rows: draws go through the stores' bulk
 searches (`rows_at`, `cols_at`), the core and the basis rows through
-block gathers (`block`), and a batch of basis rows through
+block gathers (`block`, which finds every requested entry of a store in
+one search of its sorted entry keys), and a batch of basis rows through
 `linalg.rowwise_matmul`, so a row's bits do not depend on which other
 rows share its batch.  The p-length draw arrays and the distinct core
 are held to a byte budget (`MAX_SKETCH_BYTES`).

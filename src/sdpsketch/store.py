@@ -13,24 +13,33 @@ rows stored before it.
 Nothing held grows with n.  The store keeps the sorted ids of its
 nonempty rows and where each one's entries start, and finds a row by
 searching those ids; a row with no stored entries is not among them and
-reads as an empty span.  Reads and draws over many rows are bulk numpy
-calls, never a loop per row or per draw: one search pair over the row
-ids gives every requested row's span (`_spans`; a store with no empty
-row indexes its bounds by row instead), `row_masses` indexes
-the running sums, and `cols_at` and `block` search every span at once
-by a vectorized bisection (`_segment_search`), one numpy step per bit
-of the longest row's length.  A single row (`row_support`, `query`)
-takes one scalar search instead.  An entry draw (`sample_entries`) is
-the same two searches in turn, a row by `rows_at` and then a column in
-it by `cols_at`, so no law has a second copy; the drawn row's span is
-read off the row draw, with no search.
+reads as an empty span.  A row's slot is its position among those ids,
+and each stored entry has one int64 key, row slot x R + column slot for
+R nonempty rows: a Hermitian store's stored columns are its nonempty
+rows, row-major order sorts the keys, and R <= nnz keeps every key
+clear of n.  Reads and draws over many rows are bulk numpy calls, never
+a loop per row or per draw: one search pair over the row ids gives
+every requested row's span (`_spans`; a store with no empty row indexes
+its bounds by row instead), `row_masses` indexes the running sums, and
+`block` maps its rows and columns to slots and finds every requested
+key in one search of the keys.  `cols_at` searches the running sums of
+every span at once by a vectorized bisection (`_segment_search`), one
+numpy step per bit of the longest row's length.  A single row
+(`row_support`) takes one scalar search of the row ids, and `query` one
+more of the keys.  An entry draw (`sample_entries`) is the same two
+searches in turn, a row by `rows_at` and then a column in it by
+`cols_at`, so no law has a second copy; the drawn row's span is read
+off the row draw, with no search.
 
 Input data lists one triangle only; the store mirrors the conjugate so the
 matrix is Hermitian by construction.  Indices are 0-based in this API; the
 text file format (see `save`/`load`) is 1-based.
 
-A store is built in whole-array passes too.  Each row's running sum is
-one ``np.cumsum`` along the rows of a 2-D array per distinct row length
+A store is built in whole-array passes too.  One stable sort of the
+listed entries and their mirrors finds repeated keys and pairs listed in
+both triangles and gives the row-major order (`_mirrored`); the keys
+follow from it with no second sort.  Each row's running sum is one
+``np.cumsum`` along the rows of a 2-D array per distinct row length
 (`_running_sums`), and `load` reads a file once, converts each column
 with one call and checks every line with masks.  A malformed file's
 error names the first bad line in file order, as a line-by-line reader
@@ -106,11 +115,18 @@ def _running_sums(run: np.ndarray, bounds: np.ndarray) -> None:
 def _mirrored(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
     """Validated entry arrays with each off-diagonal entry's conjugate added.
 
-    A pair listed in both triangles must agree conjugately within
-    tolerance; its first-listed value is kept.  Raises IndexError for an
-    index outside [0, n), ValueError for a repeated key or a non-finite
-    value, and HermiticityError for an imaginary diagonal or a
-    non-conjugate pair, each naming the first offending entry listed.
+    Returns rows, columns and values in row-major order.  A pair listed
+    in both triangles must agree conjugately within tolerance; its
+    first-listed value is kept.  Raises IndexError for an index outside
+    [0, n), ValueError for a repeated key or a non-finite value, and
+    HermiticityError for an imaginary diagonal or a non-conjugate pair,
+    each naming the first offending entry listed.
+
+    One stable sort by (row, column) of the listed entries followed by
+    the mirrors of the off-diagonal ones both finds repeats and pairs and
+    gives the stored order: each key's listed entries come first, in
+    listed order, then its mirrors.  No key is a product with n, so any
+    int64 dimension works.
     """
 
     def first(bad):
@@ -125,38 +141,45 @@ def _mirrored(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
     if bad.any():
         a, b, k = first(bad)
         raise ValueError(f"entry ({a}, {b}) has non-finite value {complex(v[k])!r}")
-    key = i * n + j
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    bad = np.zeros(key.shape[0], dtype=bool)
-    bad[order[1:]] = sorted_key[1:] == sorted_key[:-1]
+    m = i.shape[0]
+    off = i != j
+    rows = np.concatenate([i, j[off]])
+    cols = np.concatenate([j, i[off]])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    # Sorted positions k and k + 1 share a key for each k in `at`; a
+    # listed entry at k + 1 repeats an earlier listed one.
+    at = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    repeat = np.zeros(rows.shape[0], dtype=bool)
+    repeat[order[at + 1]] = True
+    bad = repeat[:m]
     if bad.any():
         a, b, _ = first(bad)
         raise ValueError(f"duplicate entry key ({a}, {b})")
-    diag = i == j
-    bad = diag & (np.abs(v.imag) > HERMITICITY_TOL)
+    bad = ~off & (np.abs(v.imag) > HERMITICITY_TOL)
     if bad.any():
         a, _, k = first(bad)
         raise HermiticityError(
             f"diagonal entry ({a}, {a}) has imaginary part {float(v.imag[k])!r}"
         )
-    v = np.where(diag, v.real, v)
-    # An entry whose transpose is listed before it is the second of a pair.
-    transposed = j * n + i
-    pos = np.minimum(np.searchsorted(sorted_key, transposed), key.shape[0] - 1)
-    partner = order[pos]
-    second = ~diag & (sorted_key[pos] == transposed) & (partner < np.arange(key.shape[0]))
-    bad = second & (np.abs(v - np.conj(v[partner])) > HERMITICITY_TOL)
+    v = np.where(off, v, v.real)
+    values = np.concatenate([v, np.conj(v[off])])[order]
+    # With no repeat, a shared key at k, k + 1 is a listed entry x
+    # followed by the mirror of the listed entry y at x's transpose.  Each
+    # pair shows up once from each side; the later-listed of the two is
+    # its second, and it is dropped with its mirror.
+    if not at.size:
+        return rows, cols, values
+    x = order[at]
+    y = np.flatnonzero(off)[order[at + 1] - m]
+    bad = np.zeros(m, dtype=bool)
+    bad[x[(x > y) & (np.abs(v[x] - np.conj(v[y])) > HERMITICITY_TOL)]] = True
     if bad.any():
         a, b, _ = first(bad)
         raise HermiticityError(f"entries ({a}, {b}) and ({b}, {a}) are not conjugate")
-    keep = ~second
-    i, j, v, off = i[keep], j[keep], v[keep], ~diag[keep]
-    return (
-        np.concatenate([i, j[off]]),
-        np.concatenate([j, i[off]]),
-        np.concatenate([v, np.conj(v[off])]),
-    )
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[np.where(x > y, at, at + 1)] = False
+    return rows[keep], cols[keep], values[keep]
 
 
 class SampledMatrix:
@@ -182,24 +205,28 @@ class SampledMatrix:
         self.n = n
         self.rank_hint = rank_hint
         self.touches = 0
-        i, j, v = _mirrored(
+        rows, self._cols, self._vals = _mirrored(
             np.asarray(rows, dtype=np.int64),
             np.asarray(cols, dtype=np.int64),
             np.asarray(vals, dtype=np.complex128),
             n,
         )
-        order = np.lexsort((j, i))
-        self._rows, self._cols, self._vals = i[order], j[order], v[order]
-        del i, j, v, order
         # The sorted ids of the nonempty rows, and where each one's entries
         # start followed by the entry count: row _row_ids[k] spans
         # [_bounds[k], _bounds[k + 1]).  A row with no stored entries has
         # no id here, so nothing held grows with n.
         starts = np.empty(self.nnz + 1, dtype=bool)
         starts[0] = starts[-1] = True
-        np.not_equal(self._rows[1:], self._rows[:-1], out=starts[1:-1])
+        np.not_equal(rows[1:], rows[:-1], out=starts[1:-1])
         self._bounds = np.flatnonzero(starts)
-        self._row_ids = self._rows[self._bounds[:-1]]
+        self._row_ids = rows[self._bounds[:-1]]
+        del rows
+        # One key per entry, row slot x R + column slot, a slot being a
+        # position in `_row_ids`: a Hermitian store's stored columns are
+        # its nonempty rows, and row-major order sorts the keys.  R is at
+        # most nnz, so no key is a product with n.
+        self._keys = (np.cumsum(starts[:-1]) - 1) * self._row_ids.shape[0]
+        self._keys += self._row_ids.searchsorted(self._cols)
         # What `row_support` gives an empty row, made once: most rows of a
         # wide sparse store are empty.
         self._no_entries = (self._cols[:0], self._vals[:0])
@@ -243,16 +270,21 @@ class SampledMatrix:
 
     # -- access -------------------------------------------------------
 
+    def _checked(self, rows) -> np.ndarray:
+        """``rows`` as an int64 array, or IndexError naming the first outside [0, n)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = (rows < 0) | (rows >= self.n)
+        if bad.any():
+            raise IndexError(f"row {int(rows[bad][0])} outside [0, {self.n})")
+        return rows
+
     def _spans(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Positions [a, b) of each given row's stored entries, as arrays.
 
         A row with no stored entries is found between the nonempty rows
         around it, so its span is empty (a == b).
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        bad = (rows < 0) | (rows >= self.n)
-        if bad.any():
-            raise IndexError(f"row {int(rows[bad][0])} outside [0, {self.n})")
+        rows = self._checked(rows)
         if self._row_ids.shape[0] == self.n:
             # Every row is stored, so row i is nonempty row i: no search.
             return self._bounds[rows], self._bounds[rows + 1]
@@ -273,15 +305,20 @@ class SampledMatrix:
         return k if k < len(ids) and ids[k] == i else None
 
     def query(self, i: int, j: int) -> complex:
-        """Stored value at (i, j); zero for unstored positions."""
+        """Stored value at (i, j); zero for unstored positions.
+
+        Row and column map to their slots as in `block`, then one scalar
+        search of the keys finds the entry.
+        """
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"index ({i}, {j}) outside [0, {self.n})")
-        k = self._slot(i)
-        if k is None:
+        a, b = self._slot(i), self._slot(j)
+        if a is None or b is None:
             return 0j
-        a, b = self._bounds[k], self._bounds[k + 1]
-        pos = a + int(np.searchsorted(self._cols[a:b], j))
-        if pos < b and self._cols[pos] == j:
+        key = a * self._row_ids.shape[0] + b
+        keys = self._keys.data
+        pos = bisect.bisect_left(keys, key)
+        if pos < len(keys) and keys[pos] == key:
             self.touches += 1
             return complex(self._vals[pos])
         return 0j
@@ -318,19 +355,34 @@ class SampledMatrix:
         """Values at every (row, col) of the given rows and columns.
 
         A ``len(rows)`` by ``len(cols)`` array, zero where unstored; the
-        count of stored entries read is added to ``touches``.  Each row's
-        own sorted columns are searched at once.
+        count of stored entries read is added to ``touches``.  Rows and
+        columns map to their slots, and every (row, col) key is found by
+        one search of the sorted keys; a row or column that stores nothing
+        has no slot and reads zero.
         """
+        rows = self._checked(rows)
         cols = np.asarray(cols, dtype=np.int64)
-        a, b = self._spans(rows)
-        a, b = a[:, np.newaxis], b[:, np.newaxis]
-        pos = _segment_search(self._cols, a, b, cols[np.newaxis, :], "left")
-        hit = pos < b
-        hit[hit] = self._cols[pos[hit]] == np.broadcast_to(cols, pos.shape)[hit]
-        out = np.zeros(pos.shape, dtype=np.complex128)
-        out[hit] = self._vals[pos[hit]]
+        width = self._row_ids.shape[0]
+        if not width:
+            return np.zeros((rows.shape[0], cols.shape[0]), dtype=np.complex128)
+        c, stored = self._slots(cols)
+        if width == self.n:
+            # Every row is stored, so row i has slot i.
+            key = (rows * width)[:, np.newaxis] + c
+        else:
+            r, stored_rows = self._slots(rows)
+            key = (r * width)[:, np.newaxis] + c
+            stored = stored_rows[:, np.newaxis] & stored
+        pos = self._keys.searchsorted(key)
+        hit = (self._keys.take(pos, mode="clip") == key) & stored
+        out = np.where(hit, self._vals.take(pos, mode="clip"), 0j)
         self.touches += int(np.count_nonzero(hit))
         return out
+
+    def _slots(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each id's position in `_row_ids`, and whether it is there at all."""
+        at = self._row_ids.searchsorted(ids)
+        return at, self._row_ids.take(at, mode="clip") == ids
 
     def row_columns(self, rows) -> np.ndarray:
         """Stored column indices of the given rows, concatenated in order."""
@@ -402,10 +454,16 @@ class SampledMatrix:
     def entries(self):
         """Row indices, column indices and values of every stored entry.
 
-        Views of the stored arrays, in row-major order; do not mutate.
+        In row-major order.  The row indices are derived from the keys in
+        one O(nnz) pass; the columns and values are views of the stored
+        arrays, do not mutate them.
         """
         self.touches += self.nnz
-        return self._rows, self._cols, self._vals
+        return self._entry_rows(), self._cols, self._vals
+
+    def _entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry, read off its key's row slot."""
+        return self._row_ids[self._keys // max(self._row_ids.shape[0], 1)]
 
     @property
     def nnz(self) -> int:
@@ -416,9 +474,10 @@ class SampledMatrix:
     def save(self, path: str) -> None:
         """Write the upper triangle in the 1-based text format."""
         lines = [f"n {self.n} rank {self.rank_hint}"]
-        upper = self._cols >= self._rows
+        rows = self._entry_rows()
+        upper = self._cols >= rows
         for i, c, v in zip(
-            self._rows[upper].tolist(), self._cols[upper].tolist(), self._vals[upper].tolist()
+            rows[upper].tolist(), self._cols[upper].tolist(), self._vals[upper].tolist()
         ):
             lines.append(f"{i + 1} {c + 1} {format(v.real, '.17g')} {format(v.imag, '.17g')}")
         with open(path, "w", encoding="ascii") as fh:

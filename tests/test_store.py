@@ -1,6 +1,7 @@
 """Sampling-store tests: exact laws, prefix arrays, file round trips."""
 import cmath
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -334,6 +335,42 @@ class TestBuildValidation:
         with pytest.raises(want.type):
             SampledMatrix.build(entries, n=n + 1, rank_hint=1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        entry_lists(),
+        st.sampled_from(["none", "duplicate", "out_of_range", "conflict"]),
+        st.integers(min_value=2**33, max_value=2**62),
+        st.randoms(use_true_random=False),
+    )
+    def test_huge_coordinates_match_dict_reference(self, case, defect, n, rand):
+        # The small case's indices map in order onto coordinates of a
+        # dimension where i * n + j would wrap in int64.  Index `small` is
+        # new to the valid entries, so each defect is the only one, and
+        # `small + 1` maps past the last coordinate.
+        small, entries = case
+        entries = list(entries)
+        for entry in {
+            "none": [],
+            "duplicate": [(small, 0, 1.0), (small, 0, 1.0)],
+            "out_of_range": [(small + 1, 0, 1.0)],
+            "conflict": [(small, 0, 1.0 + 2.0j), (0, small, 1.0 + 2.0j)],
+        }[defect]:
+            entries.insert(rand.randint(0, len(entries)), entry)
+        coords = sorted(rand.sample(range(n), small + 1)) + [n]
+        entries = [(coords[i], coords[j], v) for i, j, v in entries]
+        try:
+            want = reference_mirror(entries, n)
+        except (IndexError, ValueError, HermiticityError) as exc:
+            # These defects have the same message in both, naming the
+            # same first offending entry.
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                SampledMatrix.build(entries, n=n, rank_hint=1)
+            return
+        store = SampledMatrix.build(entries, n=n, rank_hint=1)
+        assert stored_dict(store) == want
+        rows, cols, _ = store.entries()
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(want)
+
     def test_mirror_is_conjugate(self):
         store = build({(0, 1): 1.0 + 2.0j}, n=2, rank_hint=1)
         assert store.query(1, 0) == (1.0 - 2.0j)
@@ -381,9 +418,10 @@ class TestBuildValidation:
 
 class TestArrayFootprint:
     def test_bytes_per_entry_and_build_peak(self):
-        # A rank-2 dense store at n = 1,000 holds 10^6 entries: 8-byte
-        # columns, 16-byte values, 8-byte running sums and, once
-        # `entries` has run, 8-byte row indices.
+        # A rank-2 dense store at n = 1,000 holds 10^6 entries: an 8-byte
+        # key, an 8-byte column, a 16-byte value and an 8-byte running sum
+        # each.  `entries` derives the row indices it returns from the keys
+        # and keeps none of them.
         rng = rngmod.substream(0, rngmod.INSTANCE, 90)
         g = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
         q, _ = np.linalg.qr(g)
@@ -447,6 +485,35 @@ class TestWideStore:
         for r in self.EMPTY:
             with pytest.raises(ZeroMassError, match=f"row {r} has zero mass"):
                 store.cols_at([self.COORDS[0], r], [0.5, 0.5])
+
+
+class TestHugeDimension:
+    """Entries at coordinates where i * n + j wraps in int64 are stored
+    and read like any others."""
+
+    N = 2**40
+    BIG = 2**24 + 1
+
+    def test_store_reads_and_round_trip(self, tmp_path):
+        store = SampledMatrix([1, self.BIG], [self.BIG, self.BIG], [1.0, 2.0], self.N, 1)
+        rows, cols, vals = store.entries()
+        assert rows.tolist() == [1, self.BIG, self.BIG]
+        assert cols.tolist() == [self.BIG, 1, self.BIG]
+        assert vals.tolist() == [1.0, 1.0, 2.0]
+        assert store.query(1, self.BIG) == store.query(self.BIG, 1) == 1.0
+        assert store.query(self.BIG, self.BIG) == 2.0
+        assert store.query(1, 1) == store.query(self.N - 1, self.BIG) == 0j
+        got = store.block([1, self.BIG, 0, self.N - 1], [self.BIG, 1, self.N - 1])
+        assert got.tolist() == [[1, 0, 0], [2, 1, 0], [0, 0, 0], [0, 0, 0]]
+        cols, vals = store.row_support(self.BIG)
+        assert cols.tolist() == [1, self.BIG] and vals.tolist() == [1.0, 2.0]
+        path = str(tmp_path / "huge.mat")
+        store.save(path)
+        back = SampledMatrix.load(path)
+        assert back.n == self.N
+        assert all(
+            np.array_equal(x, y) for x, y in zip(back.entries(), store.entries())
+        )
 
 
 class TestAccessorCost:
@@ -684,6 +751,50 @@ class TestBlockGather:
             np.concatenate([np.zeros(0, np.int64)] + [store.row_support(int(i))[0] for i in rows]),
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(["huge", "every_row"]),
+        n=st.integers(min_value=1, max_value=2**62),
+        k=st.integers(min_value=1, max_value=12),
+        density=st.sampled_from([0.1, 0.5, 1.0]),
+        sizes=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_block_and_query_on_any_layout(self, layout, n, k, density, sizes, seed):
+        gen = np.random.default_rng(seed)
+        if layout == "every_row":
+            # Every coordinate of a small dimension stores its diagonal.
+            n = k
+            coords = np.arange(n)
+        else:
+            coords = np.unique(gen.integers(n, size=k))
+        a, b = np.triu_indices(coords.shape[0])
+        keep = (a == b) if layout == "every_row" else np.zeros(a.shape[0], dtype=bool)
+        keep |= gen.random(a.shape[0]) < density
+        vals = gen.standard_normal(a.shape[0]) + 1j * gen.standard_normal(a.shape[0])
+        vals[a == b] = vals[a == b].real
+        store = SampledMatrix(coords[a[keep]], coords[b[keep]], vals[keep], n, rank_hint=1)
+        if layout == "every_row":
+            assert store._row_ids.shape[0] == n
+        # Stored coordinates, their neighbours and the ends of [0, n).
+        near = np.concatenate([coords, coords - 1, coords + 1, [0, n - 1]])
+        near = near[(near >= 0) & (near < n)]
+        rows = gen.choice(near, size=sizes[0])
+        cols = gen.choice(near, size=sizes[1])
+        want = np.array([row_gather(store, int(i), cols) for i in rows])
+        want = want.reshape(rows.shape[0], cols.shape[0])
+        before = store.touches
+        assert np.array_equal(store.block(rows, cols), want)
+        assert store.touches - before == np.count_nonzero(want != 0)
+        # One query per requested pair reads what `row_support` holds
+        # there, and counts one touch where it holds an entry.
+        for i in rows.tolist():
+            stored = dict(zip(*(x.tolist() for x in store.row_support(i))))
+            for j in cols.tolist():
+                before = store.touches
+                assert store.query(i, j) == stored.get(j, 0j)
+                assert store.touches - before == (j in stored)
+
     def test_out_of_range_row_raises(self):
         store = diag_fixture()
         for r in (-1, 2):
@@ -829,7 +940,7 @@ def reference_load(path: str) -> SampledMatrix:
         raise
 
 
-STORE_ARRAYS = ("_rows", "_cols", "_vals", "_run", "_row_prefix", "_bounds", "_row_ids")
+STORE_ARRAYS = ("_keys", "_cols", "_vals", "_run", "_row_prefix", "_bounds", "_row_ids")
 
 
 def load_outcome(load, path: str):
