@@ -13,8 +13,9 @@ entry).
 The second table times `SampledMatrix.block` per call at the sketch's
 two request shapes on the block and dense 32x32 stores: the distinct
 rows x distinct columns of p entry draws (the core), and every stored
-row x those rows (the basis-row fill).  It adds a dense rank-2 store at
-n = --dense-n, requested at 100 x 100, n x 100 and 2 x 100.
+row x those rows (the basis-row fill), with the p of the benchmark
+workload each store mimics.  It adds a dense rank-2 store at
+n = DENSE_N, requested at 100 x 100, n x 100 and 2 x 100.
 
 Example:
     python3 scripts/store_scaling.py --repeats 7
@@ -30,6 +31,13 @@ import time
 import numpy as np
 
 from sdpsketch.store import SampledMatrix
+
+# Entry draws behind one sketch request, the p of the benchmark workload
+# whose stores the block and dense 32x32 stores mimic: `sparse_wide` and
+# `infeasible_long` (bench/workloads.py).
+DRAWS = (400, 200)
+# Dimension of the dense rank-2 store, 4 * 10^6 stored entries.
+DENSE_N = 2000
 
 
 def block_entries(n: int, k: int, rng):
@@ -70,11 +78,6 @@ def main() -> None:
         "--diag-sizes", type=int, nargs="+", default=[10**4, 10**5, 10**6],
         help="dimensions of the diagonal stores",
     )
-    ap.add_argument("--p", type=int, default=200, help="entry draws behind a sketch request")
-    ap.add_argument(
-        "--dense-n", type=int, default=2000,
-        help="dimension of the dense rank-2 store for block timing (0 skips it)",
-    )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -98,21 +101,19 @@ def main() -> None:
             print(f"{name:<22} {count:>9} {load / count * 1e6:>9.3f} {build / count * 1e6:>10.3f}")
 
     requests = []
-    for name, n, (rows, cols, vals) in stores[:2]:
+    for (name, n, (rows, cols, vals)), p in zip(stores, DRAWS):
         store = SampledMatrix(rows, cols, vals, n, rank_hint=1)
-        drawn, _, _ = store.sample_entries(rng.random((args.p, 2)))
+        drawn, _, _ = store.sample_entries(rng.random((p, 2)))
         urows = np.unique(drawn)
-        ucols = np.unique(store.cols_at(drawn, rng.random(args.p)))
+        ucols = np.unique(store.cols_at(drawn, rng.random(p)))
         requests.append((name, store, "core", urows, ucols))
         requests.append((name, store, "fill", np.unique(store.entries()[0]), urows))
-    if args.dense_n:
-        n = args.dense_n
-        store = SampledMatrix.from_dense(rank_two(n, rng), rank_hint=2)
-        sampled = np.sort(rng.choice(n, min(n, 100), replace=False))
-        name = f"dense rank 2, n={n}"
-        requests.append((name, store, "core", sampled, sampled))
-        requests.append((name, store, "fill", np.arange(n), sampled))
-        requests.append((name, store, "two rows", sampled[:2], sampled))
+    store = SampledMatrix.from_dense(rank_two(DENSE_N, rng), rank_hint=2)
+    sampled = np.sort(rng.choice(DENSE_N, 100, replace=False))
+    name = f"dense rank 2, n={DENSE_N}"
+    requests.append((name, store, "core", sampled, sampled))
+    requests.append((name, store, "fill", np.arange(DENSE_N), sampled))
+    requests.append((name, store, "two rows", sampled[:2], sampled))
 
     print()
     print(f"`block` per call: median of {args.repeats} after a warm-up, microseconds")

@@ -25,8 +25,9 @@ its bounds by row instead), `row_masses` indexes the running sums, and
 key in one search of the keys.  `cols_at` searches the running sums of
 every span at once by a vectorized bisection (`_segment_search`), one
 numpy step per bit of the longest row's length.  A single row
-(`row_support`) takes one scalar search of the row ids, and `query` one
-more of the keys.  An entry draw (`sample_entries`) is the same two
+(`row_support`) takes one scalar search of the row ids; `query` maps i
+and j to slots with one scalar search each and then makes one search of
+the keys.  An entry draw (`sample_entries`) is the same two
 searches in turn, a row by `rows_at` and then a column in it by
 `cols_at`, so no law has a second copy; the drawn row's span is read
 off the row draw, with no search.
@@ -365,14 +366,10 @@ class SampledMatrix:
         width = self._row_ids.shape[0]
         if not width:
             return np.zeros((rows.shape[0], cols.shape[0]), dtype=np.complex128)
-        c, stored = self._slots(cols)
-        if width == self.n:
-            # Every row is stored, so row i has slot i.
-            key = (rows * width)[:, np.newaxis] + c
-        else:
-            r, stored_rows = self._slots(rows)
-            key = (r * width)[:, np.newaxis] + c
-            stored = stored_rows[:, np.newaxis] & stored
+        r, stored_rows = self._slots(rows)
+        c, stored_cols = self._slots(cols)
+        key = (r * width)[:, np.newaxis] + c
+        stored = stored_rows[:, np.newaxis] & stored_cols
         pos = self._keys.searchsorted(key)
         hit = (self._keys.take(pos, mode="clip") == key) & stored
         out = np.where(hit, self._vals.take(pos, mode="clip"), 0j)
