@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Print one sha256 per written file, CLI report and `entry` output.
+
+Writes a fixed set of manifests with each writer (the instance of
+README's Python API section, a planted infeasible instance, a rank-2
+shadow instance and an optimize instance), runs `feastest`, `shadow`,
+`oracle` and `feastest` on the optimize manifest with fixed flags, and
+reprints a few entries of every gibbs witness with `entry`.  Every
+line is `<name> <sha256>` or `<name> exit <code> <sha256>`, in a fixed
+order, so two checkouts compare by diffing this script's output:
+
+    PYTHONPATH=src python3 scripts/cli_digests.py > digests.txt
+"""
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from sdpsketch.cli import main
+from sdpsketch.instances import (
+    planted_around_state,
+    planted_infeasible,
+    projector_store,
+    random_low_rank,
+    random_unit_vector,
+    shadow_instance,
+)
+from sdpsketch.manifest import (
+    write_feasibility_manifest,
+    write_optimize_manifest,
+    write_shadow_manifest,
+)
+from sdpsketch.report import load_report
+from sdpsketch.rng import substream
+
+FAST = ["--p", "200", "--gamma", "1e-8", "--max-iters", "8", "--seed", "3"]
+# (report name, command, manifest, flags); the expected exit codes
+# are not asserted, only printed.
+RUNS = [
+    ("readme-scaled", "feastest", "readme", ["--seed", "3"]),
+    ("readme-fast", "feastest", "readme", FAST),
+    ("readme-eps", "feastest", "readme", [*FAST, "--epsilon", "0.3"]),
+    ("infeasible", "feastest", "infeasible", FAST),
+    ("shadow", "shadow", "shadow", FAST),
+    ("shadow-eps", "shadow", "shadow", [*FAST, "--epsilon", "0.3"]),
+    ("oracle", "oracle", "readme", ["--seed", "3", "--max-iters", "8"]),
+    ("oracle-shadow", "oracle", "shadow", ["--seed", "3", "--max-iters", "8"]),
+    ("optimize", "feastest", "opt", FAST),
+]
+ENTRIES = [(1, 1), (2, 3), (5, 4), (8, 8)]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_fixtures(root: str) -> dict[str, str]:
+    """Each manifest in its own directory; returns name -> manifest path."""
+    paths = {}
+    for name in ("readme", "infeasible", "shadow", "opt"):
+        os.mkdir(os.path.join(root, name))
+        paths[name] = os.path.join(root, name, f"{name}.man")
+    problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
+    write_feasibility_manifest(paths["readme"], problem.constraints, problem.bounds, problem.eps)
+    hard = planted_infeasible(12, eps=0.3, rng=substream(153, 1))
+    write_feasibility_manifest(paths["infeasible"], hard.constraints, hard.bounds, 0.3)
+    effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
+    write_shadow_manifest(paths["shadow"], effects, values, 0.25)
+    write_optimize_manifest(
+        paths["opt"],
+        projector_store(random_unit_vector(8, substream(155, 1))),
+        [random_low_rank(8, 1, substream(155, 2))],
+        [2.0],
+        eps=0.5,
+        rp=2.0,
+    )
+    return paths
+
+
+def run(argv: list[str]) -> tuple[int, bytes]:
+    """In-process CLI run: exit code and stdout and stderr bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, (out.getvalue() + err.getvalue()).encode()
+
+
+def main_digests() -> None:
+    with tempfile.TemporaryDirectory() as root:
+        paths = write_fixtures(root)
+        for name in sorted(paths):
+            directory = os.path.dirname(paths[name])
+            for file in sorted(os.listdir(directory)):
+                with open(os.path.join(directory, file), "rb") as fh:
+                    print(f"file {name}/{file} {digest(fh.read())}")
+        for name, command, manifest, flags in RUNS:
+            out = os.path.join(root, f"{name}.rep")
+            code, text = run([command, paths[manifest], *flags, "--out", out])
+            with open(out, "rb") as fh:
+                print(f"report {name} exit {code} {digest(fh.read() + text)}")
+            witness = load_report(out).witness
+            if witness is None or witness.kind != "gibbs":
+                continue
+            for row, col in ENTRIES:
+                code, text = run(["entry", out, str(row), str(col), "--manifest", paths[manifest]])
+                print(f"entry {name} {row} {col} exit {code} {digest(text)}")
+
+
+if __name__ == "__main__":
+    main_digests()

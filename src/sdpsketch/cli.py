@@ -15,6 +15,13 @@ stdout or --out and are byte-deterministic for a fixed seed; math
 kernels are pinned to one thread at startup, so --threads is accepted
 as a scheduling hint but never changes results.  Only stdlib imports
 happen at module level so the pinning runs before numpy loads.
+
+Each command reads and parses its manifest once and runs off that
+`Manifest`: a report's `manifest-sha256` is the digest of the bytes
+parsed, `--epsilon` replaces the manifest's slack in one place
+(`_slack`), and `entry` checks a report's digest against the bytes it
+reads before it parses them.  `feastest` reports manifest errors before
+flag errors; `shadow` and `oracle` report flag errors first.
 """
 from __future__ import annotations
 
@@ -158,16 +165,22 @@ def _emit(args, report) -> None:
         sys.stdout.write(text)
 
 
-def _finish(args, command, n, m, eps, config, outcome, seconds, witness_from=None, **fields):
+def _slack(args, parsed) -> float:
+    """The run's slack: --epsilon when given, else the manifest's."""
+    return parsed.effective_epsilon if args.epsilon is None else args.epsilon
+
+
+def _finish(args, parsed, command, n, m, eps, config, outcome, seconds, witness_from=None,
+            **fields):
     """Emit the report of a solving subcommand and return its exit code.
 
+    `parsed` is the run's `Manifest`, whose digest the report pins.
     `outcome` gives the verdict, iterations and violations; the witness
     comes from `witness_from`, a feasible outcome, when there is one.
     `seconds` holds the load and solve times; `fields` are the
     subcommand's own report fields.
     """
     from . import report as rep
-    from .store import file_sha256
 
     report = rep.RunReport(
         command=command,
@@ -181,7 +194,7 @@ def _finish(args, command, n, m, eps, config, outcome, seconds, witness_from=Non
         preset="scaled" if args.p is None else "explicit",
         sketch_p=args.p,
         sketch_gamma=args.gamma,
-        manifest_sha=file_sha256(args.manifest),
+        manifest_sha=parsed.sha256,
         verdict=outcome.verdict,
         iterations=outcome.iterations_used,
         violations=list(outcome.violation_log),
@@ -197,32 +210,23 @@ def _finish(args, command, n, m, eps, config, outcome, seconds, witness_from=Non
     return 0 if outcome.feasible or witness_from is not None else 1
 
 
-def _override_eps(problem, eps_flag):
-    from .solver import FeasibilityProblem
-
-    if eps_flag is None:
-        return problem
-    return FeasibilityProblem(
-        constraints=problem.constraints, bounds=problem.bounds, eps=eps_flag
-    )
-
-
 def _run_feastest(args) -> int:
     from . import manifest as man
     from . import solver
 
-    parsed = man.load_manifest(args.manifest)
-    if parsed.kind == "optimize":
-        return _run_optimize(args)
-    config = _config(args)
     timer = time.perf_counter()
-    problem = _override_eps(man.load_feasibility(args.manifest), args.epsilon)
+    parsed = man.load_manifest(args.manifest)
+    config = _config(args)
+    eps = _slack(args, parsed)
+    if parsed.kind == "optimize":
+        return _run_optimize(args, parsed, config, eps, timer)
+    problem = man.feasibility_problem(parsed, eps)
     load_seconds = time.perf_counter() - timer
     timer = time.perf_counter()
     outcome = solver.test_feasibility(problem, config)
     solve_seconds = time.perf_counter() - timer
     return _finish(
-        args, "feastest", problem.n, problem.m, problem.eps, config, outcome,
+        args, parsed, "feastest", problem.n, problem.m, eps, config, outcome,
         (load_seconds, solve_seconds),
         witness_from=outcome if outcome.feasible else None,
     )
@@ -236,9 +240,9 @@ def _run_shadow(args) -> int:
 
     config = _config(args)
     timer = time.perf_counter()
-    effects, values, eps = man.load_shadow(args.manifest)
-    if args.epsilon is not None:
-        eps = args.epsilon
+    parsed = man.load_manifest(args.manifest)
+    effects, values = man.shadow_effects(parsed)
+    eps = _slack(args, parsed)
     problem = solver.shadow_to_feasibility(effects, values, eps)
     load_seconds = time.perf_counter() - timer
     timer = time.perf_counter()
@@ -259,22 +263,19 @@ def _run_shadow(args) -> int:
             )
     solve_seconds = time.perf_counter() - timer
     return _finish(
-        args, "shadow", problem.n, problem.m, eps, config, outcome,
+        args, parsed, "shadow", problem.n, problem.m, eps, config, outcome,
         (load_seconds, solve_seconds),
         witness_from=outcome if outcome.feasible else None,
         estimates=estimates,
     )
 
 
-def _run_optimize(args) -> int:
+def _run_optimize(args, parsed, config, eps, timer) -> int:
+    """`feastest` on an optimize manifest; `timer` started before the parse."""
     from . import manifest as man
     from . import solver
 
-    config = _config(args)
-    timer = time.perf_counter()
-    problem, eps = man.load_optimization(args.manifest)
-    if args.epsilon is not None:
-        eps = args.epsilon
+    problem = man.optimization_problem(parsed)
     load_seconds = time.perf_counter() - timer
     captured: dict = {}
 
@@ -288,7 +289,7 @@ def _run_optimize(args) -> int:
     value, final = solver.optimize(problem, eps, config, feasibility=tracking)
     solve_seconds = time.perf_counter() - timer
     return _finish(
-        args, "optimize", problem.n, len(problem.constraints) + 1, eps, config, final,
+        args, parsed, "optimize", problem.n, len(problem.constraints) + 1, eps, config, final,
         (load_seconds, solve_seconds),
         witness_from=captured.get("outcome"),
         value=value,
@@ -302,7 +303,8 @@ def _run_oracle(args) -> int:
 
     config = _config(args)
     timer = time.perf_counter()
-    problem = _override_eps(man.load_feasibility(args.manifest), args.epsilon)
+    parsed = man.load_manifest(args.manifest)
+    problem = man.feasibility_problem(parsed, _slack(args, parsed))
     load_seconds = time.perf_counter() - timer
     timer = time.perf_counter()
     outcome = oracle.dense_mmw(
@@ -310,7 +312,7 @@ def _run_oracle(args) -> int:
     )
     solve_seconds = time.perf_counter() - timer
     return _finish(
-        args, "oracle", problem.n, problem.m, problem.eps, config, outcome,
+        args, parsed, "oracle", problem.n, problem.m, problem.eps, config, outcome,
         (load_seconds, solve_seconds),
     )
 
@@ -318,7 +320,6 @@ def _run_oracle(args) -> int:
 def _run_entry(args) -> int:
     from . import manifest as man
     from . import report as rep
-    from .store import NegatedView, file_sha256
 
     loaded = rep.load_report(args.report)
     if loaded.witness is None:
@@ -333,21 +334,12 @@ def _run_entry(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        if loaded.manifest_sha is not None:
-            actual = file_sha256(args.manifest)
-            if actual != loaded.manifest_sha:
-                print(
-                    f"error: manifest hash {actual} does not match the report's "
-                    f"{loaded.manifest_sha}",
-                    file=sys.stderr,
-                )
-                return 2
-        parsed = man.load_manifest(args.manifest)
+        # The digest is checked on the bytes read, before they are parsed.
+        parsed = man.load_manifest(args.manifest, loaded.manifest_sha)
         if parsed.kind == "optimize":
-            problem, _ = man.load_optimization(args.manifest)
-            constraints = list(problem.constraints) + [NegatedView(problem.cost)]
+            constraints = man.optimization_problem(parsed).feasibility_constraints()
         else:
-            constraints = man.load_feasibility(args.manifest).constraints
+            constraints = man.feasibility_problem(parsed, parsed.effective_epsilon).constraints
         candidate = rep.rebuild_witness(loaded.witness, constraints, loaded.dimension)
     if not (1 <= args.row <= loaded.dimension and 1 <= args.col <= loaded.dimension):
         print(

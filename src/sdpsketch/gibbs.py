@@ -145,7 +145,6 @@ class GibbsDescription:
                 n=self.n,
                 bulk_entries=bulk_uniform,
                 fro_bound=1.0 / float(np.sqrt(self.n)),
-                hermitian=True,
             )
 
         def bulk_gibbs(rows, cols):
@@ -159,7 +158,6 @@ class GibbsDescription:
             n=self.n,
             bulk_entries=bulk_gibbs,
             fro_bound=self.frobenius_norm() * (1.0 + _BOUND_SLACK),
-            hermitian=True,
         )
 
 

@@ -21,15 +21,21 @@ the solver is epsilon / (rp * rd), so width renormalization lives in
 the file, not the code.  `sha256` lines are optional integrity pins,
 verified when present against the bytes that are then parsed: each
 matrix file is read once.
+
+The manifest is read once too: `load_manifest` keeps the sha256 of the
+bytes it parsed, which a report pins, and each problem is built from
+that `Manifest`; `load_feasibility`, `load_optimization` and
+`load_shadow` are a parse followed by a build.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 
 from .errors import ManifestError
 from .solver import FeasibilityProblem, OptimizationProblem, shadow_to_feasibility
-from .store import SampledMatrix, file_sha256, read_text
+from .store import SampledMatrix, decode_text, file_sha256, read_bytes
 
 KINDS = ("feasibility", "optimize", "shadow")
 _SCALARS = ("dimension", "epsilon", "rp", "rd")
@@ -37,8 +43,10 @@ _SCALARS = ("dimension", "epsilon", "rp", "rd")
 
 @dataclass
 class Manifest:
-    """Parsed manifest contents, paths resolved but matrices unloaded."""
+    """Parsed manifest contents and the sha256 of the bytes parsed; matrices unloaded."""
 
+    path: str
+    sha256: str
     kind: str
     dimension: int
     epsilon: float
@@ -48,7 +56,6 @@ class Manifest:
     cost: str | None = None
     effects: list[tuple[str, float]] = field(default_factory=list)
     hashes: dict[str, str] = field(default_factory=dict)
-    base_dir: str = "."
 
     @property
     def effective_epsilon(self) -> float:
@@ -65,16 +72,23 @@ def _parse_float(token: str, path: str, lineno: int, what: str) -> float:
     return value
 
 
-def load_manifest(path: str) -> Manifest:
-    """Parse and validate a manifest file."""
-    base_dir = os.path.dirname(os.path.abspath(path))
+def load_manifest(path: str, report_sha256: str | None = None) -> Manifest:
+    """Read a manifest file once, then parse and validate those bytes.
+
+    If ``report_sha256`` is given, the bytes must hash to it, or
+    `ManifestError` says so before anything is parsed.
+    """
+    data = read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    if report_sha256 is not None and digest != report_sha256:
+        raise ManifestError(f"manifest hash {digest} does not match the report's {report_sha256}")
     kind = None
     scalars: dict[str, float] = {}
     constraints: list[tuple[str, float]] = []
     cost = None
     effects: list[tuple[str, float]] = []
     hashes: dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(decode_text(path, data).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -135,6 +149,8 @@ def load_manifest(path: str) -> Manifest:
     if dimension != int(dimension) or dimension < 1:
         raise ManifestError(f"{path}: dimension must be a positive integer, got {dimension}")
     manifest = Manifest(
+        path=path,
+        sha256=digest,
         kind=kind,
         dimension=int(dimension),
         epsilon=scalars["epsilon"],
@@ -144,7 +160,6 @@ def load_manifest(path: str) -> Manifest:
         cost=cost,
         effects=effects,
         hashes=hashes,
-        base_dir=base_dir,
     )
     if manifest.rp <= 0 or manifest.rd <= 0:
         raise ManifestError(f"{path}: width parameters must be positive")
@@ -161,55 +176,62 @@ def load_manifest(path: str) -> Manifest:
     return manifest
 
 
-def _load_matrix(manifest: Manifest, rel_path: str, n: int) -> SampledMatrix:
-    full = os.path.join(manifest.base_dir, rel_path)
+def _load_matrix(manifest: Manifest, rel_path: str) -> SampledMatrix:
+    full = os.path.join(os.path.dirname(os.path.abspath(manifest.path)), rel_path)
     # The file is read once: a pin covers the very bytes that are parsed.
     matrix = SampledMatrix.load(full, manifest.hashes.get(rel_path))
+    n = manifest.dimension
     if matrix.n != n:
         raise ManifestError(f"{full}: dimension {matrix.n} does not match manifest dimension {n}")
     return matrix
 
 
+def _load_listed(manifest: Manifest, listed: list[tuple[str, float]]):
+    """The stores of (path, value) pairs in order, and their values."""
+    return [_load_matrix(manifest, p) for p, _ in listed], [v for _, v in listed]
+
+
+def feasibility_problem(manifest: Manifest, eps: float) -> FeasibilityProblem:
+    """The feasibility set of a feasibility or shadow manifest, at slack eps."""
+    if manifest.kind == "shadow":
+        return shadow_to_feasibility(*shadow_effects(manifest), eps)
+    if manifest.kind != "feasibility":
+        raise ManifestError(
+            f"{manifest.path}: expected a feasibility or shadow manifest, got {manifest.kind}"
+        )
+    stores, bounds = _load_listed(manifest, manifest.constraints)
+    return FeasibilityProblem(constraints=stores, bounds=bounds, eps=eps)
+
+
+def optimization_problem(manifest: Manifest) -> OptimizationProblem:
+    if manifest.kind != "optimize":
+        raise ManifestError(f"{manifest.path}: expected an optimize manifest, got {manifest.kind}")
+    stores, bounds = _load_listed(manifest, manifest.constraints)
+    cost = _load_matrix(manifest, manifest.cost)
+    return OptimizationProblem(cost=cost, constraints=stores, bounds=bounds)
+
+
+def shadow_effects(manifest: Manifest) -> tuple[list[SampledMatrix], list[float]]:
+    """The effect stores of a shadow manifest and their values."""
+    if manifest.kind != "shadow":
+        raise ManifestError(f"{manifest.path}: expected a shadow manifest, got {manifest.kind}")
+    return _load_listed(manifest, manifest.effects)
+
+
 def load_feasibility(path: str) -> FeasibilityProblem:
     manifest = load_manifest(path)
-    if manifest.kind == "shadow":
-        effects, values = _load_effects(manifest)
-        return shadow_to_feasibility(effects, values, manifest.effective_epsilon)
-    if manifest.kind != "feasibility":
-        raise ManifestError(f"{path}: expected a feasibility or shadow manifest, got {manifest.kind}")
-    stores = [_load_matrix(manifest, p, manifest.dimension) for p, _ in manifest.constraints]
-    bounds = [b for _, b in manifest.constraints]
-    return FeasibilityProblem(
-        constraints=stores, bounds=bounds, eps=manifest.effective_epsilon
-    )
+    return feasibility_problem(manifest, manifest.effective_epsilon)
 
 
 def load_optimization(path: str) -> tuple[OptimizationProblem, float]:
     """Returns the problem plus the effective slack for the inner calls."""
     manifest = load_manifest(path)
-    if manifest.kind != "optimize":
-        raise ManifestError(f"{path}: expected an optimize manifest, got {manifest.kind}")
-    stores = [_load_matrix(manifest, p, manifest.dimension) for p, _ in manifest.constraints]
-    bounds = [b for _, b in manifest.constraints]
-    cost = _load_matrix(manifest, manifest.cost, manifest.dimension)
-    problem = OptimizationProblem(
-        cost=cost, constraints=stores, bounds=bounds, rp=manifest.rp, rd=manifest.rd
-    )
-    return problem, manifest.effective_epsilon
-
-
-def _load_effects(manifest: Manifest) -> tuple[list[SampledMatrix], list[float]]:
-    effects = [_load_matrix(manifest, p, manifest.dimension) for p, _ in manifest.effects]
-    values = [v for _, v in manifest.effects]
-    return effects, values
+    return optimization_problem(manifest), manifest.effective_epsilon
 
 
 def load_shadow(path: str) -> tuple[list[SampledMatrix], list[float], float]:
     manifest = load_manifest(path)
-    if manifest.kind != "shadow":
-        raise ManifestError(f"{path}: expected a shadow manifest, got {manifest.kind}")
-    effects, values = _load_effects(manifest)
-    return effects, values, manifest.effective_epsilon
+    return (*shadow_effects(manifest), manifest.effective_epsilon)
 
 
 def write_matrix_files(directory: str, stores: list, prefix: str = "constraint") -> list[str]:
@@ -222,76 +244,52 @@ def write_matrix_files(directory: str, stores: list, prefix: str = "constraint")
     return names
 
 
-def write_feasibility_manifest(
-    path: str,
-    constraints: list,
-    bounds: list[float],
-    eps: float,
-    with_hashes: bool = True,
-) -> None:
-    """Write a feasibility manifest plus its matrix files next to it."""
+def _write_manifest(path: str, head: list[str], listed: list[tuple], with_hashes: bool) -> None:
+    """Save the listed matrices next to ``path``, then write the manifest.
+
+    After the ``head`` lines, each (key, file name, store, value or None)
+    of ``listed`` gives a `<key> <name> [<value>]` line, and with
+    ``with_hashes`` a `sha256` line per file follows, in the same order.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    names = write_matrix_files(directory, constraints)
-    n = constraints[0].n
-    lines = ["kind feasibility", f"dimension {n}", f"epsilon {eps:.17g}"]
-    for name, bound in zip(names, bounds):
-        lines.append(f"constraint {name} {bound:.17g}")
+    lines = list(head)
+    for key, name, store, value in listed:
+        store.save(os.path.join(directory, name))
+        lines.append(f"{key} {name}" if value is None else f"{key} {name} {value:.17g}")
     if with_hashes:
-        for name in names:
+        for _, name, _, _ in listed:
             lines.append(f"sha256 {name} {file_sha256(os.path.join(directory, name))}")
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def _listed(key: str, stores: list, values: list[float]) -> list[tuple]:
+    """(key, file name, store, value) lines, the files named as `write_matrix_files` does."""
+    return [(key, f"{key}_{k}.mat", s, v) for k, (s, v) in enumerate(zip(stores, values))]
+
+
+def write_feasibility_manifest(
+    path: str, constraints: list, bounds: list[float], eps: float, with_hashes: bool = True
+) -> None:
+    """Write a feasibility manifest plus its matrix files next to it."""
+    head = ["kind feasibility", f"dimension {constraints[0].n}", f"epsilon {eps:.17g}"]
+    _write_manifest(path, head, _listed("constraint", constraints, bounds), with_hashes)
 
 
 def write_shadow_manifest(
-    path: str,
-    effects: list,
-    values: list[float],
-    eps: float,
-    with_hashes: bool = True,
+    path: str, effects: list, values: list[float], eps: float, with_hashes: bool = True
 ) -> None:
     """Write a shadow manifest plus its effect files next to it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    names = write_matrix_files(directory, effects, prefix="effect")
-    n = effects[0].n
-    lines = ["kind shadow", f"dimension {n}", f"epsilon {eps:.17g}"]
-    for name, value in zip(names, values):
-        lines.append(f"effect {name} {value:.17g}")
-    if with_hashes:
-        for name in names:
-            lines.append(f"sha256 {name} {file_sha256(os.path.join(directory, name))}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    head = ["kind shadow", f"dimension {effects[0].n}", f"epsilon {eps:.17g}"]
+    _write_manifest(path, head, _listed("effect", effects, values), with_hashes)
 
 
 def write_optimize_manifest(
-    path: str,
-    cost,
-    constraints: list,
-    bounds: list[float],
-    eps: float,
-    rp: float = 1.0,
-    rd: float = 1.0,
-    with_hashes: bool = True,
+    path: str, cost, constraints: list, bounds: list[float], eps: float,
+    rp: float = 1.0, rd: float = 1.0, with_hashes: bool = True,
 ) -> None:
     """Write an optimize manifest plus cost and constraint files."""
-    directory = os.path.dirname(os.path.abspath(path))
-    names = write_matrix_files(directory, constraints)
-    cost_name = "cost.mat"
-    cost.save(os.path.join(directory, cost_name))
-    n = cost.n
-    lines = [
-        "kind optimize",
-        f"dimension {n}",
-        f"epsilon {eps:.17g}",
-        f"rp {rp:.17g}",
-        f"rd {rd:.17g}",
-        f"cost {cost_name}",
-    ]
-    for name, bound in zip(names, bounds):
-        lines.append(f"constraint {name} {bound:.17g}")
-    if with_hashes:
-        for name in [cost_name] + names:
-            lines.append(f"sha256 {name} {file_sha256(os.path.join(directory, name))}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    head = ["kind optimize", f"dimension {cost.n}", f"epsilon {eps:.17g}", f"rp {rp:.17g}",
+            f"rd {rd:.17g}"]
+    listed = [("cost", "cost.mat", cost, None)] + _listed("constraint", constraints, bounds)
+    _write_manifest(path, head, listed, with_hashes)

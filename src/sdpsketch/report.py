@@ -219,6 +219,12 @@ def _int_tok(token: str, lineno: int) -> int:
         raise ManifestError(f"report line {lineno}: bad integer {token!r}") from None
 
 
+def _rank_tok(token: str, lineno: int) -> int:
+    rank = _int_tok(token, lineno)
+    _check(rank >= 1, lineno, "rank must be at least 1")
+    return rank
+
+
 def _str_tok(token: str, lineno: int) -> str:
     return token
 
@@ -244,7 +250,7 @@ _SCALARS = {
     "beta": _beta_tok,
     "tau": _int_tok,
     "p": _int_tok,
-    "rank": _int_tok,
+    "rank": _rank_tok,
 }
 
 

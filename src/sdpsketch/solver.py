@@ -67,21 +67,19 @@ class FeasibilityProblem:
 
 @dataclass
 class OptimizationProblem:
-    """Maximize Tr[C X] under the same constraint family.
-
-    Width bounds rp and rd describe the renormalization already applied
-    by the loader; they are echoed in reports, not used in arithmetic.
-    """
+    """Maximize Tr[C X] under the same constraint family."""
 
     cost: object
     constraints: list
     bounds: list[float]
-    rp: float = 1.0
-    rd: float = 1.0
 
     @property
     def n(self) -> int:
         return self.cost.n
+
+    def feasibility_constraints(self) -> list:
+        """The constraints, then -C: what `optimize` tests and a witness's exponent indexes."""
+        return list(self.constraints) + [NegatedView(self.cost)]
 
 
 # Per-entry precision of the compressed-matrix estimate, scaled by
@@ -258,10 +256,10 @@ def optimize(
     c = 0.0
     step = 0.5
     outcome = None
-    negated_cost = NegatedView(problem.cost)
+    constraints = problem.feasibility_constraints()
     for _ in range(calls):
         fp = FeasibilityProblem(
-            constraints=list(problem.constraints) + [negated_cost],
+            constraints=constraints,
             bounds=list(problem.bounds) + [-c],
             eps=eps_outer,
         )

@@ -111,7 +111,6 @@ def estimate_vav(
             n=v.n,
             bulk_entries=bulk,
             fro_bound=float(col_norms[j] * col_norms[i]),
-            hermitian=(i == j),
         )
         total = 0j
         for store, coef in signed:

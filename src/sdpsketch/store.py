@@ -191,8 +191,6 @@ class SampledMatrix:
     `query`, `block`, `entries` and `sample_entries`.
     """
 
-    hermitian = True
-
     def __init__(self, rows, cols, vals, n: int, rank_hint: int):
         """Store M(rows[k], cols[k]) = vals[k] and the conjugate mirror.
 
@@ -271,13 +269,16 @@ class SampledMatrix:
 
     # -- access -------------------------------------------------------
 
-    def _checked(self, rows) -> np.ndarray:
-        """``rows`` as an int64 array, or IndexError naming the first outside [0, n)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        bad = (rows < 0) | (rows >= self.n)
+    def _checked(self, ids, what: str = "row") -> np.ndarray:
+        """``ids`` as an int64 array, or IndexError naming the first outside [0, n).
+
+        One comparison: read as unsigned, a negative id lies past n.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = ids.view(np.uint64) >= self.n
         if bad.any():
-            raise IndexError(f"row {int(rows[bad][0])} outside [0, {self.n})")
-        return rows
+            raise IndexError(f"{what} {int(ids[bad][0])} outside [0, {self.n})")
+        return ids
 
     def _spans(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Positions [a, b) of each given row's stored entries, as arrays.
@@ -359,10 +360,11 @@ class SampledMatrix:
         count of stored entries read is added to ``touches``.  Rows and
         columns map to their slots, and every (row, col) key is found by
         one search of the sorted keys; a row or column that stores nothing
-        has no slot and reads zero.
+        has no slot and reads zero.  A row or column outside [0, n)
+        raises IndexError.
         """
         rows = self._checked(rows)
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = self._checked(cols, "column")
         width = self._row_ids.shape[0]
         if not width:
             return np.zeros((rows.shape[0], cols.shape[0]), dtype=np.complex128)
@@ -615,8 +617,6 @@ class NegatedView:
     returned values change sign.
     """
 
-    hermitian = True
-
     def __init__(self, base):
         self.base = base
 
@@ -675,22 +675,34 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def read_bytes(path: str) -> bytes:
+    """A file's bytes in one read: the one place input files are opened."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def read_text(path: str, sha256: str | None = None) -> str:
     """A text file decoded as UTF-8, line ends read as text mode reads them.
 
     The file is read once.  If ``sha256`` is given, those bytes must hash
     to it, or `ManifestError` reports the mismatch before anything is
     decoded, so the pin covers exactly the bytes that are parsed.
-    Invalid bytes raise `ManifestError` naming ``path:line``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     if sha256 is not None:
         actual = hashlib.sha256(data).hexdigest()
         if actual != sha256:
             raise ManifestError(
                 f"{path}: sha256 mismatch (manifest pins {sha256}, file is {actual})"
             )
+    return decode_text(path, data)
+
+
+def decode_text(path: str, data: bytes) -> str:
+    """``data`` decoded as UTF-8 with every line end made "\\n".
+
+    Invalid bytes raise `ManifestError` naming ``path:line``.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

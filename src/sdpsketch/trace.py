@@ -42,13 +42,11 @@ class QueryableOperator:
 
     `bulk_entries(rows, cols)` returns the entries at paired index arrays
     in one call.  `fro_bound` must dominate the true Frobenius norm.
-    `hermitian` enables the real-result fast path.
     """
 
     n: int
     bulk_entries: Callable[[np.ndarray, np.ndarray], np.ndarray]
     fro_bound: float
-    hermitian: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,12 +95,8 @@ def estimate_trace_product(
     size = cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
     if a.nnz <= count * size:
         rows, cols, vals = a.entries()
-        result = complex((vals * b.bulk_entries(cols, rows)).sum())
-    else:
-        result = _sampled_trace_product(a, b, count, size, rng)
-    if getattr(a, "hermitian", False) and b.hermitian:
-        result = complex(result.real, 0.0)
-    return result
+        return complex((vals * b.bulk_entries(cols, rows)).sum())
+    return _sampled_trace_product(a, b, count, size, rng)
 
 
 def _sampled_trace_product(
@@ -120,7 +114,7 @@ def _sampled_trace_product(
     passes; either way the stream is read batch-major and each batch
     sums its draws left to right, so the bits do not depend on
     `_CHUNK`.  Assumes A has mass and B a nonzero norm bound.  Returns
-    the complex median; the Hermitian real-part rule is the caller's.
+    the complex median.
     """
     a_fro_sq = a.total_mass()
     per = max(1, _CHUNK // size)

@@ -159,7 +159,6 @@ def all_rows_vav(v, ms, eps_s, delta, rng):
                 n=v.n,
                 bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
                 fro_bound=float(col_norms[j] * col_norms[i]),
-                hermitian=(i == j),
             )
             total = 0j
             for store, coef in signed:

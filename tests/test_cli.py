@@ -1,5 +1,9 @@
 """Command-line interface: exit codes, report bytes, and the entry query."""
 
+import builtins
+import hashlib
+import io
+import os
 import shutil
 import subprocess
 import sys
@@ -286,6 +290,8 @@ class TestEntry:
             ("core-d ", lambda v: ["nan", *v[1:]], "core-d must be finite"),
             ("left 1 ", lambda v: ["nan"] * len(v), "left 1 must be finite"),
             ("core-u 1 ", lambda v: ["inf", *v[1:]], "core-u 1 must be finite"),
+            ("rank ", lambda v: ["0"], "rank must be at least 1"),
+            ("rank ", lambda v: ["-1"], "rank must be at least 1"),
         ],
         ids=[
             "rows_not_increasing", "row_zero", "row_past_dimension", "row_prob_zero",
@@ -294,6 +300,7 @@ class TestEntry:
             "seed_not_integer", "beta_not_float", "exponent_zero", "witness_bare",
             "left_bare", "core_u_bare", "beta_nan", "beta_inf", "beta_negative",
             "sigma_zero", "sigma_nan", "core_d_nan", "left_nan", "core_u_inf",
+            "rank_zero", "rank_negative",
         ],
     )
     def test_bad_witness_line_named(self, work, tmp_path, capsys, prefix, edit, message):
@@ -364,6 +371,107 @@ class TestEntry:
         code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["plant"]])
         assert code == 2
         assert capsys.readouterr().err == f"error: {out}:4: invalid UTF-8 byte 0xe9\n"
+
+
+def copy_manifest(work, key, tmp_path):
+    """A private copy of one manifest's directory; returns the manifest path."""
+    source = Path(work[key])
+    shutil.copytree(source.parent, tmp_path / key)
+    return tmp_path / key / source.name
+
+
+def watch_opens(monkeypatch, target, on_first=None):
+    """Record every open of ``target``, from any module (`builtins.open`).
+
+    With ``on_first``, the first open reads the file's bytes, calls
+    ``on_first()`` and returns those bytes in memory, so ``on_first`` can
+    rewrite the file before anything could read it again.
+    """
+    real_open = builtins.open
+    opened = []
+
+    def watching(path, *args, **kwargs):
+        if isinstance(path, (str, Path)) and os.fspath(path) == os.fspath(target):
+            opened.append(path)
+            if on_first is not None and len(opened) == 1:
+                with real_open(path, "rb") as fh:
+                    data = fh.read()
+                on_first()
+                return io.BytesIO(data)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", watching)
+    return opened
+
+
+def report_digest(path) -> str:
+    return next(
+        line.split()[1] for line in Path(path).read_text().splitlines()
+        if line.startswith("manifest-sha256 ")
+    )
+
+
+class TestManifestReads:
+    """Each command reads its manifest once, and the report pins those bytes."""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("feastest", "plant"), ("feastest", "opt"), ("shadow", "shadow"), ("oracle", "plant")],
+        ids=["feastest", "feastest_optimize", "shadow", "oracle"],
+    )
+    def test_each_command_opens_its_manifest_once(self, work, tmp_path, monkeypatch,
+                                                  command, key):
+        out = tmp_path / "run.rep"
+        opened = watch_opens(monkeypatch, work[key])
+        code, _ = run_cli([command, work[key], *FAST, "--out", str(out)])
+        assert code in (0, 1)
+        assert len(opened) == 1
+        assert report_digest(out) == hashlib.sha256(Path(work[key]).read_bytes()).hexdigest()
+
+    def test_report_pins_the_bytes_parsed(self, work, tmp_path, monkeypatch):
+        """A manifest rewritten during the solve leaves the report's digest alone."""
+        from sdpsketch import solver
+
+        man = copy_manifest(work, "plant", tmp_path)
+        parsed = man.read_bytes()
+        original = solver.test_feasibility
+
+        def rewriting(problem, config):
+            with open(man, "ab") as fh:
+                fh.write(b"# rewritten during the solve\n")
+            return original(problem, config)
+
+        monkeypatch.setattr(solver, "test_feasibility", rewriting)
+        out = tmp_path / "run.rep"
+        code, _ = run_cli(["feastest", str(man), *FAST, "--out", str(out)])
+        assert code == 0
+        assert man.read_bytes() != parsed
+        assert report_digest(out) == hashlib.sha256(parsed).hexdigest()
+
+    def test_entry_parses_the_bytes_it_checked(self, work, tmp_path, monkeypatch):
+        """`entry` opens its manifest once: a rewrite after that read is never parsed."""
+        man = copy_manifest(work, "plant", tmp_path)
+        out = tmp_path / "wit.rep"
+        run_cli(["feastest", str(man), *FAST, "--out", str(out)])
+        argv = ["entry", str(out), "3", "7", "--manifest", str(man)]
+        want = run_cli(argv)
+        assert want[0] == 0
+        opened = watch_opens(monkeypatch, man, on_first=lambda: man.write_text("kind sudoku\n"))
+        assert run_cli(argv) == want
+        assert len(opened) == 1
+
+    def test_entry_checks_the_digest_before_parsing(self, work, tmp_path, capsys):
+        man = copy_manifest(work, "plant", tmp_path)
+        out = tmp_path / "wit.rep"
+        run_cli(["feastest", str(man), *FAST, "--out", str(out)])
+        man.write_text("kind sudoku\n")
+        actual = hashlib.sha256(b"kind sudoku\n").hexdigest()
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", str(man)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest hash {actual} does not match the report's {report_digest(out)}\n"
+        )
 
 
 class TestErrorPaths:

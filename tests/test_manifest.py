@@ -36,14 +36,16 @@ def save_store(tmp_path, name, seed=130, n=6):
 class TestParsing:
     def test_minimal_feasibility(self, tmp_path):
         save_store(tmp_path, "a.mat")
-        m = load_manifest(write(tmp_path, """\
+        path = write(tmp_path, """\
 # exercise comments and blank lines
 kind feasibility
 
 dimension 6
 epsilon 0.25
 constraint a.mat -0.5  # trailing comment
-"""))
+""")
+        m = load_manifest(path)
+        assert m.sha256 == file_sha256(path)
         assert m.kind == "feasibility"
         assert m.dimension == 6
         assert m.epsilon == 0.25
@@ -247,7 +249,6 @@ class TestWriters:
                                 rp=2.0, rd=1.0)
         problem, eff_eps = load_optimization(path)
         assert eff_eps == pytest.approx(0.25)
-        assert problem.rp == 2.0 and problem.rd == 1.0
         assert problem.n == 6
         assert problem.cost.query(0, 0) == cost.query(0, 0)
 

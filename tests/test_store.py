@@ -803,6 +803,17 @@ class TestBlockGather:
             with pytest.raises(IndexError):
                 store.row_masses([r])
 
+    def test_out_of_range_column_raises(self):
+        """A column outside [0, n) raises as a row does, and as `query` does."""
+        store = diag_fixture()
+        for c in (-1, 2):
+            with pytest.raises(IndexError, match=f"column {c} outside"):
+                store.block([0], [0, c])
+            with pytest.raises(IndexError, match=f"column {c} outside"):
+                NegatedView(store).block([0], [c])
+            with pytest.raises(IndexError):
+                store.query(0, c)
+
 
 class TestFileFormat:
     def test_round_trip_exact(self, tmp_path):

@@ -30,21 +30,18 @@ def hermitian_store(n: int, key: int) -> SampledMatrix:
     return SampledMatrix.from_dense(dense, rank_hint=n)
 
 
-def operator_from_dense(arr: np.ndarray, hermitian: bool = False) -> QueryableOperator:
+def operator_from_dense(arr: np.ndarray) -> QueryableOperator:
     return QueryableOperator(
         n=arr.shape[0],
         bulk_entries=lambda rows, cols: arr[rows, cols],
         fro_bound=float(np.linalg.norm(arr)),
-        hermitian=hermitian,
     )
 
 
-def random_operator(n: int, key: int, hermitian: bool = False) -> QueryableOperator:
+def random_operator(n: int, key: int) -> QueryableOperator:
     rng = rngmod.substream(key, rngmod.INSTANCE, 104)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if hermitian:
-        arr = arr + arr.conj().T
-    return operator_from_dense(arr / np.linalg.norm(arr, 2), hermitian=hermitian)
+    return operator_from_dense(arr / np.linalg.norm(arr, 2))
 
 
 def plan(store, b: QueryableOperator, cfg: EstimatorConfig) -> tuple[int, int]:
@@ -70,7 +67,6 @@ class CountingStore:
     def __init__(self, base, nnz: int):
         self.base = base
         self.n = base.n
-        self.hermitian = base.hermitian
         self.nnz = nnz
         self.draws = 0
         self.calls = 0
@@ -181,7 +177,7 @@ class TestEstimator:
     def test_deterministic_under_fixed_stream(self):
         store = hermitian_store(6, 13)
         arr = dense_store(hermitian_store(6, 14))
-        b = operator_from_dense(arr, hermitian=True)
+        b = operator_from_dense(arr)
         cfg = EstimatorConfig(eps=0.3, delta=0.2)
         first = sampled(store, b, cfg, rngmod.substream(3, 1, 4))
         second = sampled(store, b, cfg, rngmod.substream(3, 1, 4))
@@ -191,7 +187,7 @@ class TestEstimator:
 
     def test_bits_independent_of_batches_per_pass(self, monkeypatch):
         store = hermitian_store(6, 13)
-        b = operator_from_dense(dense_store(hermitian_store(6, 14)), hermitian=True)
+        b = operator_from_dense(dense_store(hermitian_store(6, 14)))
         count, size = 7, 50
         results = []
         # One batch per pass, three (passes of 3, 3 and 1), all seven, and
@@ -207,19 +203,16 @@ class TestEstimator:
             assert counted.draws == count * size
         assert results[0] == results[1] == results[2] == results[3]
 
-    def test_hermitian_pair_is_exactly_real(self):
-        # The real-part rule follows both branches in estimate_trace_product,
-        # so the sampled branch is reached there by reporting more entries
-        # than the plan draws.
+    def test_sampled_branch_is_the_sampled_estimate(self):
+        # The sampled branch is reached in estimate_trace_product by
+        # reporting more entries than the plan draws.
         base = hermitian_store(6, 15)
-        arr = dense_store(hermitian_store(6, 16))
-        b = operator_from_dense(arr, hermitian=True)
+        b = operator_from_dense(dense_store(hermitian_store(6, 16)))
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         store = CountingStore(base, planned_draws(base, b, cfg) + 1)
         est = estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 6))
         assert store.draws > 0
-        assert est.imag == 0.0
-        assert est.real == sampled(base, b, cfg, rngmod.substream(0, 1, 6)).real
+        assert est == sampled(base, b, cfg, rngmod.substream(0, 1, 6))
 
     def test_zero_matrix_short_circuits(self):
         store = SampledMatrix.build([], n=4, rank_hint=1)
@@ -329,14 +322,6 @@ class TestExactBranch:
         assert first == other
         truth = complex(np.trace(dense_store(store) @ b.bulk_entries(*np.indices((6, 6)))))
         assert abs(first - truth) <= 1e-12 * max(1.0, abs(truth))
-
-    def test_hermitian_pair_is_exactly_real(self):
-        store = hermitian_store(6, 22)
-        b = random_operator(6, 23, hermitian=True)
-        est = estimate_trace_product(
-            store, b, EstimatorConfig(eps=0.5, delta=0.2), rngmod.substream(0, 1, 11)
-        )
-        assert est.imag == 0.0
 
     @pytest.mark.parametrize("extra, sampled", [(0, False), (1, True)],
                              ids=["nnz_equals_plan", "nnz_above_plan"])
