@@ -33,7 +33,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 
-from .errors import ManifestError
+from .errors import ManifestError, ShapeError
 from .solver import FeasibilityProblem, OptimizationProblem, shadow_to_feasibility
 from .store import SampledMatrix, decode_text, file_sha256, read_bytes
 
@@ -265,6 +265,8 @@ def _write_manifest(path: str, head: list[str], listed: list[tuple], with_hashes
 
 def _listed(key: str, stores: list, values: list[float]) -> list[tuple]:
     """(key, file name, store, value) lines, the files named as `write_matrix_files` does."""
+    if len(stores) != len(values):
+        raise ShapeError(f"{len(stores)} {key} matrices but {len(values)} values")
     return [(key, f"{key}_{k}.mat", s, v) for k, (s, v) in enumerate(zip(stores, values))]
 
 

@@ -676,7 +676,7 @@ def file_sha256(path: str) -> str:
 
 
 def read_bytes(path: str) -> bytes:
-    """A file's bytes in one read: the one place input files are opened."""
+    """A file's bytes in one read; every matrix, manifest and report is read here."""
     with open(path, "rb") as fh:
         return fh.read()
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from sdpsketch.errors import ManifestError
+from sdpsketch.errors import ManifestError, ShapeError
 from sdpsketch.instances import projector_store, random_low_rank, random_unit_vector
 from sdpsketch.manifest import (
     load_feasibility,
@@ -251,6 +251,15 @@ class TestWriters:
         assert eff_eps == pytest.approx(0.25)
         assert problem.n == 6
         assert problem.cost.query(0, 0) == cost.query(0, 0)
+
+    def test_writers_reject_unpaired_values(self, tmp_path):
+        rng = substream(135, 1)
+        stores = [random_low_rank(4, 1, rng) for _ in range(2)]
+        with pytest.raises(ShapeError, match="2 constraint matrices but 1 values"):
+            write_feasibility_manifest(str(tmp_path / "a.man"), stores, [0.0], eps=0.25)
+        with pytest.raises(ShapeError, match="2 effect matrices but 3 values"):
+            write_shadow_manifest(str(tmp_path / "b.man"), stores, [0.0] * 3, eps=0.25)
+        assert not list(tmp_path.iterdir())
 
     def test_written_hashes_verify(self, tmp_path):
         rng = substream(134, 1)
