@@ -47,6 +47,9 @@ def _pin_kernels() -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    # The parser is built after `_pin_kernels`, so numpy may load here.
+    from .solver import SolverConfig
+
     parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     parser.add_argument(
         "--epsilon", type=float, default=None, help="override the manifest's slack"
@@ -61,10 +64,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--gamma", type=float, default=None, help="explicit singular-value floor"
     )
     parser.add_argument(
-        "--beta-scale", type=float, default=0.25, help="Gibbs exponent scale (times eps)"
+        "--beta-scale", type=float, default=SolverConfig.beta_scale,
+        help="Gibbs exponent scale (times eps)",
     )
     parser.add_argument(
-        "--delta", type=float, default=1.0 / 6.0, help="total failure probability budget"
+        "--delta", type=float, default=SolverConfig.delta_total,
+        help="total failure probability budget",
     )
     parser.add_argument(
         "--max-iters", type=int, default=None, help="override the round budget"
@@ -178,10 +183,12 @@ def _finish(args, parsed, command, n, m, eps, config, outcome, seconds, witness_
     `outcome` gives the verdict, iterations and violations; the witness
     comes from `witness_from`, a feasible outcome, when there is one.
     `seconds` holds the load and solve times; `fields` are the
-    subcommand's own report fields.
+    subcommand's own report fields.  The preset and sketch lines come
+    from ``config.sketch``, the sketch the run used, not from the flags.
     """
     from . import report as rep
 
+    sketch = config.sketch
     report = rep.RunReport(
         command=command,
         dimension=n,
@@ -191,9 +198,9 @@ def _finish(args, parsed, command, n, m, eps, config, outcome, seconds, witness_
         rounds=config.round_budget(n, eps),
         beta_scale=config.beta_scale,
         delta_total=config.delta_total,
-        preset="scaled" if args.p is None else "explicit",
-        sketch_p=args.p,
-        sketch_gamma=args.gamma,
+        preset="scaled" if sketch is None else "explicit",
+        sketch_p=None if sketch is None else sketch.p,
+        sketch_gamma=None if sketch is None else sketch.gamma,
         manifest_sha=parsed.sha256,
         verdict=outcome.verdict,
         iterations=outcome.iterations_used,
@@ -302,6 +309,7 @@ def _run_oracle(args) -> int:
     from . import oracle
 
     config = _config(args)
+    config.sketch = None  # checked as for a sampled run, but the dense loop builds none
     timer = time.perf_counter()
     parsed = man.load_manifest(args.manifest)
     problem = man.feasibility_problem(parsed, _slack(args, parsed))

@@ -5,6 +5,8 @@ scale) with spectral norm at most 1 and honest rank hints.  Planted
 instances are constructed so the right verdict is knowable by
 inspection: feasible ones have an explicit witness reachable by the
 update rule, infeasible ones violate a constraint for every state.
+Exact traces (at the uniform or a planted state) are summed over a
+store's `entries`.
 """
 from __future__ import annotations
 
@@ -82,10 +84,7 @@ def planted_feasible_at_uniform(
     budget) and the run ends feasible in one round.
     """
     constraints = [random_low_rank(n, rank, rng) for _ in range(m)]
-    bounds = []
-    for c in constraints:
-        uniform_trace = sum(c.query(i, i).real for i in range(n)) / n
-        bounds.append(uniform_trace + eps)
+    bounds = [_uniform_trace(c) + eps for c in constraints]
     return FeasibilityProblem(constraints=constraints, bounds=bounds, eps=eps)
 
 
@@ -106,10 +105,8 @@ def planted_one_update(
     bounds = [-0.9]
     for _ in range(extras):
         c = random_low_rank(n, min(2, n), rng)
-        witness_trace = _quadratic_form(c, v)
-        uniform_trace = sum(c.query(i, i).real for i in range(n)) / n
         constraints.append(c)
-        bounds.append(max(witness_trace, uniform_trace) + eps)
+        bounds.append(max(_quadratic_form(c, v), _uniform_trace(c)) + eps)
     return (
         FeasibilityProblem(constraints=constraints, bounds=bounds, eps=eps),
         v,
@@ -188,3 +185,12 @@ def _quadratic_form(store, v: np.ndarray) -> float:
     """Re v* A v, summed over the store's stored entries in O(nnz)."""
     rows, cols, vals = store.entries()
     return float((np.conj(v[rows]) * vals * v[cols]).sum().real)
+
+
+def _uniform_trace(store) -> float:
+    """Tr[A I/n]: the stored diagonal's real parts summed left to right, over n.
+
+    A Python sum, entry by entry in row order; numpy's pairwise sum has other bits.
+    """
+    rows, cols, vals = store.entries()
+    return float(sum(vals[rows == cols].real.tolist())) / store.n

@@ -19,8 +19,8 @@ manifests add a single `cost <path>`; shadow manifests use
 `effect <path> <value>` with values in [-1, 1].  The slack handed to
 the solver is epsilon / (rp * rd), so width renormalization lives in
 the file, not the code.  `sha256` lines are optional integrity pins,
-verified when present against the bytes that are then parsed: each
-matrix file is read once.
+each naming a listed file at most once, verified when present against
+the bytes that are then parsed: each matrix file is read once.
 
 The manifest is read once too: `load_manifest` keeps the sha256 of the
 bytes it parsed, which a report pins, and each problem is built from
@@ -88,6 +88,7 @@ def load_manifest(path: str, report_sha256: str | None = None) -> Manifest:
     cost = None
     effects: list[tuple[str, float]] = []
     hashes: dict[str, str] = {}
+    pinned_at: dict[str, int] = {}
     for lineno, raw in enumerate(decode_text(path, data).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,7 +138,10 @@ def load_manifest(path: str, report_sha256: str | None = None) -> Manifest:
         elif key == "sha256":
             if len(tokens) != 3:
                 raise ManifestError(f"{path}:{lineno}: sha256 takes <path> <digest>")
+            if tokens[1] in hashes:
+                raise ManifestError(f"{path}:{lineno}: second sha256 pin for {tokens[1]!r}")
             hashes[tokens[1]] = tokens[2].lower()
+            pinned_at[tokens[1]] = lineno
         else:
             raise ManifestError(f"{path}:{lineno}: unknown key {key!r}")
     if kind is None:
@@ -173,6 +177,10 @@ def load_manifest(path: str, report_sha256: str | None = None) -> Manifest:
         raise ManifestError(f"{path}: optimize manifests need a 'cost' line")
     if kind == "shadow" and not effects:
         raise ManifestError(f"{path}: no effect lines")
+    listed = {rel for rel, _ in constraints + effects} | {cost}
+    for rel, lineno in pinned_at.items():
+        if rel not in listed:
+            raise ManifestError(f"{path}:{lineno}: sha256 pin for unlisted file {rel!r}")
     return manifest
 
 

@@ -4,11 +4,10 @@ Everything here materializes full matrices and uses exact linear
 algebra, with hard size caps so a typo in a test can't silently ask for
 a 10^6-dimensional eigendecomposition.  These functions share no
 arithmetic with the sampled implementations beyond numpy itself, which
-is what makes them useful as an independent check.
+is what makes them useful as an independent check.  A constraint is
+read whole, through its `entries`, whether it is a store or a view.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .errors import ShapeError, SizeError
 from .gibbs import GibbsDescription
 from .linalg import eigh, svd
 from .sketch import BasisSketch, MatrixSum
-from .solver import FeasibilityOutcome, FeasibilityProblem
+from .solver import FeasibilityOutcome, FeasibilityProblem, SolverConfig, default_round_budget
 
 MAX_DENSE_N = 512
 MAX_MMW_N = 256
@@ -24,14 +23,12 @@ MAX_MMW_M = 16
 
 
 def dense_store(store) -> np.ndarray:
-    """Materialize a sampling store (or negated view) as a full array."""
+    """Materialize a constraint (a store or a negated view) from its `entries`."""
     if store.n > MAX_DENSE_N:
         raise SizeError(f"refusing dense realization at n = {store.n} > {MAX_DENSE_N}")
     out = np.zeros((store.n, store.n), dtype=np.complex128)
-    for i in range(store.n):
-        cols, vals = store.row_support(i)
-        if cols.size:
-            out[i, cols] = vals
+    rows, cols, vals = store.entries()
+    out[rows, cols] = vals
     return out
 
 
@@ -111,7 +108,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def dense_mmw(
     problem: FeasibilityProblem,
     t_override: int | None = None,
-    beta_scale: float = 0.25,
+    beta_scale: float = SolverConfig.beta_scale,
 ) -> FeasibilityOutcome:
     """Exact-arithmetic run of the same violation/update loop.
 
@@ -128,11 +125,7 @@ def dense_mmw(
     if m > MAX_MMW_M:
         raise SizeError(f"dense reference loop capped at m = {MAX_MMW_M}, got {m}")
     eps = problem.eps
-    rounds = (
-        t_override
-        if t_override is not None
-        else math.ceil(16.0 * math.log(n) / eps**2)
-    )
+    rounds = t_override if t_override is not None else default_round_budget(n, eps)
     mats = [dense_store(c) for c in problem.constraints]
     rho = np.eye(n, dtype=np.complex128) / n
     exponent = np.zeros((n, n), dtype=np.complex128)

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ManifestError
 from .gibbs import GibbsDescription, make_gibbs
 from .sketch import BasisSketch, MatrixSum
+from .solver import SolverConfig
 from .spectral import SpectralSurrogate
 from .store import read_text
 
@@ -71,8 +72,8 @@ class RunReport:
     verdict: str = "infeasible"
     iterations: int = 0
     constraints: int = 0
-    beta_scale: float = 0.25
-    delta_total: float = 1.0 / 6.0
+    beta_scale: float = SolverConfig.beta_scale
+    delta_total: float = SolverConfig.delta_total
     preset: str = "scaled"
     sketch_p: Optional[int] = None
     sketch_gamma: Optional[float] = None
@@ -404,8 +405,8 @@ def parse(text: str) -> RunReport:
         verdict=scalars["verdict"],
         iterations=scalars["iterations"],
         constraints=scalars.get("constraints", 0),
-        beta_scale=scalars.get("beta-scale", 0.25),
-        delta_total=scalars.get("delta-total", 1.0 / 6.0),
+        beta_scale=scalars.get("beta-scale", SolverConfig.beta_scale),
+        delta_total=scalars.get("delta-total", SolverConfig.delta_total),
         preset=scalars.get("preset", "scaled"),
         sketch_p=scalars.get("sketch-p"),
         sketch_gamma=scalars.get("sketch-gamma"),

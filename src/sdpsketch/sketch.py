@@ -61,9 +61,11 @@ class MatrixSum:
     ``(store, count, coef)`` per distinct store in order of first
     appearance, where ``count`` is how often the store occurs and
     ``coef`` the sum of its signs.  Squared magnitudes scale by
-    ``count`` and values by ``coef``.  `summands` keeps the caller's
-    list for the dense reference.  ``tau``, the summand count, is the
-    sum of the counts.
+    ``count`` and values by ``coef``.  So the sketch only ever reads
+    unwrapped stores, through the summand reads of `store`, and a view
+    need answer only the constraint reads.  `summands` keeps the
+    caller's list for the dense reference.  ``tau``, the summand count,
+    is the sum of the counts.
     """
 
     def __init__(self, summands, rank: int):

@@ -95,7 +95,9 @@ class SolverConfig:
     eps_est and margin default to eps/4 and eps/2 and must satisfy
     eps_est + margin < eps, so a round that passes every check leaves
     true traces strictly inside the eps slack.  sketch=None takes
-    SketchParams.scaled for each round's summand count.
+    SketchParams.scaled for each round's summand count.  The CLI flags,
+    the report fields and the dense loop read their delta_total and
+    beta_scale defaults from this class.
     """
 
     seed: int = 0

@@ -1,5 +1,15 @@
 """Hermitian matrix store with squared-magnitude sampling access.
 
+The program reads a store through two protocols, the whole contract a
+new store type meets.  The sketch makes the *summand reads* on each
+distinct store of a `MatrixSum`, views unwrapped: ``n``,
+``frobenius_norm``, ``row_masses``, ``rows_at``, ``cols_at``, ``block``
+and ``row_columns``.  The trace estimator, the problems and the dense
+reference make the *constraint reads* on a store or a view as a whole:
+``n``, ``rank_hint``, ``nnz``, ``frobenius_norm``, ``total_mass``,
+``entries`` and ``sample_entries``.  `SampledMatrix` answers both, and
+`NegatedView` the constraint reads.
+
 A matrix is static and row-major: each row's stored entries sit
 together, sorted by column, beside the row's own running sum of squared
 magnitudes, which restarts at zero at each row; a prefix array over the
@@ -24,13 +34,10 @@ its bounds by row instead), `row_masses` indexes the running sums, and
 `block` maps its rows and columns to slots and finds every requested
 key in one search of the keys.  `cols_at` searches the running sums of
 every span at once by a vectorized bisection (`_segment_search`), one
-numpy step per bit of the longest row's length.  A single row
-(`row_support`) takes one scalar search of the row ids; `query` maps i
-and j to slots with one scalar search each and then makes one search of
-the keys.  An entry draw (`sample_entries`) is the same two
-searches in turn, a row by `rows_at` and then a column in it by
-`cols_at`, so no law has a second copy; the drawn row's span is read
-off the row draw, with no search.
+numpy step per bit of the longest row's length.  An entry draw
+(`sample_entries`) is the same two searches in turn, a row by `rows_at`
+and then a column in it by `cols_at`, so no law has a second copy; the
+drawn row's span is read off the row draw, with no search.
 
 Input data lists one triangle only; the store mirrors the conjugate so the
 matrix is Hermitian by construction.  Indices are 0-based in this API; the
@@ -188,7 +195,7 @@ class SampledMatrix:
 
     Construct through `build`, `from_dense`, or `load`, or from entry
     arrays directly.  ``touches`` counts the stored entries read by
-    `query`, `block`, `entries` and `sample_entries`.
+    `block`, `entries` and `sample_entries`.
     """
 
     def __init__(self, rows, cols, vals, n: int, rank_hint: int):
@@ -298,32 +305,13 @@ class SampledMatrix:
     def _slot(self, i: int):
         """Index k of in-range row i in `_row_ids`, or None if it stores nothing.
 
-        One scalar search of the row ids and a hit check; the single-row
-        reads take it rather than `_spans`, whose array set-up costs
-        several times more for one row.
+        One scalar search of the row ids and a hit check: `row_support`
+        takes it rather than `_spans`, whose array set-up costs several
+        times more for one row.
         """
         ids = self._row_ids.data
         k = bisect.bisect_left(ids, i)
         return k if k < len(ids) and ids[k] == i else None
-
-    def query(self, i: int, j: int) -> complex:
-        """Stored value at (i, j); zero for unstored positions.
-
-        Row and column map to their slots as in `block`, then one scalar
-        search of the keys finds the entry.
-        """
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"index ({i}, {j}) outside [0, {self.n})")
-        a, b = self._slot(i), self._slot(j)
-        if a is None or b is None:
-            return 0j
-        key = a * self._row_ids.shape[0] + b
-        keys = self._keys.data
-        pos = bisect.bisect_left(keys, key)
-        if pos < len(keys) and keys[pos] == key:
-            self.touches += 1
-            return complex(self._vals[pos])
-        return 0j
 
     def frobenius_norm(self) -> float:
         return math.sqrt(self.total_mass())
@@ -344,7 +332,14 @@ class SampledMatrix:
         return float(self._row_prefix[-1]) if self._row_prefix.size else 0.0
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted column indices and values of row ``i`` (views, do not mutate)."""
+        """Sorted column indices and values of row ``i`` (views, do not mutate).
+
+        In neither protocol: it serves callers that walk a wide store
+        row by row (the benchmark's `sparse_wide` check, 10^5 calls per
+        constraint), where `_slot` costs less than numpy's scalar
+        ``searchsorted`` and hit check (0.5 against 1.3 us a stored row,
+        0.7 against 0.9 us an empty one, Python 3.11 and numpy 2.4).
+        """
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} outside [0, {self.n})")
         k = self._slot(i)
@@ -611,10 +606,10 @@ def _check_entries(path: str, lines, i, j, real, imag, n: int) -> None:
 
 
 class NegatedView:
-    """Sign-flipping view of a store.
+    """Sign-flipping view of a store, answering the constraint reads.
 
-    Sampling distributions and norms are untouched (|-x|^2 = |x|^2); only
-    returned values change sign.
+    Norms and draws are the base's (|-x|^2 = |x|^2); only returned values
+    change sign.  The sketch never reads a view: `MatrixSum` unwraps it.
     """
 
     def __init__(self, base):
@@ -635,31 +630,12 @@ class NegatedView:
     def frobenius_norm(self) -> float:
         return self.base.frobenius_norm()
 
-    def row_masses(self, rows) -> np.ndarray:
-        return self.base.row_masses(rows)
-
     def total_mass(self) -> float:
         return self.base.total_mass()
-
-    def row_support(self, i: int):
-        cols, vals = self.base.row_support(i)
-        return cols, -vals
-
-    def block(self, rows, cols) -> np.ndarray:
-        return -self.base.block(rows, cols)
-
-    def row_columns(self, rows) -> np.ndarray:
-        return self.base.row_columns(rows)
 
     def entries(self):
         r, c, v = self.base.entries()
         return r, c, -v
-
-    def rows_at(self, u: np.ndarray) -> np.ndarray:
-        return self.base.rows_at(u)
-
-    def cols_at(self, rows, u) -> np.ndarray:
-        return self.base.cols_at(rows, u)
 
     def sample_entries(self, u):
         r, c, v = self.base.sample_entries(u)

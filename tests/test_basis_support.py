@@ -64,8 +64,8 @@ class TestRowsOffSupport:
         support = v.support()
         expect = set()
         for s in ms.summands:
-            for i in v.rows:
-                expect.update(s.row_support(int(i))[0].tolist())
+            rows, cols, _ = s.entries()
+            expect.update(cols[np.isin(rows, v.rows)].tolist())
         assert support.tolist() == sorted(expect)
         off = np.ones(n, dtype=bool)
         off[support] = False

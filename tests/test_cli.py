@@ -201,6 +201,20 @@ class TestOracle:
         assert code == 1
         assert parse(text).verdict == "infeasible"
 
+    def test_report_names_no_sketch(self, work):
+        """The dense loop builds no sketch, so --p and --gamma leave no trace."""
+        plain = run_cli(["oracle", work["bad"], "--max-iters", "3"])
+        flagged = run_cli(["oracle", work["bad"], "--p", "200", "--gamma", "1e-8", "--max-iters", "3"])
+        assert flagged == plain
+        assert parse(plain[1]).preset == "scaled"
+
+    def test_numpy_loads_after_the_kernels_are_pinned(self, src_env):
+        """Importing the CLI loads no numpy, so `main` pins threads first."""
+        probe = "import sys, sdpsketch.cli; print('numpy' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "False\n"
+
 
 class TestOptimize:
     def test_value_and_witness(self, work):

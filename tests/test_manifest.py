@@ -17,6 +17,7 @@ from sdpsketch.manifest import (
     write_shadow_manifest,
 )
 from sdpsketch import store as store_mod
+from sdpsketch.oracle import dense_store
 from sdpsketch.rng import substream
 from sdpsketch.store import NegatedView, file_sha256
 
@@ -133,6 +134,36 @@ sha256 a.mat {digest}
         with pytest.raises(ManifestError, match=expected):
             load_feasibility(man)
 
+    def test_pin_must_name_a_listed_file(self, tmp_path):
+        """A pin for a file no line lists would be accepted and never checked."""
+        save_store(tmp_path, "a.mat")
+        save_store(tmp_path, "b.mat")
+        man = write(tmp_path, f"""\
+kind feasibility
+dimension 6
+epsilon 0.25
+constraint a.mat 0.1
+sha256 b.mat {file_sha256(str(tmp_path / "b.mat"))}
+""")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(man)
+        assert str(info.value) == f"{man}:5: sha256 pin for unlisted file 'b.mat'"
+
+    def test_second_pin_for_a_file_is_rejected(self, tmp_path):
+        """A wrong first pin cannot be overridden by a right second one."""
+        save_store(tmp_path, "a.mat")
+        man = write(tmp_path, f"""\
+kind feasibility
+dimension 6
+epsilon 0.25
+constraint a.mat 0.1
+sha256 a.mat {"0" * 64}
+sha256 a.mat {file_sha256(str(tmp_path / "a.mat"))}
+""")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(man)
+        assert str(info.value) == f"{man}:6: second sha256 pin for 'a.mat'"
+
 
 class TestDiagnostics:
     def cases(self):
@@ -222,9 +253,7 @@ class TestWriters:
         assert problem.bounds == bounds
         assert problem.eps == 0.25
         for orig, loaded in zip(constraints, problem.constraints):
-            for i in range(8):
-                for j in range(8):
-                    assert loaded.query(i, j) == orig.query(i, j)
+            assert np.array_equal(dense_store(loaded), dense_store(orig))
 
     def test_shadow_round_trip_and_reduction(self, tmp_path):
         rng = substream(132, 1)
@@ -250,7 +279,7 @@ class TestWriters:
         problem, eff_eps = load_optimization(path)
         assert eff_eps == pytest.approx(0.25)
         assert problem.n == 6
-        assert problem.cost.query(0, 0) == cost.query(0, 0)
+        assert np.array_equal(dense_store(problem.cost), dense_store(cost))
 
     def test_writers_reject_unpaired_values(self, tmp_path):
         rng = substream(135, 1)

@@ -35,6 +35,15 @@ def random_state(n, rng):
     return rho / np.trace(rho).real
 
 
+def row_by_row(store):
+    """The store filled one row at a time from `row_support`."""
+    out = np.zeros((store.n, store.n), dtype=np.complex128)
+    for i in range(store.n):
+        cols, vals = store.row_support(i)
+        out[i, cols] = vals
+    return out
+
+
 class TestRealization:
     def test_store_fills_both_triangles(self):
         s = SampledMatrix.build([(0, 1, 2 - 1j), (1, 1, 3.0)], 2, rank_hint=1)
@@ -45,6 +54,11 @@ class TestRealization:
     def test_negated_view_realizes_negated(self):
         s = SampledMatrix.build([(0, 0, 1.5)], 2, rank_hint=1)
         assert np.array_equal(dense_store(NegatedView(s)), -dense_store(s))
+        # Rows 1, 2, 4 and 6 store nothing.
+        s = SampledMatrix.build([(0, 3, 1 - 2j), (3, 3, 0.5), (5, 0, 2j)], 7, rank_hint=2)
+        assert np.array_equal(dense_store(s), row_by_row(s))
+        assert np.array_equal(dense_store(NegatedView(s)), -row_by_row(s))
+        assert np.array_equal(dense_store(NegatedView(NegatedView(s))), row_by_row(s))
 
     def test_sum_realizes_summand_sum(self):
         ms = random_matrix_sum(8, tau=3, rank=2, rng=substream(100, 1))

@@ -8,7 +8,7 @@ import pytest
 from sdpsketch import linalg
 from sdpsketch.errors import EmptySketch, InternalError, ShapeError, ZeroMassError
 from sdpsketch.instances import planted_around_state, random_low_rank, random_matrix_sum
-from sdpsketch.oracle import dense_basis, dense_realize, dense_sketch_rows
+from sdpsketch.oracle import dense_basis, dense_realize, dense_sketch_rows, dense_store
 from sdpsketch.rng import substream
 from sdpsketch.sketch import (
     BasisSketch,
@@ -75,7 +75,7 @@ class TestMatrixSum:
         assert [(id(s), c, k) for s, c, k in ms.terms] == [(id(a), 3, 1), (id(b), 2, 2)]
         for i in range(3):
             assert ms.row_masses([i])[0] == pytest.approx(
-                sum(s.row_masses([i])[0] for s in ms.summands), rel=1e-15
+                sum(np.sum(np.abs(dense_store(s)[i]) ** 2) for s in ms.summands), rel=1e-15
             )
 
     def test_rejects_empty_and_mismatched(self):
@@ -481,7 +481,7 @@ def pxp_core(ms, rows, row_probs, cols):
     sq = np.zeros((p, p))
     vals = np.zeros((p, p), dtype=np.complex128)
     for s in ms.summands:
-        g = s.block(rows, cols)
+        g = dense_store(s)[np.ix_(rows, cols)]
         vals += g
         sq += np.abs(g) ** 2
     row_mass = ms.row_masses(rows)

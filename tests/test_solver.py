@@ -14,6 +14,7 @@ from sdpsketch.instances import (
     projector_store,
     random_low_rank,
     random_unit_vector,
+    shadow_instance,
 )
 from sdpsketch.rng import substream
 from sdpsketch.sketch import SketchParams
@@ -28,6 +29,7 @@ from sdpsketch.solver import (
 )
 from sdpsketch.solver import test_feasibility as run_feasibility
 from sdpsketch.store import NegatedView
+from sdpsketch.trace import EstimatorConfig, estimate_trace_product
 
 FAST = SolverConfig(seed=5, t_override=8, sketch=SketchParams(p=200, gamma=1e-8))
 
@@ -328,3 +330,58 @@ class TestShadowReduction:
             shadow_to_feasibility(effects, [0.1, 0.2], eps=0.2)
         with pytest.raises(ValueError):
             shadow_to_feasibility(effects, [1.5], eps=0.2)
+
+
+SUMMAND_READS = {"n", "frobenius_norm", "row_masses", "rows_at", "cols_at", "block", "row_columns"}
+CONSTRAINT_READS = {
+    "n", "rank_hint", "nnz", "frobenius_norm", "total_mass", "entries", "sample_entries"
+}
+
+
+class ProtocolStore:
+    """A store answering the summand and constraint reads and nothing else.
+
+    Each read is forwarded to the wrapped store and its name recorded in
+    ``reads``; any other attribute raises AttributeError.
+    """
+
+    def __init__(self, base):
+        self._base = base
+        self.reads = set()
+
+    def __getattr__(self, name):
+        if name not in SUMMAND_READS | CONSTRAINT_READS:
+            raise AttributeError(name)
+        self.reads.add(name)
+        return getattr(self._base, name)
+
+
+class TestStoreProtocols:
+    def test_stand_in_store_runs_the_solver(self):
+        """A store with only the two protocols solves as the real one does.
+
+        The planted shadow instance's first effect is missed by the
+        uniform state, so the view of its stand-in enters the exponent.
+        """
+        effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
+        stand_ins = [ProtocolStore(e) for e in effects]
+        with pytest.raises(AttributeError):
+            stand_ins[0].touches
+        want = run_feasibility(shadow_to_feasibility(effects, values, 0.25), FAST)
+        got = run_feasibility(shadow_to_feasibility(stand_ins, values, 0.25), FAST)
+        assert got.verdict == want.verdict == "feasible"
+        assert got.iterations_used == want.iterations_used > 1
+        assert got.violation_log == want.violation_log
+        assert any(j >= len(effects) for _, j, _ in got.violation_log)
+        n = effects[0].n
+        assert [got.witness.query(i, j) for i in range(n) for j in range(n)] == [
+            want.witness.query(i, j) for i in range(n) for j in range(n)
+        ]
+        # A loose estimate draws its entries, through a view as the solver reads one.
+        cfg = EstimatorConfig(eps=5.0, delta=0.9)
+        assert cfg.batch_count() * cfg.batch_size(effects[0].total_mass(), 1.0) < effects[0].nnz
+        b = want.witness.operator()
+        assert estimate_trace_product(
+            NegatedView(stand_ins[0]), b, cfg, substream(154, 2)
+        ) == estimate_trace_product(NegatedView(effects[0]), b, cfg, substream(154, 2))
+        assert stand_ins[0].reads == SUMMAND_READS | CONSTRAINT_READS

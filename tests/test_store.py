@@ -373,8 +373,7 @@ class TestBuildValidation:
 
     def test_mirror_is_conjugate(self):
         store = build({(0, 1): 1.0 + 2.0j}, n=2, rank_hint=1)
-        assert store.query(1, 0) == (1.0 - 2.0j)
-        assert store.query(0, 1) == (1.0 + 2.0j)
+        assert store.block([1, 0], [0, 1]).tolist() == [[1.0 - 2.0j, 0j], [0j, 1.0 + 2.0j]]
 
     def test_imaginary_diagonal_rejected(self):
         with pytest.raises(HermiticityError):
@@ -475,9 +474,7 @@ class TestWideStore:
         for i in self.EMPTY:
             cols, vals = store.row_support(i)
             assert cols.shape == vals.shape == (0,)
-            for j in self.COORDS + [i]:
-                assert store.query(i, j) == 0j
-                assert store.query(j, i) == 0j
+            assert not store.block(self.COORDS + [i], [i]).any()
         assert store.touches == 0
 
     def test_cols_at_on_empty_row_names_it(self):
@@ -500,9 +497,6 @@ class TestHugeDimension:
         assert rows.tolist() == [1, self.BIG, self.BIG]
         assert cols.tolist() == [self.BIG, 1, self.BIG]
         assert vals.tolist() == [1.0, 1.0, 2.0]
-        assert store.query(1, self.BIG) == store.query(self.BIG, 1) == 1.0
-        assert store.query(self.BIG, self.BIG) == 2.0
-        assert store.query(1, 1) == store.query(self.N - 1, self.BIG) == 0j
         got = store.block([1, self.BIG, 0, self.N - 1], [self.BIG, 1, self.N - 1])
         assert got.tolist() == [[1, 0, 0], [2, 1, 0], [0, 0, 0], [0, 0, 0]]
         cols, vals = store.row_support(self.BIG)
@@ -534,10 +528,10 @@ class TestAccessorCost:
         store.row_support(i)
         store.frobenius_norm()
         assert store.touches == 0
-        store.query(i, j)
+        store.block([i], [j])
         assert store.touches == 1
         if n > 1:
-            store.query(0, n - 1)
+            store.block([0], [n - 1])
             assert store.touches == 1
         store.block([i], np.arange(n))
         assert store.touches == 1 + store.row_support(i)[0].shape[0]
@@ -565,16 +559,26 @@ class TestUpdatesAndViews:
         view = NegatedView(store)
         assert view.n == store.n
         assert view.rank_hint == store.rank_hint
+        assert view.nnz == store.nnz
         assert view.frobenius_norm() == store.frobenius_norm()
-        assert np.array_equal(view.row_masses(np.arange(6)), store.row_masses(np.arange(6)))
-        u = rngmod.substream(0, rngmod.INSTANCE, 61).random(50)
-        assert np.array_equal(view.rows_at(u), store.rows_at(u))
+        assert view.total_mass() == store.total_mass()
+        for got, want, sign in zip(view.entries(), store.entries(), (1, 1, -1)):
+            assert np.array_equal(got, sign * want)
         pairs = rngmod.substream(0, 1, 7).random((64, 2))
         rows_v, cols_v, vals_v = view.sample_entries(pairs)
         rows_s, cols_s, vals_s = store.sample_entries(pairs)
         assert np.array_equal(rows_v, rows_s)
         assert np.array_equal(cols_v, cols_s)
         assert np.array_equal(vals_v, -vals_s)
+
+    def test_negated_view_answers_only_constraint_reads(self):
+        """A view holds its base and forwards the constraint reads, no more."""
+        public = {name for name in vars(NegatedView) if not name.startswith("_")}
+        assert public == {
+            "n", "rank_hint", "nnz", "frobenius_norm", "total_mass", "entries", "sample_entries"
+        }
+        store = diag_fixture()
+        assert vars(NegatedView(store)) == {"base": store}
 
 
 def uniforms_hitting(targets: np.ndarray, total: float) -> np.ndarray:
@@ -593,7 +597,7 @@ def uniforms_hitting(targets: np.ndarray, total: float) -> np.ndarray:
 class TestEntryDraws:
     """``sample_entries(u)`` draws each row by `rows_at` on ``u[:, 0]``,
     then its column by `cols_at` on ``u[:, 1]``, and returns the values
-    `query` reads there."""
+    stored there."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -619,7 +623,8 @@ class TestEntryDraws:
         u = np.column_stack([x, gen.permutation(x)])
         rows = store.rows_at(u[:, 0])
         cols = store.cols_at(rows, u[:, 1])
-        vals = np.array([store.query(i, j) for i, j in zip(rows.tolist(), cols.tolist())])
+        stored = stored_dict(store)
+        vals = np.array([stored.get(key, 0j) for key in zip(rows.tolist(), cols.tolist())])
         got_r, got_c, got_v = store.sample_entries(u)
         assert np.array_equal(got_r, rows)
         assert np.array_equal(got_c, cols)
@@ -694,7 +699,6 @@ class TestInRowDraws:
         order = gen.permutation(sum(u.shape[0] for u in us))
         rows, us, want = (np.concatenate(x)[order] for x in (rows, us, want))
         assert np.array_equal(store.cols_at(rows, us), want)
-        assert np.array_equal(NegatedView(store).cols_at(rows, us), want)
 
     def test_zero_mass_row_raises(self):
         # Row 0 stores explicit zeros, row 1 their mirror, row 3 nothing.
@@ -741,7 +745,6 @@ class TestBlockGather:
         assert store.touches - before == np.count_nonzero(
             [np.isin(cols, store.row_support(int(i))[0]) for i in rows]
         )
-        assert np.array_equal(NegatedView(store).block(rows, cols), -want)
         masses = [np.cumsum(np.abs(store.row_support(int(i))[1]) ** 2) for i in rows]
         assert np.array_equal(
             store.row_masses(rows), np.array([m[-1] if m.size else 0.0 for m in masses])
@@ -786,14 +789,6 @@ class TestBlockGather:
         before = store.touches
         assert np.array_equal(store.block(rows, cols), want)
         assert store.touches - before == np.count_nonzero(want != 0)
-        # One query per requested pair reads what `row_support` holds
-        # there, and counts one touch where it holds an entry.
-        for i in rows.tolist():
-            stored = dict(zip(*(x.tolist() for x in store.row_support(i))))
-            for j in cols.tolist():
-                before = store.touches
-                assert store.query(i, j) == stored.get(j, 0j)
-                assert store.touches - before == (j in stored)
 
     def test_out_of_range_row_raises(self):
         store = diag_fixture()
@@ -804,15 +799,11 @@ class TestBlockGather:
                 store.row_masses([r])
 
     def test_out_of_range_column_raises(self):
-        """A column outside [0, n) raises as a row does, and as `query` does."""
+        """A column outside [0, n) raises as a row does, naming it."""
         store = diag_fixture()
         for c in (-1, 2):
             with pytest.raises(IndexError, match=f"column {c} outside"):
                 store.block([0], [0, c])
-            with pytest.raises(IndexError, match=f"column {c} outside"):
-                NegatedView(store).block([0], [c])
-            with pytest.raises(IndexError):
-                store.query(0, c)
 
 
 class TestFileFormat:
@@ -827,9 +818,7 @@ class TestFileFormat:
         assert loaded.n == store.n
         assert loaded.rank_hint == store.rank_hint
         assert loaded.nnz == store.nnz
-        for i in range(5):
-            for j in range(5):
-                assert loaded.query(i, j) == store.query(i, j)
+        assert np.array_equal(dense_store(loaded), dense_store(store))
 
     def test_header_and_one_based_upper_triangle(self, tmp_path):
         store = build({(0, 1): 1.0 - 2.0j, (1, 1): 3.0}, n=2, rank_hint=1)
@@ -885,7 +874,7 @@ class TestFileFormat:
         path = tmp_path / "ok.mat"
         path.write_text("# header comment\nn 2 rank 1\n\n1 1 1.5 0\n# tail\n")
         store = SampledMatrix.load(str(path))
-        assert store.query(0, 0) == 1.5
+        assert store.block([0], [0]).tolist() == [[1.5]]
 
 
 def reference_load(path: str) -> SampledMatrix:
