@@ -56,8 +56,6 @@ _LAZY = {
     "RunReport": "report",
     "load_manifest": "manifest",
     "load_feasibility": "manifest",
-    "load_shadow": "manifest",
-    "load_optimization": "manifest",
 }
 
 __all__ = sorted(

@@ -1,11 +1,11 @@
 """Succinct Gibbs-weighted solution candidate and its trace estimates.
 
-The candidate density operator is (V U) exp(-beta D) (V U)^dagger / eta
-for the sketched basis V and compressed eigensystem (U, D), with
-eta = sum_k exp(-beta D_k).  The normalizer is carried in max-subtracted
-form (mantissa, log-scale) so large exponents cannot overflow; entry
-queries cancel the scale exactly.  When the basis is empty the candidate
-falls back to the maximally mixed state I/n.
+The candidate density operator is (V U) diag(w) (V U)^dagger / sum_k w_k
+for the sketched basis V and compressed eigensystem (U, D), with weights
+w_k = exp(-beta (D_k - min D)): the max-subtracted form of exp(-beta D),
+whose common scale cancels in the ratio, so no weight overflows.  A round
+whose sketch keeps no direction has no basis, and its candidate is the
+maximally mixed state I/n (`GibbsDescription.uniform`).
 """
 from __future__ import annotations
 
@@ -24,15 +24,16 @@ _BOUND_SLACK = 1e-9
 class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
-    Immutable in meaning; internal caches only memoize rows.  Basis rows
-    V are read in place from the basis's table (`BasisSketch.fill`),
-    which holds |support| + 1 rows whatever n, the last being the zero
-    row that every row off the support reads.  The candidate keeps only
-    what it derives: the rows of V times the core, by table position
-    with their own fill mask, and the norm.  Entry queries cost
-    O(distinct rows x distinct stores) on the first touch of a row in
-    the basis support and O(r_tilde) after.  The rows missing from a
-    request are built in one batch (`BasisSketch.rows_dense`, then
+    Immutable in meaning; internal caches only memoize rows and the norm.
+    Basis rows V are read in place from the basis's table
+    (`BasisSketch.fill`), which holds |support| + 1 rows whatever n, the
+    last being the zero row that every row off the support reads.  The
+    candidate keeps only what it derives: the normalized core, the rows
+    of V times the core, allocated with the candidate by table position
+    and filled on first touch under their own mask, and the norm.  Entry
+    queries cost O(distinct rows x distinct stores) on the first touch of
+    a row in the basis support and O(r_tilde) after.  The rows missing
+    from a request are built in one batch (`BasisSketch.rows_dense`, then
     `linalg.rowwise_matmul` by the core).  A row's bits do not depend on
     which other rows shared its batch, so an entry queried on a fresh
     candidate equals the same entry after any bulk fill.
@@ -54,21 +55,17 @@ class GibbsDescription:
         self.uniform_fallback = basis is None
         if self.uniform_fallback:
             self.r_tilde = 0
-            self.eta_mantissa = float(n)
-            self.eta_log = 0.0
             self._core = None
         else:
             d = surrogate.d
             self.r_tilde = int(d.shape[0])
-            d_min = float(d.min())
-            weights = np.exp(-self.beta * (d - d_min))
-            self.eta_mantissa = float(weights.sum())
-            self.eta_log = -self.beta * d_min
+            weights = np.exp(-self.beta * (d - float(d.min())))
             core = (surrogate.u * weights[np.newaxis, :]) @ surrogate.u.conj().T
-            core /= self.eta_mantissa
+            core /= float(weights.sum())
             self._core = 0.5 * (core + core.conj().T)
-        self._vm_rows = None
-        self._vm_filled = None
+            rows = basis.table.shape[0]
+            self._vm_rows = np.zeros_like(basis.table)
+            self._vm_filled = np.arange(rows) == rows - 1
         self._fro = None
 
     @classmethod
@@ -76,19 +73,11 @@ class GibbsDescription:
         """Maximally mixed fallback I/n."""
         return cls(n=n, beta=0.0, basis=None, surrogate=None)
 
-    @property
-    def eta(self) -> float:
-        return self.eta_mantissa * float(np.exp(self.eta_log))
-
     # -- row caches ---------------------------------------------------
 
     def _ensure_rows(self, indices: np.ndarray) -> np.ndarray:
         """Table positions of the given rows, building any row not yet built."""
         pos = self.basis.fill(indices)
-        if self._vm_rows is None:
-            rows = self.basis.table.shape[0]
-            self._vm_rows = np.zeros_like(self.basis.table)
-            self._vm_filled = np.arange(rows) == rows - 1
         fresh = pos[~self._vm_filled[pos]]
         if fresh.size:
             missing = np.unique(fresh)
@@ -163,8 +152,6 @@ class GibbsDescription:
 
 def make_gibbs(v: BasisSketch, s: SpectralSurrogate, beta: float) -> GibbsDescription:
     """Assemble the candidate from a basis and its compressed eigensystem."""
-    if s.r_tilde == 0:
-        return GibbsDescription.uniform(v.ms.n)
     if s.r_tilde != v.r_tilde:
         raise ShapeError(
             f"eigensystem size {s.r_tilde} does not match basis size {v.r_tilde}"

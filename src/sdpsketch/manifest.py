@@ -24,8 +24,8 @@ the bytes that are then parsed: each matrix file is read once.
 
 The manifest is read once too: `load_manifest` keeps the sha256 of the
 bytes it parsed, which a report pins, and each problem is built from
-that `Manifest`; `load_feasibility`, `load_optimization` and
-`load_shadow` are a parse followed by a build.
+that `Manifest` (`feasibility_problem`, `optimization_problem`,
+`shadow_effects`); `load_feasibility` is a parse followed by a build.
 """
 from __future__ import annotations
 
@@ -231,27 +231,6 @@ def load_feasibility(path: str) -> FeasibilityProblem:
     return feasibility_problem(manifest, manifest.effective_epsilon)
 
 
-def load_optimization(path: str) -> tuple[OptimizationProblem, float]:
-    """Returns the problem plus the effective slack for the inner calls."""
-    manifest = load_manifest(path)
-    return optimization_problem(manifest), manifest.effective_epsilon
-
-
-def load_shadow(path: str) -> tuple[list[SampledMatrix], list[float], float]:
-    manifest = load_manifest(path)
-    return (*shadow_effects(manifest), manifest.effective_epsilon)
-
-
-def write_matrix_files(directory: str, stores: list, prefix: str = "constraint") -> list[str]:
-    """Save stores as .mat files in directory, returning relative names."""
-    names = []
-    for k, store in enumerate(stores):
-        name = f"{prefix}_{k}.mat"
-        store.save(os.path.join(directory, name))
-        names.append(name)
-    return names
-
-
 def _write_manifest(path: str, head: list[str], listed: list[tuple], with_hashes: bool) -> None:
     """Save the listed matrices next to ``path``, then write the manifest.
 
@@ -272,7 +251,7 @@ def _write_manifest(path: str, head: list[str], listed: list[tuple], with_hashes
 
 
 def _listed(key: str, stores: list, values: list[float]) -> list[tuple]:
-    """(key, file name, store, value) lines, the files named as `write_matrix_files` does."""
+    """(key, file name, store, value) lines, file k of each key named ``<key>_<k>.mat``."""
     if len(stores) != len(values):
         raise ShapeError(f"{len(stores)} {key} matrices but {len(values)} values")
     return [(key, f"{key}_{k}.mat", s, v) for k, (s, v) in enumerate(zip(stores, values))]

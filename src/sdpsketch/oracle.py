@@ -61,8 +61,6 @@ def dense_sketch_rows(ms: MatrixSum, rows: np.ndarray, row_probs: np.ndarray) ->
 
 def dense_basis(v: BasisSketch) -> np.ndarray:
     """Materialize the approximate eigenbasis as an n x r_tilde array."""
-    if v.r_tilde == 0:
-        return np.zeros((v.n, 0), dtype=np.complex128)
     return dense_realize(v.ms)[v.rows].conj().T @ v._folded / v.singular_values
 
 

@@ -205,10 +205,10 @@ class BasisSketch:
     sum) and the distinct core's left vectors.  Rows are reconstructed
     from the stores on demand at O(distinct rows x distinct stores) cost
     each.  The n-by-r_tilde matrix itself is never stored, and rows off
-    `support()` are exactly zero.  `table` holds the rows built so far:
-    row k is the basis row of ``support()[k]`` once `fill` has built it,
-    and the last row is the zero row that every row off the support
-    reads.  It is None until the first `fill`.
+    `support()` are exactly zero.  `table` has one row per support index
+    and a last, zero row that every row off the support reads; row k is
+    the basis row of ``support()[k]`` once `fill` has built it.  A sketch
+    keeps at least one direction: with none it raises `EmptySketch`.
     """
 
     def __init__(self, ms, rows, row_probs, counts, singular_values, left_vectors):
@@ -220,6 +220,8 @@ class BasisSketch:
         self.left_vectors = np.asarray(left_vectors, dtype=np.complex128)
         self.p = int(self.counts.sum())
         self.r_tilde = int(self.singular_values.shape[0])
+        if self.r_tilde == 0:
+            raise EmptySketch("a basis sketch needs at least one direction")
         shape = (self.rows.shape[0], self.r_tilde)
         if self.row_probs.shape != shape[:1] or self.counts.shape != shape[:1]:
             raise ShapeError("row probabilities and counts must match sampled rows")
@@ -237,9 +239,13 @@ class BasisSketch:
         self._folded = self.left_vectors * np.sqrt(
             self.counts / (self.p * self.row_probs)
         )[:, np.newaxis]
-        self._support = None
-        self.table = None
-        self._filled = None
+        self._support = np.unique(
+            np.concatenate([store.row_columns(self.rows) for store, _, _ in ms.terms])
+        )
+        rows = self._support.shape[0] + 1
+        self.table = np.zeros((rows, self.r_tilde), dtype=np.complex128)
+        # Only the trailing zero row is filled from the start.
+        self._filled = np.arange(rows) == rows - 1
 
     @property
     def n(self) -> int:
@@ -251,14 +257,9 @@ class BasisSketch:
         Row V(i, :) combines conj(A(i_s, i)) over sampled rows i_s and
         summands A, so it vanishes unless i is stored in some sampled row
         of some summand.  The distinct sampled rows of each distinct
-        store (`MatrixSum.terms`) are read in one call.  Memoized.
+        store (`MatrixSum.terms`) are read in one call, when the sketch is
+        built.
         """
-        if self._support is None:
-            self._support = np.unique(
-                np.concatenate(
-                    [store.row_columns(self.rows) for store, _, _ in self.ms.terms]
-                )
-            )
         return self._support
 
     def support_index(self, indices) -> np.ndarray:
@@ -283,11 +284,6 @@ class BasisSketch:
         depend on the batch, so a table row is the same however it was filled.
         """
         pos = self.support_index(indices)
-        if self.table is None:
-            rows = self.support().shape[0] + 1
-            self.table = np.zeros((rows, self.r_tilde), dtype=np.complex128)
-            # Only the trailing zero row is filled from the start.
-            self._filled = np.arange(rows) == rows - 1
         fresh = pos[~self._filled[pos]]
         if fresh.size:
             missing = np.unique(fresh)

@@ -42,9 +42,9 @@ class SpectralSurrogate:
             raise ValueError(
                 f"eigenvector block has shape {self.u.shape}, expected {(r, r)}"
             )
-        if r and self.basis is not None:
+        if self.basis is not None:
             bound = self.basis.ms.tau + SPECTRUM_SLACK
-            top = float(np.abs(self.d).max())
+            top = float(np.abs(self.d).max(initial=0.0))
             if top > bound:
                 raise NumericalError(
                     f"compressed spectrum reaches {top:.6g}, beyond the "
@@ -86,8 +86,6 @@ def estimate_vav(
     the basis's table in place, through `v.support_index`.
     """
     r = v.r_tilde
-    if r == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
     if not signed:
         return np.zeros((r, r), dtype=np.complex128)
@@ -122,13 +120,10 @@ def estimate_vav(
 
 
 def decompose(core: np.ndarray, basis: Optional[BasisSketch] = None) -> SpectralSurrogate:
-    """Exact eigendecomposition of the (Hermitian) compressed matrix."""
-    core = np.asarray(core, dtype=np.complex128)
-    if core.shape[0] == 0:
-        return SpectralSurrogate(
-            u=np.zeros((0, 0), dtype=np.complex128),
-            d=np.zeros(0, dtype=np.float64),
-            basis=basis,
-        )
-    u, d = linalg.eigh(core)
+    """Exact eigendecomposition of the (Hermitian) compressed matrix.
+
+    A 0 x 0 core gives the empty eigensystem, which `make_gibbs` rejects
+    against any basis, since a basis keeps at least one direction.
+    """
+    u, d = linalg.eigh(np.asarray(core, dtype=np.complex128))
     return SpectralSurrogate(u=u, d=d, basis=basis)

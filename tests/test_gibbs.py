@@ -12,7 +12,7 @@ from sdpsketch.gibbs import (
     make_gibbs,
 )
 from sdpsketch.instances import random_low_rank, random_matrix_sum
-from sdpsketch.oracle import dense_realize, dense_solution
+from sdpsketch.oracle import dense_basis, dense_realize, dense_solution
 from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
@@ -30,6 +30,17 @@ def candidate(n=16, tau=1, rank=2, p=120, beta=1.0, seed=60):
 def surrogate_with(d):
     d = np.asarray(d, dtype=float)
     return SpectralSurrogate(u=np.eye(d.shape[0], dtype=complex), d=d)
+
+
+def queried(g):
+    """Every entry of the candidate, as its queries answer them."""
+    return np.array([[g.query(i, j) for j in range(g.n)] for i in range(g.n)])
+
+
+def weighted_basis(v, w):
+    """V diag(w / sum w) V^dagger on the materialized basis (U = I)."""
+    vd = dense_basis(v)
+    return (vd * (np.asarray(w) / np.sum(w))) @ vd.conj().T
 
 
 class TestBatchIndependentQueries:
@@ -106,27 +117,36 @@ class TestWideCandidate:
 class TestNormalizer:
     def test_frozen_two_level_value(self):
         ms, g = candidate(beta=0.0, seed=61)
+        assert g.r_tilde == 2
         two = GibbsDescription(
             n=g.n, beta=np.log(2.0), basis=g.basis,
             surrogate=surrogate_with([1.0, -1.0]),
         )
-        # exp(-log 2) + exp(+log 2) = 0.5 + 2.
-        assert two.eta == pytest.approx(2.5, rel=1e-12)
+        # exp(-log 2) and exp(+log 2), 0.5 and 2, normalize to 0.2 and 0.8.
+        want = weighted_basis(g.basis, [0.2, 0.8])
+        np.testing.assert_allclose(queried(two), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dense_solution(two), want, rtol=0, atol=1e-13)
 
     def test_extreme_exponents_stay_finite_internally(self):
         ms, g = candidate(beta=0.0, seed=62)
+        assert g.r_tilde == 2
         wide = GibbsDescription(
             n=g.n, beta=1.0, basis=g.basis,
             surrogate=surrogate_with([1e5, -1e5]),
         )
-        assert np.isfinite(wide.eta_mantissa)
-        assert wide.eta_log == 1e5
-        assert np.isfinite(wide.query(0, 0).real)
-        assert np.isfinite(wide.frobenius_norm())
+        # exp(-1e5) and exp(+1e5) overflow unscaled; their ratio leaves
+        # all the weight on the second direction.
+        want = weighted_basis(g.basis, [0.0, 1.0])
+        got = queried(wide)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert wide.frobenius_norm() == pytest.approx(np.linalg.norm(want), rel=1e-10)
 
     def test_beta_zero_weights_all_directions_equally(self):
         ms, g = candidate(beta=0.0, seed=63)
-        assert g.eta == pytest.approx(float(g.r_tilde), rel=1e-12)
+        # U is unitary, so equal weights leave V V^dagger / r_tilde.
+        want = weighted_basis(g.basis, np.ones(g.r_tilde))
+        np.testing.assert_allclose(queried(g), want, rtol=0, atol=1e-13)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -141,10 +161,10 @@ class TestUniformFallback:
         assert g.query(0, 3) == 0j
         assert g.query(4, 4) == complex(0.2)
 
-    def test_norms_and_eta(self):
+    def test_norms_and_trace(self):
         g = GibbsDescription.uniform(4)
         assert g.frobenius_norm() == pytest.approx(0.5)
-        assert g.eta == pytest.approx(4.0)
+        np.testing.assert_array_equal(queried(g), np.eye(4) / 4)
 
     def test_trace_against_store(self):
         a = random_low_rank(8, 2, substream(64, 1))
@@ -161,14 +181,14 @@ class TestUniformFallback:
 
 
 class TestAssembly:
-    def test_empty_eigensystem_falls_back_to_uniform(self):
-        ms, g = candidate(seed=65)
-        hollow = SpectralSurrogate(
-            u=np.zeros((0, 0), dtype=complex), d=np.zeros(0)
-        )
-        out = make_gibbs(g.basis, hollow, beta=2.0)
-        assert out.uniform_fallback
-        assert out.n == ms.n
+    def test_empty_eigensystem_rejected(self):
+        _, g = candidate(seed=65)
+        # A basis keeps at least one direction, so no basis pairs with
+        # the empty eigensystem; the uniform candidate has no basis.
+        hollow = decompose(np.zeros((0, 0)), basis=g.basis)
+        assert hollow.r_tilde == 0
+        with pytest.raises(ShapeError):
+            make_gibbs(g.basis, hollow, beta=2.0)
 
     def test_size_mismatch_rejected(self):
         _, g = candidate(seed=66)
@@ -222,7 +242,9 @@ class TestQueriesAgainstDense:
         # the lazy path that fills only the rows it touches.
         monkeypatch.setattr(fresh, "frobenius_norm", lambda: g.frobenius_norm())
         op = fresh.operator()
-        assert basis.table is None and fresh._vm_filled is None
+        # No row is filled yet but the trailing zero row.
+        for filled in (basis._filled, fresh._vm_filled):
+            assert np.flatnonzero(filled).tolist() == [filled.shape[0] - 1]
         rows = np.array([0, 3, 5, 5, 12, 3, 0, 15, 5])
         cols = np.array([1, 3, 0, 5, 9, 3, 1, 0, 12])
         lazy = op.bulk_entries(rows, cols)

@@ -10,8 +10,8 @@ from sdpsketch.instances import projector_store, random_low_rank, random_unit_ve
 from sdpsketch.manifest import (
     load_feasibility,
     load_manifest,
-    load_optimization,
-    load_shadow,
+    optimization_problem,
+    shadow_effects,
     write_feasibility_manifest,
     write_optimize_manifest,
     write_shadow_manifest,
@@ -236,9 +236,9 @@ epsilon 0.2
 constraint a.mat 0.0
 """)
         with pytest.raises(ManifestError, match="expected an optimize manifest"):
-            load_optimization(feas)
+            optimization_problem(load_manifest(feas))
         with pytest.raises(ManifestError, match="expected a shadow manifest"):
-            load_shadow(feas)
+            shadow_effects(load_manifest(feas))
 
 
 class TestWriters:
@@ -260,9 +260,10 @@ class TestWriters:
         effects = [projector_store(random_unit_vector(6, rng)) for _ in range(2)]
         path = str(tmp_path / "sh.man")
         write_shadow_manifest(path, effects, [0.75, 0.125], eps=0.2)
-        got_effects, got_values, got_eps = load_shadow(path)
+        parsed = load_manifest(path)
+        got_effects, got_values = shadow_effects(parsed)
         assert got_values == [0.75, 0.125]
-        assert got_eps == 0.2
+        assert parsed.effective_epsilon == 0.2
         # The same file also loads as a two-sided feasibility problem.
         problem = load_feasibility(path)
         assert problem.m == 4
@@ -276,8 +277,9 @@ class TestWriters:
         path = str(tmp_path / "opt.man")
         write_optimize_manifest(path, cost, constraints, [1.0], eps=0.5,
                                 rp=2.0, rd=1.0)
-        problem, eff_eps = load_optimization(path)
-        assert eff_eps == pytest.approx(0.25)
+        parsed = load_manifest(path)
+        problem = optimization_problem(parsed)
+        assert parsed.effective_epsilon == pytest.approx(0.25)
         assert problem.n == 6
         assert np.array_equal(dense_store(problem.cost), dense_store(cost))
 

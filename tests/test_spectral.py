@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdpsketch import spectral
-from sdpsketch.errors import HermiticityError, NumericalError
+from sdpsketch.errors import EmptySketch, HermiticityError, NumericalError
 from sdpsketch.instances import random_low_rank, random_matrix_sum
 from sdpsketch.oracle import dense_vav
 from sdpsketch.rng import substream
@@ -92,16 +92,15 @@ class TestEstimateVav:
         b = estimate_vav(v, ms, eps_s=0.3, delta=0.1, rng=substream(45, 3))
         assert np.array_equal(a, b)
 
-    def test_empty_basis_gives_empty_core(self):
+    def test_empty_basis_is_refused(self):
+        # No basis without directions reaches estimate_vav: the sketch
+        # refuses it, and the round falls back to the uniform candidate.
         ms, v = sketched_sum(n=8, tau=1, rank=2, p=40, seed=46)
-        hollow = BasisSketch(
-            ms, v.rows, v.row_probs, v.counts,
-            np.zeros(0), np.zeros((v.rows.shape[0], 0), dtype=complex),
-        )
-        est = estimate_vav(hollow, ms, eps_s=0.1, delta=0.1,
-                           rng=substream(46, 3))
-        assert est.shape == (0, 0)
-        assert decompose(est, basis=hollow).r_tilde == 0
+        with pytest.raises(EmptySketch):
+            BasisSketch(
+                ms, v.rows, v.row_probs, v.counts,
+                np.zeros(0), np.zeros((v.rows.shape[0], 0), dtype=complex),
+            )
 
     def test_one_trace_per_distinct_store(self, monkeypatch):
         a = random_low_rank(8, 2, substream(47, 1))
