@@ -3,9 +3,12 @@
 
 Writes a fixed set of manifests with each writer (the instance of
 README's Python API section, a planted infeasible instance, a rank-2
-shadow instance and an optimize instance), runs `feastest`, `shadow`,
-`oracle` and `feastest` on the optimize manifest with fixed flags, and
-reprints a few entries of every gibbs witness with `entry`.  Every
+shadow instance, an optimize instance, and a feasibility and a shadow
+instance that the maximally mixed state already satisfies), runs
+`feastest`, `shadow`, `oracle` and `feastest` on the optimize manifest
+with fixed flags, and reprints a few entries of every witness with
+`entry`.  The last two runs end feasible at round 1, so their reports
+hold the uniform witness and its exact Tr(A)/n estimates.  Every
 line is `<name> <sha256>` or `<name> exit <code> <sha256>`, in a fixed
 order, so two checkouts compare by diffing this script's output:
 
@@ -19,9 +22,12 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
+
 from sdpsketch.cli import main
 from sdpsketch.instances import (
     planted_around_state,
+    planted_feasible_at_uniform,
     planted_infeasible,
     projector_store,
     random_low_rank,
@@ -33,6 +39,7 @@ from sdpsketch.manifest import (
     write_optimize_manifest,
     write_shadow_manifest,
 )
+from sdpsketch.oracle import dense_store
 from sdpsketch.report import load_report
 from sdpsketch.rng import substream
 
@@ -49,6 +56,8 @@ RUNS = [
     ("oracle", "oracle", "readme", ["--seed", "3", "--max-iters", "8"]),
     ("oracle-shadow", "oracle", "shadow", ["--seed", "3", "--max-iters", "8"]),
     ("optimize", "feastest", "opt", FAST),
+    ("uniform", "feastest", "uniform", FAST),
+    ("shadow-uniform", "shadow", "shadow-uniform", FAST),
 ]
 ENTRIES = [(1, 1), (2, 3), (5, 4), (8, 8)]
 
@@ -60,7 +69,7 @@ def digest(data: bytes) -> str:
 def write_fixtures(root: str) -> dict[str, str]:
     """Each manifest in its own directory; returns name -> manifest path."""
     paths = {}
-    for name in ("readme", "infeasible", "shadow", "opt"):
+    for name in ("readme", "infeasible", "shadow", "opt", "uniform", "shadow-uniform"):
         os.mkdir(os.path.join(root, name))
         paths[name] = os.path.join(root, name, f"{name}.man")
     problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
@@ -77,6 +86,12 @@ def write_fixtures(root: str) -> dict[str, str]:
         eps=0.5,
         rp=2.0,
     )
+    easy = planted_feasible_at_uniform(12, 3, 2, eps=0.25, rng=substream(156, 1))
+    write_feasibility_manifest(paths["uniform"], easy.constraints, easy.bounds, 0.25)
+    # Each value is the effect's expectation in I/n, Tr(E)/n.
+    effects = [projector_store(random_unit_vector(12, substream(157, k))) for k in range(3)]
+    values = [float(np.trace(dense_store(e)).real) / e.n for e in effects]
+    write_shadow_manifest(paths["shadow-uniform"], effects, values, 0.25)
     return paths
 
 
@@ -102,7 +117,7 @@ def main_digests() -> None:
             with open(out, "rb") as fh:
                 print(f"report {name} exit {code} {digest(fh.read() + text)}")
             witness = load_report(out).witness
-            if witness is None or witness.kind != "gibbs":
+            if witness is None:
                 continue
             for row, col in ENTRIES:
                 code, text = run(["entry", out, str(row), str(col), "--manifest", paths[manifest]])

@@ -5,7 +5,8 @@ for the sketched basis V and compressed eigensystem (U, D), with weights
 w_k = exp(-beta (D_k - min D)): the max-subtracted form of exp(-beta D),
 whose common scale cancels in the ratio, so no weight overflows.  A round
 whose sketch keeps no direction has no basis, and its candidate is the
-maximally mixed state I/n (`GibbsDescription.uniform`).
+maximally mixed state I/n (`GibbsDescription.uniform`), whose constraint
+traces Tr[A I/n] = Tr(A)/n are read off the store, not estimated.
 """
 from __future__ import annotations
 
@@ -123,18 +124,13 @@ class GibbsDescription:
         return self._fro
 
     def operator(self) -> QueryableOperator:
-        """Entry oracle for the trace estimator."""
+        """Entry oracle for the trace estimator, over the basis.
+
+        The maximally mixed candidate has none and raises `ShapeError`:
+        its traces are Tr(A)/n in closed form (`estimate_constraint_trace`).
+        """
         if self.uniform_fallback:
-            inv_n = 1.0 / self.n
-
-            def bulk_uniform(rows, cols):
-                return np.where(rows == cols, inv_n, 0.0).astype(np.complex128)
-
-            return QueryableOperator(
-                n=self.n,
-                bulk_entries=bulk_uniform,
-                fro_bound=1.0 / float(np.sqrt(self.n)),
-            )
+            raise ShapeError("the maximally mixed candidate has no basis to query")
 
         def bulk_gibbs(rows, cols):
             pos = self._ensure_rows(np.concatenate([rows, cols]))
@@ -168,12 +164,18 @@ def estimate_constraint_trace(
 ) -> float:
     """Estimate Tr[A rho] for the candidate rho to additive eps.
 
-    The trace estimator's budget targets eps / 5 (a store no larger than
-    its sampling plan is summed exactly, with no error); the remainder of
-    the error allowance covers the gap between the candidate and the
-    ideal Gibbs state it approximates.  Both operands are Hermitian, so
-    the estimate is real.
+    For the maximally mixed candidate the trace is exact, Tr(A)/n from
+    the store's `trace`, with no draw and nothing read from `rng`.
+    Otherwise the trace estimator's budget targets eps / 5 (a store no
+    larger than its sampling plan is summed exactly, with no error); the
+    remainder of the error allowance covers the gap between the candidate
+    and the ideal Gibbs state it approximates.  Both operands are
+    Hermitian, so the estimate is real.
     """
     cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
+    if g.uniform_fallback:
+        if a.n != g.n:
+            raise ShapeError(f"operand dimensions differ: {a.n} vs {g.n}")
+        return a.trace() / g.n
     zeta = estimate_trace_product(a, g.operator(), cfg, rng)
     return float(zeta.real)

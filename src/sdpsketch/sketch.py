@@ -44,9 +44,10 @@ from .store import NegatedView
 MAX_SKETCH_BYTES = 1 << 27
 # Peak bytes per draw while rows and columns are drawn and counted: a
 # fixed part plus a part per distinct store (`MatrixSum.terms`).  Under
-# tracemalloc at p = 3 x 10^5 and 10^6 it was at most 162 with one to
-# four stores and 40 + 24 per store from eight up (808 with 32).
-_DRAW_BYTES = 152
+# tracemalloc at p = 3 x 10^5 and 10^6 (n = 32) it was 129.2 with one
+# store, 116.5 with two, 106.5 with three and 32 + 24 per store from
+# four up (800 with 32), so one store sets the fixed part.
+_DRAW_BYTES = 106
 _DRAW_BYTES_PER_STORE = 24
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
@@ -153,10 +154,7 @@ def sample_rows(
     which = np.searchsorted(ms._mass_prefix, u[:, 0] * total, side="right")
     if int(which.max()) >= len(ms.terms):
         raise InternalError("store draw landed past the last store")
-    rows = np.zeros(p, dtype=np.int64)
-    for k in np.unique(which):
-        at = which == k
-        rows[at] = ms.terms[k][0].rows_at(u[at, 1])
+    rows = _per_store(which, lambda k, at: ms.terms[k][0].rows_at(u[at, 1]))
     return rows, ms.row_masses(rows) / total
 
 
@@ -189,11 +187,24 @@ def sample_cols(
     which = (cum <= u[:, 0] * total).sum(axis=0)
     if int(which.max()) >= len(ms.terms):
         raise InternalError("store draw landed past the last store")
-    cols = np.zeros(p, dtype=np.int64)
-    for k in np.unique(which):
+    return _per_store(which, lambda k, at: ms.terms[k][0].cols_at(drawn[at], u[at, 1]))
+
+
+def _per_store(which: np.ndarray, draw) -> np.ndarray:
+    """``draw(k, at)`` for each store k that ``which`` picks, in draw order.
+
+    ``at`` selects the draws that picked store k.  When one store takes
+    every draw it is ``slice(None)``, so the draw arrays are read in
+    place, not copied.
+    """
+    hit = np.flatnonzero(np.bincount(which))
+    if hit.shape[0] == 1:
+        return draw(int(hit[0]), slice(None))
+    out = np.zeros(which.shape[0], dtype=np.int64)
+    for k in hit.tolist():
         at = which == k
-        cols[at] = ms.terms[k][0].cols_at(drawn[at], u[at, 1])
-    return cols
+        out[at] = draw(k, at)
+    return out
 
 
 class BasisSketch:
@@ -336,7 +347,7 @@ def build_sketch(
             f"{draw_bytes:,} bytes of draw arrays, over the sketch budget of "
             f"{MAX_SKETCH_BYTES:,} bytes"
         )
-    rows, _ = sample_rows(ms, p, rng)
+    rows = sample_rows(ms, p, rng)[0]
     cols = sample_cols(ms, rows, p, rng)
 
     urows, m_r = np.unique(rows, return_counts=True)

@@ -4,9 +4,11 @@ The program reads a store through two protocols, the whole contract a
 new store type meets.  The sketch makes the *summand reads* on each
 distinct store of a `MatrixSum`, views unwrapped: ``n``,
 ``frobenius_norm``, ``row_masses``, ``rows_at``, ``cols_at``, ``block``
-and ``row_columns``.  The trace estimator, the problems and the dense
-reference make the *constraint reads* on a store or a view as a whole:
-``n``, ``rank_hint``, ``nnz``, ``frobenius_norm``, ``total_mass``,
+and ``row_columns``.  The trace estimator, the constraint checks, the
+problems and the dense reference make the eight *constraint reads* on a
+store or a view as a whole: ``n``, ``rank_hint``, ``nnz``,
+``frobenius_norm``, ``total_mass``, ``trace`` (Tr A, which a check
+against the maximally mixed candidate reads in place of an estimate),
 ``entries`` and ``sample_entries``.  `SampledMatrix` answers both, and
 `NegatedView` the constraint reads.
 
@@ -226,6 +228,9 @@ class SampledMatrix:
         np.not_equal(rows[1:], rows[:-1], out=starts[1:-1])
         self._bounds = np.flatnonzero(starts)
         self._row_ids = rows[self._bounds[:-1]]
+        # Tr A, one masked numpy sum over the stored diagonal, which is
+        # real; the mask copies no value.
+        self._trace = float(self._vals.real.sum(where=rows == self._cols))
         del rows
         # One key per entry, row slot x R + column slot, a slot being a
         # position in `_row_ids`: a Hermitian store's stored columns are
@@ -330,6 +335,10 @@ class SampledMatrix:
     def total_mass(self) -> float:
         """Squared Frobenius norm, the last entry of the row prefix."""
         return float(self._row_prefix[-1]) if self._row_prefix.size else 0.0
+
+    def trace(self) -> float:
+        """Tr A, the stored diagonal summed once when the store is built."""
+        return self._trace
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted column indices and values of row ``i`` (views, do not mutate).
@@ -609,7 +618,8 @@ class NegatedView:
     """Sign-flipping view of a store, answering the constraint reads.
 
     Norms and draws are the base's (|-x|^2 = |x|^2); only returned values
-    change sign.  The sketch never reads a view: `MatrixSum` unwraps it.
+    and the trace change sign.  The sketch never reads a view:
+    `MatrixSum` unwraps it.
     """
 
     def __init__(self, base):
@@ -632,6 +642,9 @@ class NegatedView:
 
     def total_mass(self) -> float:
         return self.base.total_mass()
+
+    def trace(self) -> float:
+        return -self.base.trace()
 
     def entries(self):
         r, c, v = self.base.entries()

@@ -17,6 +17,7 @@ from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
 from sdpsketch.store import NegatedView, SampledMatrix
+from sdpsketch.trace import EstimatorConfig
 
 
 def candidate(n=16, tau=1, rank=2, p=120, beta=1.0, seed=60):
@@ -35,6 +36,13 @@ def surrogate_with(d):
 def queried(g):
     """Every entry of the candidate, as its queries answer them."""
     return np.array([[g.query(i, j) for j in range(g.n)] for i in range(g.n)])
+
+
+class Untouchable:
+    """A stand-in stream that fails on any attribute read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"stream attribute {name!r} read")
 
 
 def weighted_basis(v, w):
@@ -172,7 +180,33 @@ class TestUniformFallback:
         got = estimate_constraint_trace(g, a, eps=0.05, delta=0.05,
                                         rng=substream(64, 2))
         want = np.trace(dense_realize(MatrixSum([a], rank=2))).real / 8
-        assert got == pytest.approx(want, abs=0.05)
+        assert got == a.trace() / 8
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
+        assert estimate_constraint_trace(g, NegatedView(a), 0.05, 0.05, None) == -got
+
+    def test_trace_above_the_plan_reads_no_stream(self):
+        """Tr[A I/n] = Tr(A)/n exactly, though the store is above its plan."""
+        n, eps, delta = 64, 0.5, 0.1
+        a = random_low_rank(n, 2, substream(64, 3))
+        cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
+        assert a.nnz > cfg.batch_count() * cfg.batch_size(a.total_mass(), 1.0 / n)
+        before = a.touches
+        got = estimate_constraint_trace(GibbsDescription.uniform(n), a, eps, delta, Untouchable())
+        assert got == a.trace() / n
+        assert a.touches == before
+
+    def test_bad_arguments_rejected(self):
+        a = random_low_rank(8, 2, substream(64, 4))
+        with pytest.raises(ShapeError):
+            estimate_constraint_trace(GibbsDescription.uniform(9), a, 0.05, 0.05, None)
+        for eps, delta in ((0.0, 0.05), (0.05, 1.0)):
+            with pytest.raises(ValueError):
+                estimate_constraint_trace(GibbsDescription.uniform(8), a, eps, delta, None)
+
+    def test_no_entry_oracle(self):
+        """Nothing estimates against I/n, so it answers no operator."""
+        with pytest.raises(ShapeError):
+            GibbsDescription.uniform(4).operator()
 
     def test_out_of_range_query(self):
         g = GibbsDescription.uniform(3)

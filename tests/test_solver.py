@@ -334,7 +334,8 @@ class TestShadowReduction:
 
 SUMMAND_READS = {"n", "frobenius_norm", "row_masses", "rows_at", "cols_at", "block", "row_columns"}
 CONSTRAINT_READS = {
-    "n", "rank_hint", "nnz", "frobenius_norm", "total_mass", "entries", "sample_entries"
+    "n", "rank_hint", "nnz", "frobenius_norm", "total_mass", "trace", "entries",
+    "sample_entries",
 }
 
 

@@ -575,10 +575,42 @@ class TestUpdatesAndViews:
         """A view holds its base and forwards the constraint reads, no more."""
         public = {name for name in vars(NegatedView) if not name.startswith("_")}
         assert public == {
-            "n", "rank_hint", "nnz", "frobenius_norm", "total_mass", "entries", "sample_entries"
+            "n", "rank_hint", "nnz", "frobenius_norm", "total_mass", "trace", "entries",
+            "sample_entries",
         }
         store = diag_fixture()
         assert vars(NegatedView(store)) == {"base": store}
+
+
+class TestTrace:
+    """``trace()`` is Tr A for every way a store is made; a view's is minus its base's."""
+
+    def test_trace_matches_dense(self, tmp_path):
+        rng = rngmod.substream(0, rngmod.INSTANCE, 61)
+        dense = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        dense = dense + dense.conj().T
+        made = SampledMatrix.from_dense(dense, rank_hint=7)
+        path = str(tmp_path / "a.mat")
+        made.save(path)
+        stores = {
+            "built": build({(0, 0): 1.5, (0, 3): 2 - 1j, (4, 4): -0.25, (5, 2): 3.0}, 6, 2),
+            "from_dense": made,
+            "loaded": SampledMatrix.load(path),
+            "hollow": build({(0, 1): 1.0, (2, 3): 1j}, n=5, rank_hint=2),
+            "empty": build({}, n=3, rank_hint=1),
+        }
+        for name, store in stores.items():
+            before = store.touches
+            got = store.trace()
+            assert type(got) is float, name
+            assert NegatedView(store).trace() == -got, name
+            assert NegatedView(NegatedView(store)).trace() == got, name
+            assert store.touches == before, name
+            want = float(np.trace(dense_store(store)).real)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), name
+        assert stores["built"].trace() == 1.25
+        assert stores["loaded"].trace() == stores["from_dense"].trace()
+        assert stores["hollow"].trace() == stores["empty"].trace() == 0.0
 
 
 def uniforms_hitting(targets: np.ndarray, total: float) -> np.ndarray:
