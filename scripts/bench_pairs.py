@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs; write BENCH_<label>.json.
+
+Each pair runs `bench/run.py --trace 0` once in PARENT and once in
+CHANGE, each from its own checkout root, and the side that runs first
+alternates from pair to pair, so a drift in the machine's speed falls on
+both sides alike.  The last line a run prints is its JSON record; every
+record is kept.  Per end-to-end metric the output holds each side's
+values, median and quartiles, and the pair wins: in how many pairs the
+change read better than the parent, worse, or the same, with "better"
+as CHANGE's BENCHMARK.json declares it.  A run that prints no record
+stops the script.
+
+Example, from the root of a checkout:
+
+    python3 scripts/bench_pairs.py ../parent . sparse_wide 1 --pairs 10 --seconds 55
+
+writes BENCH_sparse_wide-seed1.json (the name follows `--label`) into
+`--out`, the current directory by default.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in the checkout at `root`; its JSON record."""
+    cmd = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(
+            f"{' '.join(cmd)} in {root} exited {done.returncode}:\n{done.stderr}"
+        )
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: both sides' spread and the pair wins of the change."""
+    out = {}
+    for name in runs[0]["parent"]["metrics"]:
+        sides = {
+            side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES
+        }
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        gains = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
+        out[name] = {
+            "better": better.get(name, "lower"),
+            **{side: spread(values) for side, values in sides.items()},
+            "change_wins": sum(g > 0 for g in gains),
+            "parent_wins": sum(g < 0 for g in gains),
+            "ties": sum(g == 0 for g in gains),
+        }
+    return out
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the changed checkout")
+    parser.add_argument("workload")
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=55.0)
+    parser.add_argument("--label", help="names the output file (default: WORKLOAD-seedSEED)")
+    parser.add_argument("--out", default=".", help="directory of the output file")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
+        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    runs = []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        run = {"pair": pair, "first": order[0]}
+        for side in order:
+            run[side] = run_once(roots[side], args.workload, args.seed, args.seconds)
+        runs.append(run)
+        print(
+            f"pair {pair} ({order[0]} first): "
+            + ", ".join(
+                f"{side} solve_s {run[side]['metrics']['solve_s']['value']:.6g}"
+                f" attempted {run[side]['attempted']} failed {run[side]['failed']}"
+                for side in SIDES
+            ),
+            flush=True,
+        )
+    metrics = summarize(runs, better)
+    record = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
+        "attempted": {side: [run[side]["attempted"] for run in runs] for side in SIDES},
+        "metrics": metrics,
+        "runs": runs,
+    }
+    label = args.label or f"{args.workload}-seed{args.seed}"
+    path = os.path.join(args.out, f"BENCH_{label}.json")
+    with open(path, "w", encoding="ascii") as handle:
+        json.dump(record, handle, indent=1)
+    for name, m in metrics.items():
+        print(
+            f"{name}: parent median {m['parent']['median']:.6g} "
+            f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change median "
+            f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]; "
+            f"change wins {m['change_wins']}/{args.pairs}, ties {m['ties']}"
+        )
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

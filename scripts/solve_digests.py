@@ -6,8 +6,12 @@ For each workload of `bench/workloads.py` (`sparse_wide`,
 instance set as the benchmark does, loads it, solves it once and hashes
 the workload's `signature` of the outputs: the verdict, iterations and
 violation log of a feasibility run, or the estimates of `gibbs_kernel`.
-Every line is `<workload> <seed> <sha256>`, in a fixed order, so two
-checkouts compare by diffing this script's output:
+For `sparse_wide` a second line, `sparse_wide-witness <seed> <sha256>`,
+hashes the bits of every feasible witness's `frobenius_norm()` and of
+its `operator().bulk_entries` over support x support (the norm alone for
+the maximally mixed witness, which has no operator).  Every line is
+`<name> <seed> <sha256>`, in a fixed order, so two checkouts compare by
+diffing this script's output:
 
     PYTHONPATH=src python3 scripts/solve_digests.py > solves.txt
 """
@@ -22,24 +26,45 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("sparse_wide", "infeasible_long", "gibbs_kernel")
 SEEDS = range(1, 21)
 
 
-def signature_digest(workload, seed: int) -> str:
+def witness_bytes(witness) -> bytes:
+    """The witness's norm, then its entries over support x support, as bits."""
+    out = np.float64(witness.frobenius_norm()).tobytes()
+    if not witness.uniform_fallback:
+        support = witness.basis.support()
+        rows = np.repeat(support, support.shape[0])
+        cols = np.tile(support, support.shape[0])
+        out += witness.operator().bulk_entries(rows, cols).tobytes()
+    return out
+
+
+def digests(workload, seed: int) -> list[tuple[str, str]]:
+    """(line name, sha256) pairs for one workload and seed."""
     with tempfile.TemporaryDirectory() as root:
         loaded = workload.load(workload.generate(seed, root))
     outputs = workload.solve(loaded, seed)
-    return hashlib.sha256(repr(workload.signature(outputs)).encode()).hexdigest()
+    out = [(workload.name, hashlib.sha256(repr(workload.signature(outputs)).encode()))]
+    if workload.name == "sparse_wide":
+        witness = hashlib.sha256()
+        for outcome in outputs:
+            if not isinstance(outcome, Exception) and outcome.feasible:
+                witness.update(witness_bytes(outcome.witness))
+        out.append((f"{workload.name}-witness", witness))
+    return [(name, digest.hexdigest()) for name, digest in out]
 
 
 def main() -> None:
     for name in WORKLOADS:
         workload = workloads.WORKLOADS[name]()
         for seed in SEEDS:
-            print(f"{name} {seed} {signature_digest(workload, seed)}", flush=True)
+            for line, digest in digests(workload, seed):
+                print(f"{line} {seed} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,13 @@
 The candidate density operator is (V U) diag(w) (V U)^dagger / sum_k w_k
 for the sketched basis V and compressed eigensystem (U, D), with weights
 w_k = exp(-beta (D_k - min D)): the max-subtracted form of exp(-beta D),
-whose common scale cancels in the ratio, so no weight overflows.  A round
-whose sketch keeps no direction has no basis, and its candidate is the
-maximally mixed state I/n (`GibbsDescription.uniform`), whose constraint
-traces Tr[A I/n] = Tr(A)/n are read off the store, not estimated.
+whose common scale cancels in the ratio, so no weight overflows.  The
+candidate is thus V and one r_tilde x r_tilde core K = U diag(w)
+U^dagger / sum_k w_k, and its norm reads V only through the basis's
+Gram matrix V^dagger V (`BasisSketch.gram`).  A round whose sketch keeps
+no direction has no basis, and its candidate is the maximally mixed
+state I/n (`GibbsDescription.uniform`), whose constraint traces
+Tr[A I/n] = Tr(A)/n are read off the store, not estimated.
 """
 from __future__ import annotations
 
@@ -25,19 +28,18 @@ _BOUND_SLACK = 1e-9
 class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
-    Immutable in meaning; internal caches only memoize rows and the norm.
-    Basis rows V are read in place from the basis's table
-    (`BasisSketch.fill`), which holds |support| + 1 rows whatever n, the
-    last being the zero row that every row off the support reads.  The
-    candidate keeps only what it derives: the normalized core, the rows
-    of V times the core, allocated with the candidate by table position
-    and filled on first touch under their own mask, and the norm.  Entry
-    queries cost O(distinct rows x distinct stores) on the first touch of
-    a row in the basis support and O(r_tilde) after.  The rows missing
-    from a request are built in one batch (`BasisSketch.rows_dense`, then
-    `linalg.rowwise_matmul` by the core).  A row's bits do not depend on
-    which other rows shared its batch, so an entry queried on a fresh
-    candidate equals the same entry after any bulk fill.
+    The candidate is its basis V and one r_tilde x r_tilde core K, the
+    normalized Gibbs weights in the basis's coordinates: entry (i, j) is
+    V(i, :) K V(j, :)^dagger.  It keeps no row of its own.  Basis rows
+    are read in place from the basis's table (`BasisSketch.fill`), which
+    holds |support| + 1 rows whatever n, the last being the zero row that
+    every row off the support reads, and the norm from the basis's Gram
+    matrix (`BasisSketch.gram`).  An entry query builds at most its two
+    basis rows, at O(distinct rows x distinct stores) each on their first
+    touch, and one row of V K; `operator` forms V K for the whole table
+    in one batch.  Rows go through `linalg.rowwise_matmul`, whose bits do
+    not depend on which other rows share the batch, so an entry queried
+    on a fresh candidate equals the same entry after any bulk read.
     """
 
     def __init__(
@@ -47,8 +49,8 @@ class GibbsDescription:
         basis: BasisSketch | None,
         surrogate: SpectralSurrogate | None,
     ):
-        if beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {beta}")
+        if not 0.0 <= beta < np.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {beta}")
         self.n = n
         self.beta = float(beta)
         self.basis = basis
@@ -64,33 +66,11 @@ class GibbsDescription:
             core = (surrogate.u * weights[np.newaxis, :]) @ surrogate.u.conj().T
             core /= float(weights.sum())
             self._core = 0.5 * (core + core.conj().T)
-            rows = basis.table.shape[0]
-            self._vm_rows = np.zeros_like(basis.table)
-            self._vm_filled = np.arange(rows) == rows - 1
-        self._fro = None
 
     @classmethod
     def uniform(cls, n: int) -> "GibbsDescription":
         """Maximally mixed fallback I/n."""
         return cls(n=n, beta=0.0, basis=None, surrogate=None)
-
-    # -- row caches ---------------------------------------------------
-
-    def _ensure_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Table positions of the given rows, building any row not yet built."""
-        pos = self.basis.fill(indices)
-        fresh = pos[~self._vm_filled[pos]]
-        if fresh.size:
-            missing = np.unique(fresh)
-            self._vm_rows[missing] = linalg.rowwise_matmul(
-                self.basis.table[missing], self._core
-            )
-            self._vm_filled[missing] = True
-        return pos
-
-    def _entry_gibbs(self, i: int, j: int) -> complex:
-        a, b = self._ensure_rows(np.array([i, j]))
-        return complex(np.sum(self._vm_rows[a] * np.conj(self.basis.table[b])))
 
     # -- queries ------------------------------------------------------
 
@@ -101,49 +81,46 @@ class GibbsDescription:
         if self.uniform_fallback:
             return complex(1.0 / self.n) if i == j else 0j
         if i > j:
-            return self._entry_gibbs(j, i).conjugate()
-        return self._entry_gibbs(i, j)
+            return self.query(j, i).conjugate()
+        table = self.basis.table
+        a, b = self.basis.fill(np.array([i, j]))
+        vk = linalg.rowwise_matmul(table[a : a + 1], self._core)[0]
+        return complex(np.sum(vk * np.conj(table[b])))
 
     def frobenius_norm(self) -> float:
-        """Exact Frobenius norm of the candidate.
+        """Exact Frobenius norm of the candidate, sqrt(Re Tr(K G K^dagger G)).
 
-        Reads the Gram matrix of the basis rows in the basis support only,
-        so it costs O(|support| x distinct rows x distinct stores),
-        independent of n.
+        G is the basis's Gram matrix (`BasisSketch.gram`), built once per
+        basis from the support rows, so the norm costs O(r_tilde^3) after
+        it, independent of n.
         """
         if self.uniform_fallback:
             return 1.0 / float(np.sqrt(self.n))
-        if self._fro is None:
-            self._ensure_rows(self.basis.support())
-            rows = self.basis.table[:-1]
-            gram = rows.conj().T @ rows
-            sq = float(
-                np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram))
-            )
-            self._fro = float(np.sqrt(max(sq, 0.0)))
-        return self._fro
+        gram = self.basis.gram()
+        sq = float(np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram)))
+        return float(np.sqrt(max(sq, 0.0)))
 
     def operator(self) -> QueryableOperator:
         """Entry oracle for the trace estimator, over the basis.
 
-        The maximally mixed candidate has none and raises `ShapeError`:
-        its traces are Tr(A)/n in closed form (`estimate_constraint_trace`).
+        The norm fills the basis's whole table, so V K is formed for every
+        table row in one batch and each entry reads its rows by position
+        (`BasisSketch.support_index`).  The maximally mixed candidate has
+        no basis and raises `ShapeError`: its traces are Tr(A)/n in closed
+        form (`estimate_constraint_trace`).
         """
         if self.uniform_fallback:
             raise ShapeError("the maximally mixed candidate has no basis to query")
+        fro_bound = self.frobenius_norm() * (1.0 + _BOUND_SLACK)
+        table = self.basis.table
+        vk = linalg.rowwise_matmul(table, self._core)
 
         def bulk_gibbs(rows, cols):
-            pos = self._ensure_rows(np.concatenate([rows, cols]))
-            at_rows, at_cols = pos[: rows.shape[0]], pos[rows.shape[0] :]
-            return np.einsum(
-                "bl,bl->b", self._vm_rows[at_rows], np.conj(self.basis.table[at_cols])
-            )
+            at_rows = self.basis.support_index(rows)
+            at_cols = self.basis.support_index(cols)
+            return np.einsum("bl,bl->b", vk[at_rows], np.conj(table[at_cols]))
 
-        return QueryableOperator(
-            n=self.n,
-            bulk_entries=bulk_gibbs,
-            fro_bound=self.frobenius_norm() * (1.0 + _BOUND_SLACK),
-        )
+        return QueryableOperator(n=self.n, bulk_entries=bulk_gibbs, fro_bound=fro_bound)
 
 
 def make_gibbs(v: BasisSketch, s: SpectralSurrogate, beta: float) -> GibbsDescription:

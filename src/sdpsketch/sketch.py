@@ -15,7 +15,8 @@ from the stores on demand, at O(distinct rows x distinct stores) each.
 A row can be nonzero only on the union of the sampled rows' stored
 supports (`support`), so the sketch's one row table (`fill`) holds that
 many rows and one zero row, not n, and every reader of basis rows reads
-it in place.
+it in place.  The round's one Gram matrix V^dagger V (`gram`) is summed
+over that table once per sketch.
 
 Every step is a few numpy calls per distinct store, never a Python loop
 over draws or over basis rows: draws go through the stores' bulk
@@ -218,8 +219,9 @@ class BasisSketch:
     each.  The n-by-r_tilde matrix itself is never stored, and rows off
     `support()` are exactly zero.  `table` has one row per support index
     and a last, zero row that every row off the support reads; row k is
-    the basis row of ``support()[k]`` once `fill` has built it.  A sketch
-    keeps at least one direction: with none it raises `EmptySketch`.
+    the basis row of ``support()[k]`` once `fill` has built it, and
+    `gram` sums V^dagger V over it.  A sketch keeps at least one
+    direction: with none it raises `EmptySketch`.
     """
 
     def __init__(self, ms, rows, row_probs, counts, singular_values, left_vectors):
@@ -257,6 +259,7 @@ class BasisSketch:
         self.table = np.zeros((rows, self.r_tilde), dtype=np.complex128)
         # Only the trailing zero row is filled from the start.
         self._filled = np.arange(rows) == rows - 1
+        self._gram = None
 
     @property
     def n(self) -> int:
@@ -301,6 +304,20 @@ class BasisSketch:
             self.table[missing] = self.rows_dense(self.support()[missing])
             self._filled[missing] = True
         return pos
+
+    def gram(self) -> np.ndarray:
+        """The Gram matrix V^dagger V of the basis columns, r_tilde x r_tilde.
+
+        Fills the whole support once (`fill`), since every row that can be
+        nonzero enters the sum; the rest are exactly zero, so it costs
+        O(|support| x distinct rows x distinct stores), independent of n.
+        Computed on the first call and returned as is after.
+        """
+        if self._gram is None:
+            self.fill(self.support())
+            rows = self.table[:-1]
+            self._gram = rows.conj().T @ rows
+        return self._gram
 
     def row(self, i: int) -> np.ndarray:
         """All r_tilde basis entries V(i, :); equal to ``rows_dense([i])[0]``."""

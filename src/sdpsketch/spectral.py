@@ -79,19 +79,19 @@ def estimate_vav(
     exactly zero and so is the result, with no trace made.  The traces
     share `rng`, taken in order (upper-triangle pairs row by row, then
     stores in term order): a sampled trace reads the next uniforms of
-    the stream and an exact one reads none.  The whole support is
-    filled (`v.fill`), since the column norms need every row that can be
-    nonzero; the rest are exactly zero, so the fill costs O(|support| x
-    distinct rows x distinct stores), independent of n.  The oracles read
-    the basis's table in place, through `v.support_index`.
+    the stream and an exact one reads none.  Each oracle's Frobenius
+    bound is the product of two column norms, the square roots of the
+    diagonal of the basis's Gram matrix (`v.gram`), which fills the whole
+    support once per sketch at O(|support| x distinct rows x distinct
+    stores), independent of n.  The oracles read the basis's table in
+    place, through `v.support_index`.
     """
     r = v.r_tilde
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
     if not signed:
         return np.zeros((r, r), dtype=np.complex128)
-    v.fill(v.support())
+    col_norms = np.sqrt(np.diagonal(v.gram()).real)
     table = v.table
-    col_norms = np.sqrt((np.abs(table[:-1]) ** 2).sum(axis=0))
     k = len(signed)
     eps_entry = eps_s / (r * sum(abs(coef) for _, coef in signed))
     delta_entry = 2.0 * delta / (k * (r**2 + r))

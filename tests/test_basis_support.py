@@ -5,6 +5,7 @@ import pytest
 
 from sdpsketch.gibbs import estimate_constraint_trace, make_gibbs
 from sdpsketch.instances import random_low_rank, random_matrix_sum
+from sdpsketch.oracle import dense_basis
 from sdpsketch.report import RunReport, dump_witness, parse, rebuild_witness, render
 from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
@@ -228,6 +229,22 @@ class TestBatchIndependence:
         for bad in ([0, v.n], [-1], [v.n + 5, 0]):
             with pytest.raises(IndexError):
                 v.rows_dense(bad)
+
+
+class TestGram:
+    @pytest.mark.parametrize("name", ["sparse_sketch", "dense_sketch", "sparse_r3", "dense_r7"])
+    def test_gram_matches_dense_and_builds_each_support_row_once(self, name, monkeypatch):
+        base = BATCH_CASES[name]
+        v = BasisSketch(base.ms, base.rows, base.row_probs, base.counts,
+                        base.singular_values, base.left_vectors)
+        calls = count_rows(monkeypatch)
+        gram = v.gram()
+        assert calls[0] == len(v.support())
+        assert v.gram() is gram
+        assert calls[0] == len(v.support())
+        monkeypatch.undo()
+        dense = dense_basis(v)
+        np.testing.assert_allclose(gram, dense.conj().T @ dense, rtol=0, atol=1e-12)
 
 
 class TestRebuiltWitnessQuery:

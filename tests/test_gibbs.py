@@ -85,8 +85,20 @@ def wide_round(n, seed=65):
     return v, decompose(core, basis=v), coords
 
 
+def arrow_round(width):
+    """A one-direction round whose basis support is width rows.
+
+    The store couples row 0 with each of rows 1..width, and row 0 is the
+    basis's one sampled row, so its support is rows 1..width.
+    """
+    entries = [(0, j, 1.0 / np.sqrt(width)) for j in range(1, width + 1)]
+    ms = MatrixSum([SampledMatrix.build(entries, width + 1, 2)], rank=2)
+    v = BasisSketch(ms, [0], [1.0], [1], [1.0], [[1.0 + 0j]])
+    return v, surrogate_with([0.5])
+
+
 class TestWideCandidate:
-    """Basis table and V core rows hold |support| + 1 rows, whatever n."""
+    """The basis table holds |support| + 1 rows, whatever n; the candidate none."""
 
     @pytest.mark.parametrize("n", [1000, 10**7])
     def test_row_caches_sized_by_support(self, n):
@@ -101,10 +113,24 @@ class TestWideCandidate:
         finally:
             tracemalloc.stop()
         shape = (v.support().shape[0] + 1, v.r_tilde)
-        assert v.table.shape == g._vm_rows.shape == shape
-        assert v._filled.shape == g._vm_filled.shape == shape[:1]
+        assert v.table.shape == shape
+        assert v._filled.shape == shape[:1]
         # One n-row complex array alone would take 16 n bytes.
         assert peak < 1e6
+
+    def test_make_gibbs_allocates_no_row_table(self):
+        """Assembling a candidate allocates its core, not a row per support row."""
+        v, s = arrow_round(2500)
+        assert v.support().shape[0] == 2500
+        make_gibbs(v, s, beta=1.0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            make_gibbs(v, s, beta=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One complex128 value per support row alone would take 40 KB.
+        assert peak < 8 << 10
 
     def test_fresh_query_equals_query_after_bulk_fill(self):
         n = 10**7
@@ -159,6 +185,14 @@ class TestNormalizer:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             GibbsDescription(n=4, beta=-0.5, basis=None, surrogate=None)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        _, g = candidate(seed=63)
+        with pytest.raises(ValueError, match="finite"):
+            make_gibbs(g.basis, g.surrogate, beta=beta)
+        with pytest.raises(ValueError, match="finite"):
+            GibbsDescription(n=4, beta=beta, basis=None, surrogate=None)
 
 
 class TestUniformFallback:
@@ -266,34 +300,37 @@ class TestQueriesAgainstDense:
         assert np.allclose(bulk, singles, atol=1e-13)
 
     def test_bulk_entries_with_repeats_lazy_and_filled(self, monkeypatch):
+        """A fresh basis fills no row until `operator`, which fills each support row once."""
         _, g = candidate(seed=74)
         v = g.basis
         basis = BasisSketch(v.ms, v.rows, v.row_probs, v.counts,
                             v.singular_values, v.left_vectors)
         fresh = GibbsDescription(n=g.n, beta=g.beta, basis=basis,
                                  surrogate=g.surrogate)
-        # Keep operator() from filling every row, so bulk_entries takes
-        # the lazy path that fills only the rows it touches.
-        monkeypatch.setattr(fresh, "frobenius_norm", lambda: g.frobenius_norm())
-        op = fresh.operator()
         # No row is filled yet but the trailing zero row.
-        for filled in (basis._filled, fresh._vm_filled):
-            assert np.flatnonzero(filled).tolist() == [filled.shape[0] - 1]
+        assert np.flatnonzero(basis._filled).tolist() == [basis._filled.shape[0] - 1]
+        built = []
+        original = BasisSketch.rows_dense
+
+        def counted(self, indices):
+            built.extend(np.asarray(indices).tolist())
+            return original(self, indices)
+
+        monkeypatch.setattr(BasisSketch, "rows_dense", counted)
+        op = fresh.operator()
+        assert basis._filled.all()
+        assert sorted(built) == basis.support().tolist()
         rows = np.array([0, 3, 5, 5, 12, 3, 0, 15, 5])
         cols = np.array([1, 3, 0, 5, 9, 3, 1, 0, 12])
-        lazy = op.bulk_entries(rows, cols)
-        # Both masks are kept by table position; a global row counts as
-        # filled when its position (the zero row, if off the support) is.
-        at = basis.support_index(np.arange(fresh.n))
-        for filled in (basis._filled, fresh._vm_filled):
-            assert set(np.flatnonzero(filled[at])) == {0, 1, 3, 5, 9, 12, 15}
-        singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
-        assert np.allclose(lazy, singles, atol=1e-13)
+        bulk = op.bulk_entries(rows, cols)
+        again = fresh.operator().bulk_entries(rows, cols)
+        assert sorted(built) == basis.support().tolist()
         monkeypatch.undo()
-        fresh.frobenius_norm()
-        assert basis._filled.all() and fresh._vm_filled.all()
-        assert np.array_equal(op.bulk_entries(rows, cols), lazy)
-        assert np.array_equal(g.operator().bulk_entries(rows, cols), lazy)
+        singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
+        assert np.allclose(bulk, singles, atol=1e-13)
+        assert np.array_equal(bulk[[0, 1]], bulk[[6, 5]])
+        assert np.array_equal(again, bulk)
+        assert np.array_equal(g.operator().bulk_entries(rows, cols), bulk)
 
 
 class TestTraceEstimates:
