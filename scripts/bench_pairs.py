@@ -6,10 +6,11 @@ CHANGE, each from its own checkout root, and the side that runs first
 alternates from pair to pair, so a drift in the machine's speed falls on
 both sides alike.  The last line a run prints is its JSON record; every
 record is kept.  Per end-to-end metric the output holds each side's
-values, median and quartiles, and the pair wins: in how many pairs the
+values, median and quartiles, the pair wins (in how many pairs the
 change read better than the parent, worse, or the same, with "better"
-as CHANGE's BENCHMARK.json declares it.  A run that prints no record
-stops the script.
+as CHANGE's BENCHMARK.json declares it) and the median of the per-pair
+change/parent ratios with a distribution-free interval for it.  A run
+that prints no record stops the script.
 
 Example, from the root of a checkout:
 
@@ -22,12 +23,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# Least coverage of the interval `ratio_interval` gives for the median ratio.
+_COVERAGE = 0.95
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -50,8 +54,34 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def ratio_interval(ratios: list[float]) -> dict:
+    """Median of the ratios and an order-statistic interval for the true median.
+
+    For m ratios sorted r_1 <= ... <= r_m, [r_k, r_(m+1-k)] misses the
+    median of their law only if at most k - 1 of them fall on one side,
+    so it covers it with probability 1 - 2 P(Bin(m, 1/2) <= k - 1),
+    whatever the law.  k is the largest with coverage >= `_COVERAGE` (k = 1
+    when none reaches it): with 10 pairs, [r_2, r_9] at 97.9%.
+    """
+    m = len(ratios)
+    ordered = sorted(ratios)
+
+    def coverage(k: int) -> float:
+        return 1.0 - 2.0 * sum(math.comb(m, i) for i in range(k)) / 2.0**m
+
+    k = 1
+    while k < (m + 1) // 2 and coverage(k + 1) >= _COVERAGE:
+        k += 1
+    return {
+        "median": statistics.median(ratios),
+        "low": ordered[k - 1],
+        "high": ordered[m - k],
+        "coverage": coverage(k),
+    }
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' spread and the pair wins of the change."""
+    """Per metric: both sides' spread, the pair wins and the change/parent ratio."""
     out = {}
     for name in runs[0]["parent"]["metrics"]:
         sides = {
@@ -65,6 +95,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change_wins": sum(g > 0 for g in gains),
             "parent_wins": sum(g < 0 for g in gains),
             "ties": sum(g == 0 for g in gains),
+            "ratio": ratio_interval(
+                [c / p for p, c in zip(sides["parent"], sides["change"])]
+            ),
         }
     return out
 
@@ -126,7 +159,10 @@ def main(argv=None) -> int:
             f"{name}: parent median {m['parent']['median']:.6g} "
             f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change median "
             f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]; "
-            f"change wins {m['change_wins']}/{args.pairs}, ties {m['ties']}"
+            f"change wins {m['change_wins']}/{args.pairs}, ties {m['ties']}; "
+            f"change/parent median {m['ratio']['median']:.4f} "
+            f"[{m['ratio']['low']:.4f}, {m['ratio']['high']:.4f}] "
+            f"at {m['ratio']['coverage']:.1%}"
         )
     print(f"wrote {path}")
     return 0

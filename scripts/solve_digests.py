@@ -8,8 +8,8 @@ the workload's `signature` of the outputs: the verdict, iterations and
 violation log of a feasibility run, or the estimates of `gibbs_kernel`.
 For `sparse_wide` a second line, `sparse_wide-witness <seed> <sha256>`,
 hashes the bits of every feasible witness's `frobenius_norm()` and of
-its `operator().bulk_entries` over support x support (the norm alone for
-the maximally mixed witness, which has no operator).  Every line is
+its `bulk_entries` over support x support (the norm alone for the
+maximally mixed witness, which has no basis to read).  Every line is
 `<name> <seed> <sha256>`, in a fixed order, so two checkouts compare by
 diffing this script's output:
 
@@ -40,7 +40,7 @@ def witness_bytes(witness) -> bytes:
         support = witness.basis.support()
         rows = np.repeat(support, support.shape[0])
         cols = np.tile(support, support.shape[0])
-        out += witness.operator().bulk_entries(rows, cols).tobytes()
+        out += witness.bulk_entries(rows, cols).tobytes()
     return out
 
 

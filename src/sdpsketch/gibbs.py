@@ -5,13 +5,16 @@ for the sketched basis V and compressed eigensystem (U, D), with weights
 w_k = exp(-beta (D_k - min D)): the max-subtracted form of exp(-beta D),
 whose common scale cancels in the ratio, so no weight overflows.  The
 candidate is thus V and one r_tilde x r_tilde core K = U diag(w)
-U^dagger / sum_k w_k, and its norm reads V only through the basis's
-Gram matrix V^dagger V (`BasisSketch.gram`).  A round whose sketch keeps
-no direction has no basis, and its candidate is the maximally mixed
-state I/n (`GibbsDescription.uniform`), whose constraint traces
-Tr[A I/n] = Tr(A)/n are read off the store, not estimated.
+U^dagger / sum_k w_k, its norm reads V only through the basis's Gram
+matrix V^dagger V (`BasisSketch.gram`), and it is its own B operand in
+the trace estimator (`trace`).  A round whose sketch keeps no direction
+has no basis, and its candidate is the maximally mixed state I/n
+(`GibbsDescription.uniform`), whose constraint traces Tr[A I/n] =
+Tr(A)/n are read off the store, not estimated.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from . import linalg
 from .errors import ShapeError
 from .sketch import BasisSketch
 from .spectral import SpectralSurrogate
-from .trace import EstimatorConfig, QueryableOperator, estimate_trace_product
+from .trace import EstimatorConfig, estimate_trace_product
 
 # Relative headroom on the declared Frobenius bound over the computed norm.
 _BOUND_SLACK = 1e-9
@@ -30,16 +33,15 @@ class GibbsDescription:
 
     The candidate is its basis V and one r_tilde x r_tilde core K, the
     normalized Gibbs weights in the basis's coordinates: entry (i, j) is
-    V(i, :) K V(j, :)^dagger.  It keeps no row of its own.  Basis rows
-    are read in place from the basis's table (`BasisSketch.fill`), which
-    holds |support| + 1 rows whatever n, the last being the zero row that
-    every row off the support reads, and the norm from the basis's Gram
-    matrix (`BasisSketch.gram`).  An entry query builds at most its two
-    basis rows, at O(distinct rows x distinct stores) each on their first
-    touch, and one row of V K; `operator` forms V K for the whole table
-    in one batch.  Rows go through `linalg.rowwise_matmul`, whose bits do
-    not depend on which other rows share the batch, so an entry queried
-    on a fresh candidate equals the same entry after any bulk read.
+    V(i, :) K V(j, :)^dagger.  Basis rows are read in place from the
+    basis's table (`BasisSketch.fill`), |support| + 1 rows whatever n,
+    the last the zero row every row off the support reads; the norm
+    comes from the basis's Gram matrix (`BasisSketch.gram`).  An entry
+    query builds at most its two basis rows and one row of V K; the
+    first bulk read fills the table and forms V K for all of it, once
+    per candidate.  Rows go through `linalg.rowwise_matmul` and every
+    entry ends in one reduction (`_entries`), neither batch-dependent,
+    so `query(i, j)` for i <= j has the bits of the same bulk entry.
     """
 
     def __init__(
@@ -56,6 +58,7 @@ class GibbsDescription:
         self.basis = basis
         self.surrogate = surrogate
         self.uniform_fallback = basis is None
+        self._vk = None
         if self.uniform_fallback:
             self.r_tilde = 0
             self._core = None
@@ -72,8 +75,6 @@ class GibbsDescription:
         """Maximally mixed fallback I/n."""
         return cls(n=n, beta=0.0, basis=None, surrogate=None)
 
-    # -- queries ------------------------------------------------------
-
     def query(self, i: int, j: int) -> complex:
         """Candidate entry (i, j); conjugate-symmetric by construction."""
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -84,8 +85,8 @@ class GibbsDescription:
             return self.query(j, i).conjugate()
         table = self.basis.table
         a, b = self.basis.fill(np.array([i, j]))
-        vk = linalg.rowwise_matmul(table[a : a + 1], self._core)[0]
-        return complex(np.sum(vk * np.conj(table[b])))
+        vk = linalg.rowwise_matmul(table[a : a + 1], self._core)
+        return complex(_entries(vk, table[b : b + 1])[0])
 
     def frobenius_norm(self) -> float:
         """Exact Frobenius norm of the candidate, sqrt(Re Tr(K G K^dagger G)).
@@ -100,27 +101,30 @@ class GibbsDescription:
         sq = float(np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram)))
         return float(np.sqrt(max(sq, 0.0)))
 
-    def operator(self) -> QueryableOperator:
-        """Entry oracle for the trace estimator, over the basis.
+    @cached_property
+    def fro_bound(self) -> float:
+        """`frobenius_norm()` padded by `_BOUND_SLACK`, so it dominates the norm."""
+        return self.frobenius_norm() * (1.0 + _BOUND_SLACK)
 
-        The norm fills the basis's whole table, so V K is formed for every
-        table row in one batch and each entry reads its rows by position
-        (`BasisSketch.support_index`).  The maximally mixed candidate has
-        no basis and raises `ShapeError`: its traces are Tr(A)/n in closed
-        form (`estimate_constraint_trace`).
+    def bulk_entries(self, rows, cols) -> np.ndarray:
+        """Entries at paired index arrays, read by table position.
+
+        The first call fills the table and forms V K over it, for good.
+        The maximally mixed candidate has no basis and raises `ShapeError`.
         """
         if self.uniform_fallback:
             raise ShapeError("the maximally mixed candidate has no basis to query")
-        fro_bound = self.frobenius_norm() * (1.0 + _BOUND_SLACK)
         table = self.basis.table
-        vk = linalg.rowwise_matmul(table, self._core)
+        if self._vk is None:
+            self.basis.fill(self.basis.support())
+            self._vk = linalg.rowwise_matmul(table, self._core)
+        at = self.basis.support_index
+        return _entries(self._vk[at(rows)], table[at(cols)])
 
-        def bulk_gibbs(rows, cols):
-            at_rows = self.basis.support_index(rows)
-            at_cols = self.basis.support_index(cols)
-            return np.einsum("bl,bl->b", vk[at_rows], np.conj(table[at_cols]))
 
-        return QueryableOperator(n=self.n, bulk_entries=bulk_gibbs, fro_bound=fro_bound)
+def _entries(vk_rows: np.ndarray, table_rows: np.ndarray) -> np.ndarray:
+    """Sum over l of vk_rows[b, l] conj(table_rows[b, l]), one value per b."""
+    return np.einsum("bl,bl->b", vk_rows, np.conj(table_rows))
 
 
 def make_gibbs(v: BasisSketch, s: SpectralSurrogate, beta: float) -> GibbsDescription:
@@ -143,16 +147,15 @@ def estimate_constraint_trace(
 
     For the maximally mixed candidate the trace is exact, Tr(A)/n from
     the store's `trace`, with no draw and nothing read from `rng`.
-    Otherwise the trace estimator's budget targets eps / 5 (a store no
-    larger than its sampling plan is summed exactly, with no error); the
-    remainder of the error allowance covers the gap between the candidate
-    and the ideal Gibbs state it approximates.  Both operands are
-    Hermitian, so the estimate is real.
+    Otherwise the candidate is the trace estimator's B operand, at a
+    budget of eps / 5 (a store no larger than its sampling plan is summed
+    exactly, with no error); the rest of the error allowance covers the
+    gap between the candidate and the ideal Gibbs state it approximates.
+    Both operands are Hermitian, so the estimate is real.
     """
     cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
     if g.uniform_fallback:
         if a.n != g.n:
             raise ShapeError(f"operand dimensions differ: {a.n} vs {g.n}")
         return a.trace() / g.n
-    zeta = estimate_trace_product(a, g.operator(), cfg, rng)
-    return float(zeta.real)
+    return float(estimate_trace_product(a, g, cfg, rng).real)

@@ -68,7 +68,7 @@ def dense_solution(g: GibbsDescription) -> np.ndarray:
     """Materialize a candidate solution as a full density matrix."""
     if g.n > MAX_DENSE_N:
         raise SizeError(f"refusing dense solution at n = {g.n} > {MAX_DENSE_N}")
-    if g.r_tilde == 0:
+    if g.uniform_fallback:
         return np.eye(g.n, dtype=np.complex128) / g.n
     vd = dense_basis(g.basis)
     d = g.surrogate.d

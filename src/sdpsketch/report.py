@@ -88,7 +88,7 @@ class RunReport:
 
 def dump_witness(g: GibbsDescription, exponent: list[int]) -> WitnessDump:
     """Capture a candidate's succinct description for serialization."""
-    if g.r_tilde == 0:
+    if g.uniform_fallback:
         return WitnessDump(kind="uniform", beta=g.beta)
     basis = g.basis
     return WitnessDump(

@@ -111,9 +111,9 @@ class SolverConfig:
     def resolved(self, eps: float) -> tuple[float, float]:
         eps_est = eps / 4.0 if self.eps_est is None else self.eps_est
         margin = eps / 2.0 if self.margin is None else self.margin
-        if eps_est <= 0 or margin <= 0:
+        if not (eps_est > 0 and margin > 0):
             raise ConfigError("eps_est and margin must be positive")
-        if eps_est + margin >= eps:
+        if not eps_est + margin < eps:
             raise ConfigError(
                 f"eps_est + margin = {eps_est + margin} must stay below eps = {eps}"
             )

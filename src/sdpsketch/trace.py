@@ -17,6 +17,12 @@ When A stores no more entries than that plan would draw, the estimate is
 instead the exact sum of A(i, j) B(j, i) over the stored entries: one
 B-query per entry, zero error, and never more queries than sampling, so
 the cost of one call is min(nnz(A), planned draws).
+
+B is read through three *operand reads*, the whole contract a B operand
+meets: ``n``, ``fro_bound`` (at least its Frobenius norm) and
+``bulk_entries(rows, cols)`` (its entries at paired index arrays, in one
+call).  `GibbsDescription` answers them itself; `QueryableOperator`
+carries them for V^dagger A V's pair oracles and for stand-ins.
 """
 from __future__ import annotations
 
@@ -38,11 +44,7 @@ _SIZE_SCALE = 6.0
 
 @dataclass(frozen=True)
 class QueryableOperator:
-    """Entry-oracle view of a matrix for the B side of Tr[A B].
-
-    `bulk_entries(rows, cols)` returns the entries at paired index arrays
-    in one call.  `fro_bound` must dominate the true Frobenius norm.
-    """
+    """The three operand reads of a B side, as plain fields."""
 
     n: int
     bulk_entries: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -71,16 +73,16 @@ class EstimatorConfig:
 
 def estimate_trace_product(
     a,
-    b: QueryableOperator,
+    b,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
 ) -> complex:
     """Estimate Tr[A B] to within cfg.eps with probability 1 - cfg.delta.
 
-    `a` is a sampling store (SampledMatrix or a view of one); `b` is an
-    entry oracle with a declared norm bound.  A store with at most as
-    many entries as the sampling plan draws is summed exactly, and `rng`
-    goes unused; otherwise the estimate reads the next 2 x count x size
+    `a` is a sampling store (SampledMatrix or a view of one); `b`
+    answers the three operand reads.  A store with at most as many
+    entries as the sampling plan draws is summed exactly, and `rng` goes
+    unused; otherwise the estimate reads the next 2 x count x size
     uniforms of `rng` in batch-major order, so the result is a fixed
     function of the stream's state, whatever the batches per pass.
     """
@@ -101,7 +103,7 @@ def estimate_trace_product(
 
 def _sampled_trace_product(
     a,
-    b: QueryableOperator,
+    b,
     count: int,
     size: int,
     rng: np.random.Generator,

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sdpsketch import linalg
 from sdpsketch.errors import ShapeError
 from sdpsketch.gibbs import (
     GibbsDescription,
@@ -12,7 +13,7 @@ from sdpsketch.gibbs import (
     make_gibbs,
 )
 from sdpsketch.instances import random_low_rank, random_matrix_sum
-from sdpsketch.oracle import dense_basis, dense_realize, dense_solution
+from sdpsketch.oracle import dense_basis, dense_realize, dense_solution, dense_store
 from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
@@ -61,7 +62,7 @@ class TestBatchIndependentQueries:
         # One batch over the whole support, then a sampled bulk read.
         g.frobenius_norm()
         pairs = np.random.default_rng(64).integers(20, size=(40, 2))
-        g.operator().bulk_entries(pairs[:, 0], pairs[:, 1])
+        g.bulk_entries(pairs[:, 0], pairs[:, 1])
         for i, j in pairs.tolist():
             assert make_gibbs(v, s, beta=1.5).query(i, j) == g.query(i, j)
 
@@ -108,7 +109,7 @@ class TestWideCandidate:
             v, s, coords = wide_round(n)
             g = make_gibbs(v, s, beta=1.0)
             g.query(int(coords[0]), 0)
-            g.operator().bulk_entries(np.array([0, n - 1, 3]), coords[:3])
+            g.bulk_entries(np.array([0, n - 1, 3]), coords[:3])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -140,7 +141,7 @@ class TestWideCandidate:
         # Support rows, and rows off it before, between and after them.
         pick = np.concatenate([coords, [0, coords[0] + 1, n // 2, n - 2]])
         pairs = rng.choice(pick, size=(60, 2))
-        g.operator().bulk_entries(pairs[:, 0], pairs[:, 1])
+        g.bulk_entries(pairs[:, 0], pairs[:, 1])
         g.frobenius_norm()
         for i, j in pairs.tolist():
             assert make_gibbs(v, s, beta=1.5).query(i, j) == g.query(i, j)
@@ -238,9 +239,9 @@ class TestUniformFallback:
                 estimate_constraint_trace(GibbsDescription.uniform(8), a, eps, delta, None)
 
     def test_no_entry_oracle(self):
-        """Nothing estimates against I/n, so it answers no operator."""
+        """Nothing estimates against I/n, so it answers no bulk read."""
         with pytest.raises(ShapeError):
-            GibbsDescription.uniform(4).operator()
+            GibbsDescription.uniform(4).bulk_entries(np.array([0]), np.array([0]))
 
     def test_out_of_range_query(self):
         g = GibbsDescription.uniform(3)
@@ -292,15 +293,14 @@ class TestQueriesAgainstDense:
 
     def test_bulk_operator_agrees_with_entry_queries(self):
         _, g = candidate(seed=71)
-        op = g.operator()
         rows = np.array([0, 3, 5, 5, 12])
         cols = np.array([1, 3, 0, 5, 9])
-        bulk = op.bulk_entries(rows, cols)
+        bulk = g.bulk_entries(rows, cols)
         singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
         assert np.allclose(bulk, singles, atol=1e-13)
 
     def test_bulk_entries_with_repeats_lazy_and_filled(self, monkeypatch):
-        """A fresh basis fills no row until `operator`, which fills each support row once."""
+        """A fresh basis fills no row until the first bulk read, which fills each support row once."""
         _, g = candidate(seed=74)
         v = g.basis
         basis = BasisSketch(v.ms, v.rows, v.row_probs, v.counts,
@@ -317,20 +317,19 @@ class TestQueriesAgainstDense:
             return original(self, indices)
 
         monkeypatch.setattr(BasisSketch, "rows_dense", counted)
-        op = fresh.operator()
-        assert basis._filled.all()
-        assert sorted(built) == basis.support().tolist()
         rows = np.array([0, 3, 5, 5, 12, 3, 0, 15, 5])
         cols = np.array([1, 3, 0, 5, 9, 3, 1, 0, 12])
-        bulk = op.bulk_entries(rows, cols)
-        again = fresh.operator().bulk_entries(rows, cols)
+        bulk = fresh.bulk_entries(rows, cols)
+        assert basis._filled.all()
+        assert sorted(built) == basis.support().tolist()
+        again = fresh.bulk_entries(rows, cols)
         assert sorted(built) == basis.support().tolist()
         monkeypatch.undo()
         singles = np.array([g.query(int(i), int(j)) for i, j in zip(rows, cols)])
         assert np.allclose(bulk, singles, atol=1e-13)
         assert np.array_equal(bulk[[0, 1]], bulk[[6, 5]])
         assert np.array_equal(again, bulk)
-        assert np.array_equal(g.operator().bulk_entries(rows, cols), bulk)
+        assert np.array_equal(g.bulk_entries(rows, cols), bulk)
 
 
 class TestTraceEstimates:
@@ -352,3 +351,55 @@ class TestTraceEstimates:
         y = estimate_constraint_trace(g, a, 0.2, 0.05, substream(73, 5))
         assert isinstance(x, float)
         assert x == y
+
+
+class TestOneEntryFormula:
+    def test_query_has_the_bits_of_the_bulk_entry(self):
+        """For i <= j a query is the entry a bulk read returns; for i > j its conjugate."""
+        _, g = candidate(n=20, tau=3, seed=75)
+        assert g.r_tilde > 1
+        rows, cols = np.triu_indices(g.n)
+        bulk = g.bulk_entries(rows, cols)
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            fresh = make_gibbs(g.basis, g.surrogate, beta=g.beta)
+            assert fresh.query(i, j) == bulk[k] == g.bulk_entries([i], [j])[0]
+            if i < j:
+                assert fresh.query(j, i) == bulk[k].conjugate()
+        assert np.any(bulk.imag != 0)
+
+
+class TestSampledConstraintTrace:
+    """Constraint checks that draw: a dense rank-2 store above its sampling plan."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_sampled_estimate_within_budget_and_repeatable(self, seed, monkeypatch):
+        n, eps, delta = 64, 0.9, 0.3
+        _, g = candidate(n=n, tau=2, rank=2, p=120, beta=1.0, seed=seed)
+        constraints = [random_low_rank(n, 2, substream(seed, 5 + k)) for k in range(2)]
+        formed, draws = [], []
+        real_matmul, real_sample = linalg.rowwise_matmul, SampledMatrix.sample_entries
+
+        def matmul(a, b):
+            if b is g._core and a.shape[0] == g.basis.table.shape[0]:
+                formed.append(a.shape[0])
+            return real_matmul(a, b)
+
+        def sample(self, u):
+            out = real_sample(self, u)
+            draws.append(out[0].shape[0])
+            return out
+
+        monkeypatch.setattr(linalg, "rowwise_matmul", matmul)
+        monkeypatch.setattr(SampledMatrix, "sample_entries", sample)
+        rho = dense_solution(g)
+        for k, a in enumerate(constraints):
+            got = []
+            for _ in range(2):
+                draws.clear()
+                got.append(estimate_constraint_trace(g, a, eps, delta, substream(seed, 7, k)))
+                assert sum(draws) > 0
+            want = float(np.trace(dense_store(a) @ rho).real)
+            assert got[0] == got[1]
+            assert abs(got[0] - want) <= eps / 5
+        # Two constraints, two passes each: one V K over the candidate's table.
+        assert len(formed) == 1

@@ -102,6 +102,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match="seed"):
             SolverConfig(seed=-1).resolved(0.2)
 
+    @pytest.mark.parametrize("name", ["margin", "eps_est"])
+    def test_nan_slack_rejected(self, name):
+        """No estimate exceeds bound + nan, so a NaN slack must not reach the loop."""
+        problem = planted_infeasible(8, 0.3, substream(1, 1))
+        with pytest.raises(ConfigError, match="positive"):
+            run_feasibility(problem, SolverConfig(t_override=4, **{name: math.nan}))
+
     def test_sketch_dispatch(self):
         explicit = SketchParams(p=33, gamma=0.5)
         assert SolverConfig(sketch=explicit).sketch_params(2, 2, 0.5) is explicit
@@ -228,6 +235,32 @@ class TestUpdateLoop:
         # streams per round and the compression stream per rebuild, none
         # is read; only the two rebuilds' sketch streams are built.
         assert built == [rng.SKETCH, rng.SKETCH]
+
+    def test_each_candidate_forms_vk_once(self, monkeypatch):
+        """A candidate checked against several constraints forms V K over its table once."""
+        from sdpsketch import linalg, solver
+
+        checked, products = [], []
+        real_check, real_matmul = solver.estimate_constraint_trace, linalg.rowwise_matmul
+
+        def check(g, a, eps, delta, rng):
+            checked.append(g)
+            return real_check(g, a, eps, delta, rng)
+
+        def matmul(a, b):
+            products.append((a.shape[0], b))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(solver, "estimate_constraint_trace", check)
+        monkeypatch.setattr(linalg, "rowwise_matmul", matmul)
+        effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
+        out = run_feasibility(shadow_to_feasibility(effects, values, 0.25), FAST)
+        w = out.witness
+        assert out.feasible and out.iterations_used == 2 and not w.uniform_fallback
+        # Round 2's candidate, the witness, passed all six checks on one V K.
+        assert sum(g is w for g in checked) == len(effects) * 2
+        rows = w.basis.table.shape[0]
+        assert sum(r == rows and b is w._core for r, b in products) == 1
 
     def test_lazy_stream_draws_as_its_substream(self):
         from sdpsketch.rng import LazyStream
@@ -381,7 +414,7 @@ class TestStoreProtocols:
         # A loose estimate draws its entries, through a view as the solver reads one.
         cfg = EstimatorConfig(eps=5.0, delta=0.9)
         assert cfg.batch_count() * cfg.batch_size(effects[0].total_mass(), 1.0) < effects[0].nnz
-        b = want.witness.operator()
+        b = want.witness
         assert estimate_trace_product(
             NegatedView(stand_ins[0]), b, cfg, substream(154, 2)
         ) == estimate_trace_product(NegatedView(effects[0]), b, cfg, substream(154, 2))

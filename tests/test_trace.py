@@ -30,7 +30,7 @@ def hermitian_store(n: int, key: int) -> SampledMatrix:
     return SampledMatrix.from_dense(dense, rank_hint=n)
 
 
-def operator_from_dense(arr: np.ndarray) -> QueryableOperator:
+def oracle_from_dense(arr: np.ndarray) -> QueryableOperator:
     return QueryableOperator(
         n=arr.shape[0],
         bulk_entries=lambda rows, cols: arr[rows, cols],
@@ -41,7 +41,7 @@ def operator_from_dense(arr: np.ndarray) -> QueryableOperator:
 def random_operator(n: int, key: int) -> QueryableOperator:
     rng = rngmod.substream(key, rngmod.INSTANCE, 104)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return operator_from_dense(arr / np.linalg.norm(arr, 2))
+    return oracle_from_dense(arr / np.linalg.norm(arr, 2))
 
 
 def plan(store, b: QueryableOperator, cfg: EstimatorConfig) -> tuple[int, int]:
@@ -149,7 +149,7 @@ class TestEstimator:
         arr = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         arr /= np.linalg.norm(arr, 2)
         truth = complex(np.trace(dense_a @ arr))
-        b = operator_from_dense(arr)
+        b = oracle_from_dense(arr)
         cfg = EstimatorConfig(eps=0.2, delta=0.05)
         hits = 0
         for trial in range(50):
@@ -177,7 +177,7 @@ class TestEstimator:
     def test_deterministic_under_fixed_stream(self):
         store = hermitian_store(6, 13)
         arr = dense_store(hermitian_store(6, 14))
-        b = operator_from_dense(arr)
+        b = oracle_from_dense(arr)
         cfg = EstimatorConfig(eps=0.3, delta=0.2)
         first = sampled(store, b, cfg, rngmod.substream(3, 1, 4))
         second = sampled(store, b, cfg, rngmod.substream(3, 1, 4))
@@ -187,7 +187,7 @@ class TestEstimator:
 
     def test_bits_independent_of_batches_per_pass(self, monkeypatch):
         store = hermitian_store(6, 13)
-        b = operator_from_dense(dense_store(hermitian_store(6, 14)))
+        b = oracle_from_dense(dense_store(hermitian_store(6, 14)))
         count, size = 7, 50
         results = []
         # One batch per pass, three (passes of 3, 3 and 1), all seven, and
@@ -207,7 +207,7 @@ class TestEstimator:
         # The sampled branch is reached in estimate_trace_product by
         # reporting more entries than the plan draws.
         base = hermitian_store(6, 15)
-        b = operator_from_dense(dense_store(hermitian_store(6, 16)))
+        b = oracle_from_dense(dense_store(hermitian_store(6, 16)))
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         store = CountingStore(base, planned_draws(base, b, cfg) + 1)
         est = estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 6))
@@ -216,20 +216,20 @@ class TestEstimator:
 
     def test_zero_matrix_short_circuits(self):
         store = SampledMatrix.build([], n=4, rank_hint=1)
-        b = operator_from_dense(np.eye(4, dtype=complex))
+        b = oracle_from_dense(np.eye(4, dtype=complex))
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         assert estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 7)) == 0j
 
     def test_zero_operator_norm_rejected(self):
         store = hermitian_store(4, 17)
-        b = operator_from_dense(np.zeros((4, 4), dtype=complex))
+        b = oracle_from_dense(np.zeros((4, 4), dtype=complex))
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         with pytest.raises(ZeroMassError):
             estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 8))
 
     def test_dimension_mismatch_rejected(self):
         store = hermitian_store(4, 18)
-        b = operator_from_dense(np.eye(5, dtype=complex))
+        b = oracle_from_dense(np.eye(5, dtype=complex))
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         with pytest.raises(ShapeError):
             estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 9))
