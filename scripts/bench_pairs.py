@@ -9,8 +9,12 @@ record is kept.  Per end-to-end metric the output holds each side's
 values, median and quartiles, the pair wins (in how many pairs the
 change read better than the parent, worse, or the same, with "better"
 as CHANGE's BENCHMARK.json declares it) and the median of the per-pair
-change/parent ratios with a distribution-free interval for it.  A run
-that prints no record stops the script.
+change/parent ratios with a distribution-free interval for it.  The
+output and the printout also name each side's tree: its `git rev-parse
+HEAD` and whether it had uncommitted changes (tracked or untracked
+files that differ from HEAD), both null for a directory that is not
+the root of a git checkout.  A run that prints no record stops the
+script.
 
 Example, from the root of a checkout:
 
@@ -47,6 +51,25 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
             f"{' '.join(cmd)} in {root} exited {done.returncode}:\n{done.stderr}"
         )
     return json.loads(lines[-1])
+
+
+def checkout_state(root: str) -> dict:
+    """Commit and dirtiness of the git checkout whose root is `root`, or nulls."""
+
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True, check=False
+            )
+        except OSError:
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or os.path.realpath(top) != os.path.realpath(root):
+        return {"commit": None, "dirty": None}
+    status = git("status", "--porcelain")
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
 
 
 def spread(values: list[float]) -> dict:
@@ -123,6 +146,9 @@ def main(argv=None) -> int:
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    trees = {side: checkout_state(root) for side, root in roots.items()}
+    for side in SIDES:
+        print(f"{side}: {roots[side]} commit {trees[side]['commit']} dirty {trees[side]['dirty']}")
     runs = []
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -145,6 +171,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
+        "trees": trees,
         "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
         "attempted": {side: [run[side]["attempted"] for run in runs] for side in SIDES},
         "metrics": metrics,

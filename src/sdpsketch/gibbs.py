@@ -22,10 +22,7 @@ from . import linalg
 from .errors import ShapeError
 from .sketch import BasisSketch
 from .spectral import SpectralSurrogate
-from .trace import EstimatorConfig, estimate_trace_product
-
-# Relative headroom on the declared Frobenius bound over the computed norm.
-_BOUND_SLACK = 1e-9
+from .trace import BOUND_SLACK, EstimatorConfig, estimate_trace_product
 
 
 class GibbsDescription:
@@ -41,7 +38,8 @@ class GibbsDescription:
     first bulk read fills the table and forms V K for all of it, once
     per candidate.  Rows go through `linalg.rowwise_matmul` and every
     entry ends in one reduction (`_entries`), neither batch-dependent,
-    so `query(i, j)` for i <= j has the bits of the same bulk entry.
+    so `query(i, j)` for i <= j has the bits of the same bulk entry; a
+    diagonal entry is real.
     """
 
     def __init__(
@@ -86,7 +84,7 @@ class GibbsDescription:
         table = self.basis.table
         a, b = self.basis.fill(np.array([i, j]))
         vk = linalg.rowwise_matmul(table[a : a + 1], self._core)
-        return complex(_entries(vk, table[b : b + 1])[0])
+        return complex(_entries(vk, table[b : b + 1], np.array([i == j]))[0])
 
     def frobenius_norm(self) -> float:
         """Exact Frobenius norm of the candidate, sqrt(Re Tr(K G K^dagger G)).
@@ -103,8 +101,8 @@ class GibbsDescription:
 
     @cached_property
     def fro_bound(self) -> float:
-        """`frobenius_norm()` padded by `_BOUND_SLACK`, so it dominates the norm."""
-        return self.frobenius_norm() * (1.0 + _BOUND_SLACK)
+        """`frobenius_norm()` padded by `trace.BOUND_SLACK`, so it dominates the norm."""
+        return self.frobenius_norm() * (1.0 + BOUND_SLACK)
 
     def bulk_entries(self, rows, cols) -> np.ndarray:
         """Entries at paired index arrays, read by table position.
@@ -119,12 +117,15 @@ class GibbsDescription:
             self.basis.fill(self.basis.support())
             self._vk = linalg.rowwise_matmul(table, self._core)
         at = self.basis.support_index
-        return _entries(self._vk[at(rows)], table[at(cols)])
+        return _entries(self._vk[at(rows)], table[at(cols)], np.equal(rows, cols))
 
 
-def _entries(vk_rows: np.ndarray, table_rows: np.ndarray) -> np.ndarray:
-    """Sum over l of vk_rows[b, l] conj(table_rows[b, l]), one value per b."""
-    return np.einsum("bl,bl->b", vk_rows, np.conj(table_rows))
+def _entries(vk_rows: np.ndarray, table_rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Sum over l of vk_rows[b, l] conj(table_rows[b, l]), one value per b,
+    real where ``diagonal`` (row equals column): the candidate is Hermitian."""
+    out = np.einsum("bl,bl->b", vk_rows, np.conj(table_rows))
+    out.imag[diagonal] = 0.0
+    return out
 
 
 def make_gibbs(v: BasisSketch, s: SpectralSurrogate, beta: float) -> GibbsDescription:

@@ -4,13 +4,15 @@ A report starts with `sdpsketch-report 2` and ends with `end`.  Floats
 are printed with %.17g so every value round-trips bit-exactly; all
 indices (rounds, constraints, matrix rows) are 1-based on disk and
 0-based in memory, with the conversion confined to render/parse.
+The run's scalar lines follow one table in a fixed order, which render
+and parse both read; an optional line whose field is unset is left out.
 
 A feasible run's witness is dumped in its succinct form: the chosen
 exponent summands (so the sampling stores can be re-joined from the
 manifest), the distinct sampled rows with their probabilities and
-counts (which sum to p), the singular values, the left vectors on the
-distinct rows, and the compressed-matrix eigensystem; nothing in it
-grows with p.
+counts (which sum to p, at least 1), the singular values, the left
+vectors on the distinct rows, and the compressed-matrix eigensystem;
+nothing in it grows with p.
 Rebuilding from those bytes reproduces the witness exactly, so entry
 queries against a reloaded report match the original run bit for bit.
 
@@ -134,28 +136,10 @@ def rebuild_witness(dump: WitnessDump, constraints: list, n: int) -> GibbsDescri
 
 def render(report: RunReport) -> str:
     """Serialize a report; output bytes are a pure function of the fields."""
-    lines = [HEADER, f"command {report.command}", f"dimension {report.dimension}"]
-    if report.manifest_sha is not None:
-        lines.append(f"manifest-sha256 {report.manifest_sha}")
-    lines.append(f"seed {report.seed}")
-    lines.append(f"epsilon {fmt(report.epsilon)}")
-    lines.append(f"constraints {report.constraints}")
-    lines.append(f"rounds {report.rounds}")
-    lines.append(f"beta-scale {fmt(report.beta_scale)}")
-    lines.append(f"delta-total {fmt(report.delta_total)}")
-    lines.append(f"preset {report.preset}")
-    if report.sketch_p is not None:
-        lines.append(f"sketch-p {report.sketch_p}")
-    if report.sketch_gamma is not None:
-        lines.append(f"sketch-gamma {fmt(report.sketch_gamma)}")
-    lines.append(f"verdict {report.verdict}")
-    lines.append(f"iterations {report.iterations}")
+    lines = [HEADER, *_scalar_lines(report, _HEAD)]
     for t, j, zeta in report.violations:
         lines.append(f"violation {t} {j + 1} {fmt(zeta)}")
-    if report.value is not None:
-        lines.append(f"value {fmt(report.value)}")
-    if report.calls is not None:
-        lines.append(f"calls {report.calls}")
+    lines += _scalar_lines(report, _TAIL)
     for k, est in enumerate(report.estimates, start=1):
         lines.append(f"estimate {k} {fmt(est)}")
     for name, seconds in report.timings:
@@ -220,39 +204,63 @@ def _int_tok(token: str, lineno: int) -> int:
         raise ManifestError(f"report line {lineno}: bad integer {token!r}") from None
 
 
-def _rank_tok(token: str, lineno: int) -> int:
-    rank = _int_tok(token, lineno)
-    _check(rank >= 1, lineno, "rank must be at least 1")
-    return rank
+def _at_least_one(name: str):
+    """Integer parser for a count that must be at least 1."""
+
+    def tok(token: str, lineno: int) -> int:
+        value = _int_tok(token, lineno)
+        _check(value >= 1, lineno, f"{name} must be at least 1")
+        return value
+
+    return tok
 
 
 def _str_tok(token: str, lineno: int) -> str:
     return token
 
 
-# Scalar report keys and the parser of each one's value.
-_SCALARS = {
-    "command": _str_tok,
-    "dimension": _int_tok,
-    "manifest-sha256": _str_tok,
-    "seed": _int_tok,
-    "epsilon": _float_tok,
-    "constraints": _int_tok,
-    "rounds": _int_tok,
-    "beta-scale": _float_tok,
-    "delta-total": _float_tok,
-    "preset": _str_tok,
-    "sketch-p": _int_tok,
-    "sketch-gamma": _float_tok,
-    "verdict": _str_tok,
-    "iterations": _int_tok,
-    "value": _float_tok,
-    "calls": _int_tok,
+# The run's scalar lines in report order, as (key, RunReport field, token
+# parser, printer): `render` writes a line for each field that is not
+# None, `parse` reads each key at most once and hands `RunReport` the
+# fields present.  The violation lines fall between _HEAD and _TAIL.
+_HEAD = (
+    ("command", "command", _str_tok, str),
+    ("dimension", "dimension", _int_tok, str),
+    ("manifest-sha256", "manifest_sha", _str_tok, str),
+    ("seed", "seed", _int_tok, str),
+    ("epsilon", "epsilon", _float_tok, fmt),
+    ("constraints", "constraints", _int_tok, str),
+    ("rounds", "rounds", _int_tok, str),
+    ("beta-scale", "beta_scale", _float_tok, fmt),
+    ("delta-total", "delta_total", _float_tok, fmt),
+    ("preset", "preset", _str_tok, str),
+    ("sketch-p", "sketch_p", _int_tok, str),
+    ("sketch-gamma", "sketch_gamma", _float_tok, fmt),
+    ("verdict", "verdict", _str_tok, str),
+    ("iterations", "iterations", _int_tok, str),
+)
+_TAIL = (
+    ("value", "value", _float_tok, fmt),
+    ("calls", "calls", _int_tok, str),
+)
+
+# Every single-value key and the parser of its value: the run's scalars
+# and the gibbs witness's.
+_SCALARS = {key: tok for key, _, tok, _ in _HEAD + _TAIL} | {
     "beta": _beta_tok,
     "tau": _int_tok,
-    "p": _int_tok,
-    "rank": _rank_tok,
+    "p": _at_least_one("p"),
+    "rank": _at_least_one("rank"),
 }
+
+
+def _scalar_lines(report: RunReport, table) -> list[str]:
+    """One line per field of ``table`` that ``report`` sets, in table order."""
+    return [
+        f"{key} {out(value)}"
+        for key, name, _, out in table
+        if (value := getattr(report, name)) is not None
+    ]
 
 
 def _complex_vec(tokens: list[str], lineno: int, name: str) -> np.ndarray:
@@ -391,30 +399,12 @@ def parse(text: str) -> RunReport:
         )
     elif witness_kind not in (None, "none"):
         raise ManifestError(f"unknown witness kind {witness_kind!r}")
-    estimates_out = []
-    if estimates:
-        if [k for k, _ in estimates] != list(range(1, len(estimates) + 1)):
-            raise ManifestError("estimate lines must appear as 1..k in order")
-        estimates_out = [v for _, v in estimates]
+    if [k for k, _ in estimates] != list(range(1, len(estimates) + 1)):
+        raise ManifestError("estimate lines must appear as 1..k in order")
     return RunReport(
-        command=scalars["command"],
-        dimension=scalars["dimension"],
-        seed=scalars["seed"],
-        epsilon=scalars["epsilon"],
-        rounds=scalars["rounds"],
-        verdict=scalars["verdict"],
-        iterations=scalars["iterations"],
-        constraints=scalars.get("constraints", 0),
-        beta_scale=scalars.get("beta-scale", SolverConfig.beta_scale),
-        delta_total=scalars.get("delta-total", SolverConfig.delta_total),
-        preset=scalars.get("preset", "scaled"),
-        sketch_p=scalars.get("sketch-p"),
-        sketch_gamma=scalars.get("sketch-gamma"),
+        **{name: scalars[key] for key, name, _, _ in _HEAD + _TAIL if key in scalars},
         violations=violations,
-        manifest_sha=scalars.get("manifest-sha256"),
-        value=scalars.get("value"),
-        calls=scalars.get("calls"),
-        estimates=estimates_out,
+        estimates=[v for _, v in estimates],
         timings=timings,
         witness=witness,
     )

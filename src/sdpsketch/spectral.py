@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericalError
 from .sketch import BasisSketch, MatrixSum
-from .trace import EstimatorConfig, QueryableOperator, estimate_trace_product
+from .trace import BOUND_SLACK, EstimatorConfig, QueryableOperator, estimate_trace_product
 
 # Absolute slack allowed on the compressed spectrum beyond the summand
 # count tau (the sum of the store counts): each summand has spectral norm
@@ -80,11 +80,12 @@ def estimate_vav(
     share `rng`, taken in order (upper-triangle pairs row by row, then
     stores in term order): a sampled trace reads the next uniforms of
     the stream and an exact one reads none.  Each oracle's Frobenius
-    bound is the product of two column norms, the square roots of the
-    diagonal of the basis's Gram matrix (`v.gram`), which fills the whole
-    support once per sketch at O(|support| x distinct rows x distinct
-    stores), independent of n.  The oracles read the basis's table in
-    place, through `v.support_index`.
+    bound, padded by `trace.BOUND_SLACK` as every B operand's, is the
+    product of two column norms: square roots of the diagonal of the
+    basis's Gram matrix (`v.gram`), which fills the whole support once
+    per sketch at O(|support| x distinct rows x distinct stores),
+    independent of n.  The oracles read the basis's table in place,
+    through `v.support_index`.
     """
     r = v.r_tilde
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
@@ -108,7 +109,7 @@ def estimate_vav(
         oracle = QueryableOperator(
             n=v.n,
             bulk_entries=bulk,
-            fro_bound=float(col_norms[j] * col_norms[i]),
+            fro_bound=float(col_norms[j] * col_norms[i]) * (1.0 + BOUND_SLACK),
         )
         total = 0j
         for store, coef in signed:

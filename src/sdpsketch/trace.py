@@ -21,8 +21,10 @@ the cost of one call is min(nnz(A), planned draws).
 B is read through three *operand reads*, the whole contract a B operand
 meets: ``n``, ``fro_bound`` (at least its Frobenius norm) and
 ``bulk_entries(rows, cols)`` (its entries at paired index arrays, in one
-call).  `GibbsDescription` answers them itself; `QueryableOperator`
-carries them for V^dagger A V's pair oracles and for stand-ins.
+call); every B operand pads the norm it computes by `BOUND_SLACK`, which
+covers rounding.  `GibbsDescription` answers the reads itself;
+`QueryableOperator` carries them for V^dagger A V's pair oracles and
+for stand-ins.
 """
 from __future__ import annotations
 
@@ -34,6 +36,8 @@ import numpy as np
 
 from .errors import ShapeError, ZeroMassError
 
+# Relative headroom of a declared `fro_bound` over the norm it was computed as.
+BOUND_SLACK = 1e-9
 # Samples per vectorized block; fixed so results do not depend on memory.
 _CHUNK = 1 << 18
 # Median/mean schedule: ceil(18 ln(1/delta)) batches of

@@ -347,6 +347,28 @@ class TestEntry:
         assert code == 2
         assert capsys.readouterr().err == f"error: report line {at + 2}: duplicate '{key}'\n"
 
+    def test_empty_witness_names_p_line(self, tmp_path, capsys):
+        """A gibbs witness of no row draws, consistent line by line, is refused at p."""
+        problem, _ = planted_one_update(12, eps=0.25, rng=substream(1, 1))
+        manifest = str(tmp_path / "p.man")
+        write_feasibility_manifest(manifest, problem.constraints, problem.bounds, 0.25)
+        out = tmp_path / "empty.rep"
+        flags = ["--seed", "9", "--p", "200", "--gamma", "1e-8", "--max-iters", "6"]
+        assert run_cli(["feastest", manifest, *flags, "--out", str(out)])[0] == 0
+        lines = out.read_text().splitlines()
+        assert "rank 1" in lines
+        for k, line in enumerate(lines):
+            key = line.split()[0]
+            if key == "p":
+                lines[k], at = "p 0", k
+            elif key in ("rows", "row-probs", "counts") or line.startswith("left 1 "):
+                lines[k] = " ".join(line.split()[: 2 if key == "left" else 1])
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", manifest])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: report line {at + 1}: p must be at least 1\n"
+
     def test_exponent_past_manifest_exits_two(self, work, tmp_path, capsys):
         out = tmp_path / "wit5.rep"
         run_cli(["feastest", work["readme"], "--seed", "3", "--out", str(out)])

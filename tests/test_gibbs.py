@@ -367,6 +367,14 @@ class TestOneEntryFormula:
                 assert fresh.query(j, i) == bulk[k].conjugate()
         assert np.any(bulk.imag != 0)
 
+    def test_diagonal_is_real(self):
+        """rho is Hermitian: no diagonal entry keeps an imaginary rounding residue."""
+        _, g = candidate(n=20, tau=3, seed=75)
+        diag = np.arange(g.n)
+        assert np.all(g.bulk_entries(diag, diag).imag == 0)
+        fresh = make_gibbs(g.basis, g.surrogate, beta=g.beta)
+        assert [fresh.query(i, i).imag for i in range(g.n)] == [0.0] * g.n
+
 
 class TestSampledConstraintTrace:
     """Constraint checks that draw: a dense rank-2 store above its sampling plan."""

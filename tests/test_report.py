@@ -34,6 +34,7 @@ def planted_run():
 
 
 def full_report(witness=None):
+    """A report whose every field differs from `RunReport`'s default."""
     return RunReport(
         command="feastest",
         dimension=16,
@@ -42,13 +43,18 @@ def full_report(witness=None):
         rounds=8,
         verdict="feasible",
         iterations=2,
-        constraints=1,
+        constraints=3,
+        beta_scale=0.5,
+        delta_total=0.125,
         preset="explicit",
         sketch_p=200,
         sketch_gamma=1e-8,
-        violations=[(1, 0, 0.042)],
+        violations=[(1, 0, 0.042), (2, 2, -1 / 3)],
         manifest_sha="ab" * 32,
+        value=0.75,
+        calls=4,
         estimates=[0.125, -0.5],
+        timings=[("solve", 1.5), ("total", 2.25)],
         witness=witness,
     )
 
@@ -69,14 +75,11 @@ class TestRenderParse:
         text = render(r)
         assert text.startswith(HEADER + "\n")
         assert text.endswith("end\n")
-        back = parse(text)
-        assert back.command == "feastest"
-        assert back.dimension == 16
-        assert back.epsilon == 0.25
-        assert back.violations == [(1, 0, 0.042)]
-        assert back.manifest_sha == "ab" * 32
-        assert back.estimates == [0.125, -0.5]
-        assert back.witness is None
+        defaults = RunReport(command="", dimension=0, seed=0, epsilon=0.0, rounds=0)
+        for name, value in vars(r).items():
+            if name != "witness":
+                assert value != getattr(defaults, name), name
+        assert parse(text) == r
 
     def test_indices_are_one_based_on_disk(self):
         text = render(full_report())

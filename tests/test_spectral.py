@@ -123,6 +123,31 @@ class TestEstimateVav:
         exact = dense_vav(v, MatrixSum([a, b], rank=2))
         assert np.abs(est - exact).max() <= 1e-12
 
+    def test_pair_bounds_dominate_the_summed_norms(self, monkeypatch):
+        """Each pair oracle's fro_bound is at least the norm of the entries it answers.
+
+        The product of two column norms can round below the Frobenius
+        norm of v_j v_i^dagger summed entry by entry; the padded bound
+        may not.
+        """
+        oracles = []
+
+        def spy(store, b, *args):
+            oracles.append(b)
+            return estimate_trace_product(store, b, *args)
+
+        monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        n = 32
+        rows, cols = (k.ravel() for k in np.indices((n, n)))
+        for seed in range(1, 21):
+            oracles.clear()
+            ms, v = sketched_sum(n=n, tau=2, rank=2, p=400, seed=seed)
+            estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(seed, 3))
+            assert oracles
+            for b in oracles:
+                entries = b.bulk_entries(rows, cols)
+                assert b.fro_bound >= np.sqrt(np.sum(np.abs(entries) ** 2))
+
     def test_cancelled_sum_is_exact_zero(self, monkeypatch):
         a = random_low_rank(8, 2, substream(48, 1))
         # A - A has no sketch, so the basis comes from another sum.
