@@ -5,14 +5,20 @@ Writes a fixed set of manifests with each writer (the instance of
 README's Python API section, a planted infeasible instance, a rank-2
 shadow instance, an optimize instance, and a feasibility and a shadow
 instance that the maximally mixed state already satisfies), runs
-`feastest`, `shadow`, `oracle` and `feastest` on the optimize manifest
-with fixed flags, and reprints a few entries of every witness with
-`entry`.  The last two runs end feasible at round 1, so their reports
-hold the uniform witness and its exact Tr(A)/n estimates.  Every
-line is `<name> <sha256>` or `<name> exit <code> <sha256>`, in a fixed
-order, so two checkouts compare by diffing this script's output:
+every pairing of a solving command (`feastest`, `shadow`, `oracle`) and
+a manifest kind with fixed flags, and reprints a few entries of every
+witness with `entry`.  The uniform runs end feasible at round 1, so
+their reports hold the uniform witness and its exact Tr(A)/n
+estimates; the last two runs are refused with exit 2.  A run's digest
+covers its report and its printed output, in which the temporary
+directory reads as `$TMP`, so the refusal messages, which name their
+manifest's path, hash alike from run to run.  Every line is `<name>
+<sha256>` or `<name> exit <code> <sha256>`, in a fixed order, so two
+checkouts compare by diffing this script's output, or one copy of the
+script runs on both:
 
     PYTHONPATH=src python3 scripts/cli_digests.py > digests.txt
+    PYTHONPATH=../parent/src python3 scripts/cli_digests.py > parent.txt
 """
 from __future__ import annotations
 
@@ -58,6 +64,10 @@ RUNS = [
     ("optimize", "feastest", "opt", FAST),
     ("uniform", "feastest", "uniform", FAST),
     ("shadow-uniform", "shadow", "shadow-uniform", FAST),
+    ("feastest-shadow", "feastest", "shadow", FAST),
+    ("oracle-infeasible", "oracle", "infeasible", ["--seed", "3", "--max-iters", "8"]),
+    ("oracle-optimize", "oracle", "opt", ["--seed", "3", "--max-iters", "8"]),
+    ("shadow-feasibility", "shadow", "readme", FAST),
 ]
 ENTRIES = [(1, 1), (2, 3), (5, 4), (8, 8)]
 
@@ -114,10 +124,13 @@ def main_digests() -> None:
         for name, command, manifest, flags in RUNS:
             out = os.path.join(root, f"{name}.rep")
             code, text = run([command, paths[manifest], *flags, "--out", out])
+            text = text.replace(root.encode(), b"$TMP")
+            if not os.path.exists(out):
+                print(f"report {name} exit {code} {digest(text)}")
+                continue
             with open(out, "rb") as fh:
                 print(f"report {name} exit {code} {digest(fh.read() + text)}")
-            witness = load_report(out).witness
-            if witness is None:
+            if load_report(out).witness is None:
                 continue
             for row, col in ENTRIES:
                 code, text = run(["entry", out, str(row), str(col), "--manifest", paths[manifest]])

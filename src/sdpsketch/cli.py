@@ -16,12 +16,12 @@ kernels are pinned to one thread at startup, so --threads is accepted
 as a scheduling hint but never changes results.  Only stdlib imports
 happen at module level so the pinning runs before numpy loads.
 
-Each command reads and parses its manifest once and runs off that
-`Manifest`: a report's `manifest-sha256` is the digest of the bytes
-parsed, `--epsilon` replaces the manifest's slack in one place
-(`_slack`), and `entry` checks a report's digest against the bytes it
-reads before it parses them.  `feastest` reports manifest errors before
-flag errors; `shadow` and `oracle` report flag errors first.
+`feastest`, `shadow` and `oracle` share one path (`_run_solve`): each
+checks its flags, then reads and parses its manifest once and runs off
+that `Manifest`, so a report's `manifest-sha256` is the digest of the
+bytes parsed and `--epsilon` replaces the manifest's slack.  `entry`
+checks a gibbs report's digest against the bytes it reads before it
+parses them, and refuses a gibbs report that carries no digest.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, SdpSketchError
+from .errors import ConfigError, ManifestError, SdpSketchError
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -94,21 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sampling-based SDP feasibility solver with a dense reference oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_feas = sub.add_parser("feastest", help="run the sampled solver on a manifest")
-    p_feas.add_argument("manifest")
-    _add_common(p_feas)
-    p_feas.set_defaults(func=_run_feastest)
-
-    p_shadow = sub.add_parser("shadow", help="run a shadow manifest with per-effect estimates")
-    p_shadow.add_argument("manifest")
-    _add_common(p_shadow)
-    p_shadow.set_defaults(func=_run_shadow)
-
-    p_oracle = sub.add_parser("oracle", help="run the dense reference loop on a manifest")
-    p_oracle.add_argument("manifest")
-    _add_common(p_oracle)
-    p_oracle.set_defaults(func=_run_oracle)
+    for name, help_text in (
+        ("feastest", "run the sampled solver on a manifest"),
+        ("shadow", "run a shadow manifest with per-effect estimates"),
+        ("oracle", "run the dense reference loop on a manifest"),
+    ):
+        p_solve = sub.add_parser(name, help=help_text)
+        p_solve.add_argument("manifest")
+        _add_common(p_solve)
+        p_solve.set_defaults(func=_run_solve)
 
     p_entry = sub.add_parser("entry", help="reprint one witness entry from a report")
     p_entry.add_argument("report")
@@ -159,43 +153,82 @@ def _config(args):
     )
 
 
-def _emit(args, report) -> None:
-    from . import report as rep
+def _run_solve(args) -> int:
+    """`feastest`, `shadow` and `oracle`: emit the run's report, return its exit code.
 
-    text = rep.render(report)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _slack(args, parsed) -> float:
-    """The run's slack: --epsilon when given, else the manifest's."""
-    return parsed.effective_epsilon if args.epsilon is None else args.epsilon
-
-
-def _finish(args, parsed, command, n, m, eps, config, outcome, seconds, witness_from=None,
-            **fields):
-    """Emit the report of a solving subcommand and return its exit code.
-
-    `parsed` is the run's `Manifest`, whose digest the report pins.
-    `outcome` gives the verdict, iterations and violations; the witness
-    comes from `witness_from`, a feasible outcome, when there is one.
-    `seconds` holds the load and solve times; `fields` are the
-    subcommand's own report fields.  The preset and sketch lines come
-    from ``config.sketch``, the sketch the run used, not from the flags.
+    The flags are checked first, then the manifest is parsed once and
+    the problem that the command and the manifest's kind call for is
+    built from it: `feastest` on an optimize manifest runs the binary
+    search and reports as `optimize`, `shadow` takes only shadow
+    manifests, and the manifest module refuses any other pairing.  The
+    witness is the last feasible sampled outcome's; the dense loop
+    reports none.  The preset and sketch lines come from
+    ``config.sketch``, the sketch the run used, not from the flags.
     """
+    from . import manifest as man
+    from . import oracle
     from . import report as rep
+    from . import rng as rngmod
+    from . import solver
+    from .gibbs import estimate_constraint_trace
 
+    config = _config(args)
+    if args.command == "oracle":
+        config.sketch = None  # checked as for a sampled run, but the dense loop builds none
+    timer = time.perf_counter()
+    parsed = man.load_manifest(args.manifest)
+    eps = parsed.effective_epsilon if args.epsilon is None else args.epsilon
+    command = args.command
+    if command == "feastest" and parsed.kind == "optimize":
+        command = "optimize"
+    if command == "optimize":
+        problem = man.optimization_problem(parsed)
+    elif command == "shadow":
+        effects, values = man.shadow_effects(parsed)
+        problem = solver.shadow_to_feasibility(effects, values, eps)
+    else:
+        problem = man.feasibility_problem(parsed, eps)
+    m = len(problem.constraints) + 1 if command == "optimize" else problem.m
+    seconds = [time.perf_counter() - timer]
+    timer = time.perf_counter()
+    fields: dict = {}
+    if command == "oracle":
+        outcome = oracle.dense_mmw(
+            problem, t_override=config.t_override, beta_scale=config.beta_scale
+        )
+        found = None
+    elif command == "optimize":
+        calls = []
+
+        def counted(fp, cfg):
+            calls.append(solver.test_feasibility(fp, cfg))
+            return calls[-1]
+
+        fields["value"], outcome = solver.optimize(problem, eps, config, feasibility=counted)
+        fields["calls"] = len(calls)
+        found = next((out for out in reversed(calls) if out.feasible), None)
+    else:
+        outcome = solver.test_feasibility(problem, config)
+        found = outcome if outcome.feasible else None
+    if command == "shadow" and found is not None:
+        eps_est, _ = config.resolved(eps)
+        delta = config.delta_total / len(effects)
+        fields["estimates"] = [
+            estimate_constraint_trace(
+                found.witness, effect, eps_est, delta,
+                rngmod.LazyStream(config.seed, rngmod.TRACE, 0, k),
+            )
+            for k, effect in enumerate(effects)
+        ]
+    seconds.append(time.perf_counter() - timer)
     sketch = config.sketch
     report = rep.RunReport(
         command=command,
-        dimension=n,
+        dimension=problem.n,
         seed=config.seed,
         epsilon=eps,
         constraints=m,
-        rounds=config.round_budget(n, eps),
+        rounds=config.round_budget(problem.n, eps),
         beta_scale=config.beta_scale,
         delta_total=config.delta_total,
         preset="scaled" if sketch is None else "explicit",
@@ -207,122 +240,17 @@ def _finish(args, parsed, command, n, m, eps, config, outcome, seconds, witness_
         violations=list(outcome.violation_log),
         **fields,
     )
-    if witness_from is not None:
-        report.witness = rep.dump_witness(
-            witness_from.witness, [j for _, j, _ in witness_from.violation_log]
-        )
+    if found is not None:
+        report.witness = rep.dump_witness(found.witness, [j for _, j, _ in found.violation_log])
     if args.timings:
         report.timings = list(zip(("load", "solve"), seconds))
-    _emit(args, report)
-    return 0 if outcome.feasible or witness_from is not None else 1
-
-
-def _run_feastest(args) -> int:
-    from . import manifest as man
-    from . import solver
-
-    timer = time.perf_counter()
-    parsed = man.load_manifest(args.manifest)
-    config = _config(args)
-    eps = _slack(args, parsed)
-    if parsed.kind == "optimize":
-        return _run_optimize(args, parsed, config, eps, timer)
-    problem = man.feasibility_problem(parsed, eps)
-    load_seconds = time.perf_counter() - timer
-    timer = time.perf_counter()
-    outcome = solver.test_feasibility(problem, config)
-    solve_seconds = time.perf_counter() - timer
-    return _finish(
-        args, parsed, "feastest", problem.n, problem.m, eps, config, outcome,
-        (load_seconds, solve_seconds),
-        witness_from=outcome if outcome.feasible else None,
-    )
-
-
-def _run_shadow(args) -> int:
-    from . import manifest as man
-    from . import rng as rngmod
-    from . import solver
-    from .gibbs import estimate_constraint_trace
-
-    config = _config(args)
-    timer = time.perf_counter()
-    parsed = man.load_manifest(args.manifest)
-    effects, values = man.shadow_effects(parsed)
-    eps = _slack(args, parsed)
-    problem = solver.shadow_to_feasibility(effects, values, eps)
-    load_seconds = time.perf_counter() - timer
-    timer = time.perf_counter()
-    outcome = solver.test_feasibility(problem, config)
-    estimates = []
-    if outcome.feasible:
-        eps_est, _ = config.resolved(eps)
-        delta = config.delta_total / max(1, len(effects))
-        for k, effect in enumerate(effects):
-            estimates.append(
-                estimate_constraint_trace(
-                    outcome.witness,
-                    effect,
-                    eps_est,
-                    delta,
-                    rngmod.LazyStream(config.seed, rngmod.TRACE, 0, k),
-                )
-            )
-    solve_seconds = time.perf_counter() - timer
-    return _finish(
-        args, parsed, "shadow", problem.n, problem.m, eps, config, outcome,
-        (load_seconds, solve_seconds),
-        witness_from=outcome if outcome.feasible else None,
-        estimates=estimates,
-    )
-
-
-def _run_optimize(args, parsed, config, eps, timer) -> int:
-    """`feastest` on an optimize manifest; `timer` started before the parse."""
-    from . import manifest as man
-    from . import solver
-
-    problem = man.optimization_problem(parsed)
-    load_seconds = time.perf_counter() - timer
-    captured: dict = {}
-
-    def tracking(fp, cfg):
-        out = solver.test_feasibility(fp, cfg)
-        if out.feasible:
-            captured["outcome"] = out
-        return out
-
-    timer = time.perf_counter()
-    value, final = solver.optimize(problem, eps, config, feasibility=tracking)
-    solve_seconds = time.perf_counter() - timer
-    return _finish(
-        args, parsed, "optimize", problem.n, len(problem.constraints) + 1, eps, config, final,
-        (load_seconds, solve_seconds),
-        witness_from=captured.get("outcome"),
-        value=value,
-        calls=math.ceil(math.log2(1.0 / eps)),
-    )
-
-
-def _run_oracle(args) -> int:
-    from . import manifest as man
-    from . import oracle
-
-    config = _config(args)
-    config.sketch = None  # checked as for a sampled run, but the dense loop builds none
-    timer = time.perf_counter()
-    parsed = man.load_manifest(args.manifest)
-    problem = man.feasibility_problem(parsed, _slack(args, parsed))
-    load_seconds = time.perf_counter() - timer
-    timer = time.perf_counter()
-    outcome = oracle.dense_mmw(
-        problem, t_override=config.t_override, beta_scale=config.beta_scale
-    )
-    solve_seconds = time.perf_counter() - timer
-    return _finish(
-        args, parsed, "oracle", problem.n, problem.m, problem.eps, config, outcome,
-        (load_seconds, solve_seconds),
-    )
+    text = rep.render(report)
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if outcome.feasible or found is not None else 1
 
 
 def _run_entry(args) -> int:
@@ -331,29 +259,24 @@ def _run_entry(args) -> int:
 
     loaded = rep.load_report(args.report)
     if loaded.witness is None:
-        print("error: report carries no witness", file=sys.stderr)
-        return 2
-    if loaded.witness.kind == "uniform":
-        candidate = rep.rebuild_witness(loaded.witness, [], loaded.dimension)
-    else:
+        raise ManifestError("report carries no witness")
+    constraints = []
+    if loaded.witness.kind != "uniform":
         if args.manifest is None:
-            print(
-                "error: non-uniform witnesses need --manifest for matrix access",
-                file=sys.stderr,
+            raise ConfigError("non-uniform witnesses need --manifest for matrix access")
+        if loaded.manifest_sha is None:
+            raise ManifestError(
+                "report has no manifest-sha256 line to check --manifest against"
             )
-            return 2
         # The digest is checked on the bytes read, before they are parsed.
         parsed = man.load_manifest(args.manifest, loaded.manifest_sha)
         if parsed.kind == "optimize":
             constraints = man.optimization_problem(parsed).feasibility_constraints()
         else:
             constraints = man.feasibility_problem(parsed, parsed.effective_epsilon).constraints
-        candidate = rep.rebuild_witness(loaded.witness, constraints, loaded.dimension)
+    candidate = rep.rebuild_witness(loaded.witness, constraints, loaded.dimension)
     if not (1 <= args.row <= loaded.dimension and 1 <= args.col <= loaded.dimension):
-        print(
-            f"error: indices must lie in [1, {loaded.dimension}]", file=sys.stderr
-        )
-        return 2
+        raise ConfigError(f"indices must lie in [1, {loaded.dimension}]")
     z = candidate.query(args.row - 1, args.col - 1)
     print(f"{rep.fmt(z.real)} {rep.fmt(z.imag)}")
     return 0

@@ -6,15 +6,21 @@ indices (rounds, constraints, matrix rows) are 1-based on disk and
 0-based in memory, with the conversion confined to render/parse.
 The run's scalar lines follow one table in a fixed order, which render
 and parse both read; an optional line whose field is unset is left out.
+Counts and 1-based indices (dimension, rounds, iterations, violation
+rounds and constraints, tau, p, rank) are at least 1.
 
 A feasible run's witness is dumped in its succinct form: the chosen
 exponent summands (so the sampling stores can be re-joined from the
 manifest), the distinct sampled rows with their probabilities and
 counts (which sum to p, at least 1), the singular values, the left
 vectors on the distinct rows, and the compressed-matrix eigensystem;
-nothing in it grows with p.
+nothing in it grows with p.  Its lines follow a second table, and
+`parse` reads them only after `witness gibbs`; after `witness none` or
+`witness uniform` only `end` may follow.
 Rebuilding from those bytes reproduces the witness exactly, so entry
 queries against a reloaded report match the original run bit for bit.
+A gibbs report parses without its `manifest-sha256` line, but the CLI's
+`entry` needs that digest to check the manifest it rebuilds from.
 
 Timing lines are opt-in: two runs of the same command with the same
 seed produce identical bytes unless timings were requested.
@@ -40,10 +46,6 @@ HEADER = f"sdpsketch-report {VERSION}"
 def fmt(x: float) -> str:
     """Shortest decimal that round-trips a float (17 significant digits)."""
     return format(float(x), ".17g")
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{fmt(z.real)} {fmt(z.imag)}"
 
 
 @dataclass
@@ -145,29 +147,10 @@ def render(report: RunReport) -> str:
     for name, seconds in report.timings:
         lines.append(f"timing {name} {fmt(seconds)}")
     w = report.witness
-    if w is None:
-        lines.append("witness none")
-    elif w.kind == "uniform":
-        lines.append("witness uniform")
-    else:
-        r = w.left.shape[1]
-        lines.append("witness gibbs")
-        lines.append(f"beta {fmt(w.beta)}")
-        lines.append(f"tau {len(w.exponent)}")
-        lines.append("exponent " + " ".join(str(j + 1) for j in w.exponent))
-        lines.append(f"p {int(w.counts.sum())}")
-        lines.append(f"rank {r}")
-        lines.append("rows " + " ".join(str(int(i) + 1) for i in w.rows))
-        lines.append("row-probs " + " ".join(fmt(q) for q in w.row_probs))
-        lines.append("counts " + " ".join(str(int(c)) for c in w.counts))
-        lines.append("sigma " + " ".join(fmt(s) for s in w.sigma))
-        for k in range(r):
-            pairs = " ".join(_fmt_complex(z) for z in w.left[:, k])
-            lines.append(f"left {k + 1} {pairs}")
-        lines.append("core-d " + " ".join(fmt(d) for d in w.core_d))
-        for k in range(r):
-            pairs = " ".join(_fmt_complex(z) for z in w.core_u[:, k])
-            lines.append(f"core-u {k + 1} {pairs}")
+    lines.append(f"witness {'none' if w is None else w.kind}")
+    if w is not None and w.kind == "gibbs":
+        for key, out, _, _ in _WITNESS:
+            lines += [f"{key} {' '.join(values)}" for values in out(w)]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -178,23 +161,11 @@ def _check(ok, lineno: int, rule: str) -> None:
         raise ManifestError(f"report line {lineno}: {rule}")
 
 
-def _toks(line: str, lineno: int) -> list[str]:
-    tokens = line.split()
-    _check(tokens, lineno, "empty line inside report")
-    return tokens
-
-
 def _float_tok(token: str, lineno: int) -> float:
     try:
         return float(token)
     except ValueError:
         raise ManifestError(f"report line {lineno}: bad float {token!r}") from None
-
-
-def _beta_tok(token: str, lineno: int) -> float:
-    beta = _float_tok(token, lineno)
-    _check(0.0 <= beta < np.inf, lineno, "beta must be nonnegative and finite")
-    return beta
 
 
 def _int_tok(token: str, lineno: int) -> int:
@@ -205,7 +176,7 @@ def _int_tok(token: str, lineno: int) -> int:
 
 
 def _at_least_one(name: str):
-    """Integer parser for a count that must be at least 1."""
+    """Integer parser for a count or 1-based index, which must be at least 1."""
 
     def tok(token: str, lineno: int) -> int:
         value = _int_tok(token, lineno)
@@ -225,33 +196,26 @@ def _str_tok(token: str, lineno: int) -> str:
 # fields present.  The violation lines fall between _HEAD and _TAIL.
 _HEAD = (
     ("command", "command", _str_tok, str),
-    ("dimension", "dimension", _int_tok, str),
+    ("dimension", "dimension", _at_least_one("dimension"), str),
     ("manifest-sha256", "manifest_sha", _str_tok, str),
     ("seed", "seed", _int_tok, str),
     ("epsilon", "epsilon", _float_tok, fmt),
     ("constraints", "constraints", _int_tok, str),
-    ("rounds", "rounds", _int_tok, str),
+    ("rounds", "rounds", _at_least_one("rounds"), str),
     ("beta-scale", "beta_scale", _float_tok, fmt),
     ("delta-total", "delta_total", _float_tok, fmt),
     ("preset", "preset", _str_tok, str),
     ("sketch-p", "sketch_p", _int_tok, str),
     ("sketch-gamma", "sketch_gamma", _float_tok, fmt),
     ("verdict", "verdict", _str_tok, str),
-    ("iterations", "iterations", _int_tok, str),
+    ("iterations", "iterations", _at_least_one("iterations"), str),
 )
 _TAIL = (
     ("value", "value", _float_tok, fmt),
     ("calls", "calls", _int_tok, str),
 )
-
-# Every single-value key and the parser of its value: the run's scalars
-# and the gibbs witness's.
-_SCALARS = {key: tok for key, _, tok, _ in _HEAD + _TAIL} | {
-    "beta": _beta_tok,
-    "tau": _int_tok,
-    "p": _at_least_one("p"),
-    "rank": _at_least_one("rank"),
-}
+_RUN = {key: (name, tok) for key, name, tok, _ in _HEAD + _TAIL}
+_VIOLATION = (_at_least_one("violation round"), _at_least_one("violation constraint"), _float_tok)
 
 
 def _scalar_lines(report: RunReport, table) -> list[str]:
@@ -263,22 +227,117 @@ def _scalar_lines(report: RunReport, table) -> list[str]:
     ]
 
 
-def _complex_vec(tokens: list[str], lineno: int, name: str) -> np.ndarray:
-    _check(len(tokens) % 2 == 0, lineno, "odd number of components")
-    values = [_float_tok(t, lineno) for t in tokens]
-    arr = np.array(values, dtype=np.float64).reshape(-1, 2)
-    _check(np.all(np.isfinite(arr)), lineno, f"{name} must be finite")
-    return arr[:, 0] + 1j * arr[:, 1]
+def _columns(matrix: np.ndarray) -> list[list[str]]:
+    """One line's values per column: its 1-based index, then its entries' real
+    and imaginary parts."""
+    return [
+        [str(k), *(f"{fmt(z.real)} {fmt(z.imag)}" for z in col)]
+        for k, col in enumerate(matrix.T, start=1)
+    ]
 
 
-def _vec(payload: dict, key: str, tok) -> tuple[int, np.ndarray]:
-    """Line number and values of a payload line, each parsed by ``tok``."""
-    lineno, tokens = payload[key]
-    return lineno, np.array([tok(t, lineno) for t in tokens])
+_FINITE = (lambda v: np.all(np.isfinite(v)), "must be finite")
+_POSITIVE = (lambda v: np.all((v > 0.0) & (v < np.inf)), "must be positive and finite")
+_AT_LEAST_ONE = (lambda v: np.all(v >= 1), "must be at least 1")
+
+# The gibbs witness's lines in report order, as (key, printer, token
+# parser, rule).  The printer gives a dump's values as one list of
+# strings per line: `left` and `core-u` print one line per column, whose
+# index `parse` reads before the complex values.  `_SINGLE` lines hold
+# one value.  A rule is a test of a line's parsed values and what it
+# asks of them; a line that fails it is named.  `render` writes these
+# lines after `witness gibbs`, `parse` reads them only there, and the
+# checks across lines are `_gibbs_dump`'s.
+_WITNESS = (
+    ("beta", lambda w: [[fmt(w.beta)]], _float_tok,
+     (lambda v: 0.0 <= v < np.inf, "must be nonnegative and finite")),
+    ("tau", lambda w: [[str(len(w.exponent))]], _int_tok, _AT_LEAST_ONE),
+    ("exponent", lambda w: [[str(j + 1) for j in w.exponent]], _int_tok,
+     (lambda v: np.all(v >= 1), "entries must be at least 1")),
+    ("p", lambda w: [[str(int(w.counts.sum()))]], _int_tok, _AT_LEAST_ONE),
+    ("rank", lambda w: [[str(w.left.shape[1])]], _int_tok, _AT_LEAST_ONE),
+    ("rows", lambda w: [map(str, w.rows + 1)], _int_tok,
+     (lambda v: np.all(np.diff(v) > 0), "must be strictly increasing")),
+    ("row-probs", lambda w: [map(fmt, w.row_probs)], _float_tok, _POSITIVE),
+    ("counts", lambda w: [map(str, w.counts)], _int_tok,
+     (lambda v: np.all(v >= 1), "must be positive")),
+    ("sigma", lambda w: [map(fmt, w.sigma)], _float_tok, _POSITIVE),
+    ("left", lambda w: _columns(w.left), _float_tok, _FINITE),
+    ("core-d", lambda w: [map(fmt, w.core_d)], _float_tok, _FINITE),
+    ("core-u", lambda w: _columns(w.core_u), _float_tok, _FINITE),
+)
+_WITNESS_ROW = {row[0]: row for row in _WITNESS}
+_SINGLE = ("beta", "tau", "p", "rank")
+_COLUMNS = ("left", "core-u")
+
+
+def _witness_line(tokens: list[str], lineno: int) -> tuple[str, object]:
+    """A gibbs witness line's name (``left 2`` for column 2) and its checked values."""
+    key, values = tokens[0], tokens[1:]
+    _, _, tok, (ok, must) = _WITNESS_ROW[key]
+    name = key
+    if key in _COLUMNS:
+        _check(values, lineno, f"{key} takes an index")
+        name, values = f"{key} {_int_tok(values[0], lineno)}", values[1:]
+        _check(len(values) % 2 == 0, lineno, "odd number of components")
+    if key in _SINGLE:
+        _check(len(values) == 1, lineno, f"{key} takes one value")
+        parsed = tok(values[0], lineno)
+    else:
+        parsed = np.array([tok(t, lineno) for t in values])
+    if key in _COLUMNS:
+        parsed = parsed[0::2] + 1j * parsed[1::2]
+    _check(ok(parsed), lineno, f"{name} {must}")
+    return name, parsed
+
+
+def _gibbs_dump(v: dict, at: dict, dimension: int) -> WitnessDump:
+    """Check a gibbs block's lines against each other; the dump they describe.
+
+    ``v`` and ``at`` map each line's name to its values and line number.
+    """
+    for key in _WITNESS_ROW:
+        if key not in _COLUMNS and key not in v:
+            raise ManifestError(f"gibbs witness is missing {key!r}")
+    rows, r, counts = v["rows"], v["rank"], v["counts"]
+    _check(np.all((rows >= 1) & (rows <= dimension)), at["rows"],
+           f"rows must lie in [1, {dimension}]")
+    _check(int(counts.sum()) == v["p"], at["counts"],
+           f"counts sum to {int(counts.sum())}, p says {v['p']}")
+    if len(v["exponent"]) != v["tau"]:
+        raise ManifestError(f"exponent lists {len(v['exponent'])} entries, tau says {v['tau']}")
+    if v["sigma"].size != r or v["core-d"].size != r:
+        raise ManifestError("spectral data does not match the declared rank")
+    left = [f"left {k}" for k in range(1, r + 1)]
+    core = [f"core-u {k}" for k in range(1, r + 1)]
+    if sorted(name for name in v if name.split()[0] in _COLUMNS) != sorted(left + core):
+        raise ManifestError("left/core-u vectors must cover 1..rank exactly once")
+    for name in sorted(["row-probs", "counts", *left], key=at.get):
+        _check(v[name].size == rows.size, at[name],
+               f"{name} lists {v[name].size} values for {rows.size} rows")
+    for name in core:
+        _check(v[name].size == r, at[name], f"core-u lists {v[name].size} values for rank {r}")
+    return WitnessDump(
+        kind="gibbs",
+        beta=v["beta"],
+        exponent=[int(j) - 1 for j in v["exponent"]],
+        rows=rows - 1,
+        row_probs=v["row-probs"],
+        counts=counts,
+        sigma=v["sigma"],
+        left=np.stack([v[name] for name in left], axis=1),
+        core_d=v["core-d"],
+        core_u=np.stack([v[name] for name in core], axis=1),
+    )
 
 
 def parse(text: str) -> RunReport:
-    """Parse a rendered report, validating structure as it goes."""
+    """Parse a rendered report, validating structure as it goes.
+
+    The witness line closes the run's lines: after `witness gibbs` come
+    only the witness's own lines, which are read nowhere else, and
+    after `witness none` or `witness uniform` only `end`.
+    """
     lines = text.splitlines()
     if lines and lines[0].startswith("sdpsketch-report ") and lines[0] != HEADER:
         raise ManifestError(
@@ -293,45 +352,43 @@ def parse(text: str) -> RunReport:
     violations: list[tuple[int, int, float]] = []
     estimates: list[tuple[int, float]] = []
     timings: list[tuple[str, float]] = []
-    witness_kind: Optional[str] = None
-    payload: dict[str, tuple[int, list[str]]] = {}
-    left_rows: dict[int, tuple[int, np.ndarray]] = {}
-    core_rows: dict[int, tuple[int, np.ndarray]] = {}
+    kind: Optional[str] = None
+    block: dict[str, object] = {}
+    at: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:-1], start=2):
-        tokens = _toks(line, lineno)
+        tokens = line.split()
+        _check(tokens, lineno, "empty line inside report")
         key = tokens[0]
-        if key == "violation":
-            _check(len(tokens) == 4, lineno, "violation takes three fields")
-            violations.append(
-                (
-                    _int_tok(tokens[1], lineno),
-                    _int_tok(tokens[2], lineno) - 1,
-                    _float_tok(tokens[3], lineno),
-                )
+        if key == "witness":
+            _check(len(tokens) == 2, lineno, "witness takes one value")
+            _check(kind is None, lineno, f"duplicate {key!r}")
+            kind = tokens[1]
+            if kind not in ("none", "uniform", "gibbs"):
+                raise ManifestError(f"unknown witness kind {kind!r}")
+        elif kind is not None:
+            _check(kind == "gibbs" and key in _WITNESS_ROW, lineno,
+                   f"{key!r} may not follow 'witness {kind}'")
+            name, values = _witness_line(tokens, lineno)
+            _check(name not in at, lineno, f"duplicate {name if key in _COLUMNS else repr(name)}")
+            block[name], at[name] = values, lineno
+        elif key in _WITNESS_ROW:
+            raise ManifestError(
+                f"report line {lineno}: {key!r} only belongs after 'witness gibbs'"
             )
+        elif key == "violation":
+            _check(len(tokens) == 4, lineno, "violation takes three fields")
+            t, j, zeta = (tok(token, lineno) for tok, token in zip(_VIOLATION, tokens[1:]))
+            violations.append((t, j - 1, zeta))
         elif key == "estimate":
             _check(len(tokens) == 3, lineno, "estimate takes two fields")
             estimates.append((_int_tok(tokens[1], lineno), _float_tok(tokens[2], lineno)))
         elif key == "timing":
             _check(len(tokens) == 3, lineno, "timing takes two fields")
             timings.append((tokens[1], _float_tok(tokens[2], lineno)))
-        elif key == "witness":
-            _check(len(tokens) == 2, lineno, "witness takes one value")
-            _check(witness_kind is None, lineno, f"duplicate {key!r}")
-            witness_kind = tokens[1]
-        elif key in ("left", "core-u"):
-            _check(len(tokens) >= 2, lineno, f"{key} takes an index")
-            vecs = left_rows if key == "left" else core_rows
-            k = _int_tok(tokens[1], lineno)
-            _check(k not in vecs, lineno, f"duplicate {key} {k}")
-            vecs[k] = (lineno, _complex_vec(tokens[2:], lineno, f"{key} {k}"))
-        elif key in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
-            _check(key not in payload, lineno, f"duplicate {key!r}")
-            payload[key] = (lineno, tokens[1:])
-        elif key in _SCALARS:
+        elif key in _RUN:
             _check(key not in scalars, lineno, f"duplicate {key!r}")
             _check(len(tokens) == 2, lineno, f"{key} takes one value")
-            scalars[key] = _SCALARS[key](tokens[1], lineno)
+            scalars[key] = _RUN[key][1](tokens[1], lineno)
         else:
             raise ManifestError(f"report line {lineno}: unknown key {key!r}")
     for required in ("command", "dimension", "seed", "epsilon", "rounds", "verdict", "iterations"):
@@ -339,70 +396,15 @@ def parse(text: str) -> RunReport:
             raise ManifestError(f"report is missing {required!r}")
     if scalars["verdict"] not in ("feasible", "infeasible"):
         raise ManifestError(f"unknown verdict {scalars['verdict']!r}")
-    witness: Optional[WitnessDump] = None
-    if witness_kind == "uniform":
-        witness = WitnessDump(kind="uniform", beta=scalars.get("beta", 0.0))
-    elif witness_kind == "gibbs":
-        for required in ("beta", "tau", "p", "rank"):
-            if required not in scalars:
-                raise ManifestError(f"gibbs witness is missing {required!r}")
-        p = scalars["p"]
-        r = scalars["rank"]
-        tau = scalars["tau"]
-        dimension = scalars["dimension"]
-        for required in ("exponent", "rows", "row-probs", "counts", "sigma", "core-d"):
-            if required not in payload:
-                raise ManifestError(f"gibbs witness is missing {required!r}")
-        at, exponent = _vec(payload, "exponent", _int_tok)
-        _check(np.all(exponent >= 1), at, "exponent entries must be at least 1")
-        exponent = [int(j) - 1 for j in exponent]
-        at, rows = _vec(payload, "rows", _int_tok)
-        _check(np.all(np.diff(rows) > 0), at, "rows must be strictly increasing")
-        _check(np.all((rows >= 1) & (rows <= dimension)), at, f"rows must lie in [1, {dimension}]")
-        at, row_probs = _vec(payload, "row-probs", _float_tok)
-        _check(np.all((row_probs > 0.0) & (row_probs < np.inf)), at,
-               "row-probs must be positive and finite")
-        at, counts = _vec(payload, "counts", _int_tok)
-        _check(np.all(counts >= 1), at, "counts must be positive")
-        _check(int(counts.sum()) == p, at, f"counts sum to {int(counts.sum())}, p says {p}")
-        at, sigma = _vec(payload, "sigma", _float_tok)
-        _check(np.all((sigma > 0.0) & (sigma < np.inf)), at, "sigma must be positive and finite")
-        at, core_d = _vec(payload, "core-d", _float_tok)
-        _check(np.all(np.isfinite(core_d)), at, "core-d must be finite")
-        if len(exponent) != tau:
-            raise ManifestError(f"exponent lists {len(exponent)} entries, tau says {tau}")
-        if sigma.size != r or core_d.size != r:
-            raise ManifestError("spectral data does not match the declared rank")
-        if sorted(left_rows) != list(range(1, r + 1)) or sorted(core_rows) != list(
-            range(1, r + 1)
-        ):
-            raise ManifestError("left/core-u vectors must cover 1..rank exactly once")
-        lengths = [(payload[key][0], key, len(payload[key][1])) for key in ("row-probs", "counts")]
-        lengths += [(at, f"left {k}", vec.size) for k, (at, vec) in left_rows.items()]
-        for at, key, size in sorted(lengths):
-            _check(size == rows.size, at, f"{key} lists {size} values for {rows.size} rows")
-        left = np.stack([left_rows[k][1] for k in range(1, r + 1)], axis=1)
-        for at, vec in core_rows.values():
-            _check(vec.size == r, at, f"core-u lists {vec.size} values for rank {r}")
-        core_u = np.stack([core_rows[k][1] for k in range(1, r + 1)], axis=1)
-        witness = WitnessDump(
-            kind="gibbs",
-            beta=scalars["beta"],
-            exponent=exponent,
-            rows=rows - 1,
-            row_probs=row_probs,
-            counts=counts,
-            sigma=sigma,
-            left=left,
-            core_d=core_d,
-            core_u=core_u,
-        )
-    elif witness_kind not in (None, "none"):
-        raise ManifestError(f"unknown witness kind {witness_kind!r}")
     if [k for k, _ in estimates] != list(range(1, len(estimates) + 1)):
         raise ManifestError("estimate lines must appear as 1..k in order")
+    witness = None
+    if kind == "uniform":
+        witness = WitnessDump(kind="uniform")
+    elif kind == "gibbs":
+        witness = _gibbs_dump(block, at, scalars["dimension"])
     return RunReport(
-        **{name: scalars[key] for key, name, _, _ in _HEAD + _TAIL if key in scalars},
+        **{_RUN[key][0]: value for key, value in scalars.items()},
         violations=violations,
         estimates=[v for _, v in estimates],
         timings=timings,

@@ -22,8 +22,12 @@ from .store import NegatedView
 
 
 def default_round_budget(n: int, eps: float) -> int:
-    """Round count ceil(16 ln n / eps^2) from the regret analysis."""
-    return math.ceil(16.0 * math.log(n) / eps**2)
+    """Round count ceil(16 ln n / eps^2) from the regret analysis, at least one.
+
+    At n = 1 the formula gives 0, yet a run needs a round to check its
+    one candidate.
+    """
+    return max(1, math.ceil(16.0 * math.log(n) / eps**2))
 
 
 @dataclass

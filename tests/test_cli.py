@@ -30,9 +30,11 @@ from sdpsketch.manifest import (
 )
 from sdpsketch.report import fmt, load_report, parse, rebuild_witness
 from sdpsketch.rng import substream
+from sdpsketch.store import SampledMatrix
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 FAST = ["--p", "200", "--gamma", "1e-8", "--max-iters", "8", "--seed", "3"]
+NO_DIGEST = "error: report has no manifest-sha256 line to check --manifest against\n"
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +308,12 @@ class TestEntry:
             ("core-u 1 ", lambda v: ["inf", *v[1:]], "core-u 1 must be finite"),
             ("rank ", lambda v: ["0"], "rank must be at least 1"),
             ("rank ", lambda v: ["-1"], "rank must be at least 1"),
+            ("violation ", lambda v: ["0", *v[1:]], "violation round must be at least 1"),
+            ("violation ", lambda v: [v[0], "0", v[2]], "violation constraint must be at least 1"),
+            ("dimension ", lambda v: ["0"], "dimension must be at least 1"),
+            ("rounds ", lambda v: ["-2"], "rounds must be at least 1"),
+            ("iterations ", lambda v: ["-5"], "iterations must be at least 1"),
+            ("tau ", lambda v: ["0"], "tau must be at least 1"),
         ],
         ids=[
             "rows_not_increasing", "row_zero", "row_past_dimension", "row_prob_zero",
@@ -314,7 +322,8 @@ class TestEntry:
             "seed_not_integer", "beta_not_float", "exponent_zero", "witness_bare",
             "left_bare", "core_u_bare", "beta_nan", "beta_inf", "beta_negative",
             "sigma_zero", "sigma_nan", "core_d_nan", "left_nan", "core_u_inf",
-            "rank_zero", "rank_negative",
+            "rank_zero", "rank_negative", "violation_round_zero", "violation_constraint_zero",
+            "dimension_zero", "rounds_negative", "iterations_negative", "tau_zero",
         ],
     )
     def test_bad_witness_line_named(self, work, tmp_path, capsys, prefix, edit, message):
@@ -387,15 +396,33 @@ class TestEntry:
         run_cli(["feastest", work["readme"], "--seed", "3", "--out", str(out)])
         lines = out.read_text().splitlines()
         assert "dimension 32" in lines and "exponent 1" in lines
-        # Without the digest line, only the dimensions tell the manifests apart.
+        # Without the digest line nothing ties the manifest to the run, so
+        # the report is refused before the manifest is read.
         kept = [line for line in lines if not line.startswith("manifest-sha256 ")]
         out.write_text("\n".join(kept) + "\n")
         capsys.readouterr()
         code, _ = run_cli(["entry", str(out), "1", "1", "--manifest", work["opt"]])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "error: manifest dimension 8 does not match the report's dimension 32\n"
-        )
+        assert capsys.readouterr().err == NO_DIGEST
+
+    def test_gibbs_report_without_digest_exits_two(self, tmp_path, capsys):
+        """Another manifest of the same dimension would rebuild a wrong witness."""
+        manifests = []
+        for key in (1, 2):
+            problem, _ = planted_one_update(12, eps=0.25, rng=substream(key, 1))
+            (tmp_path / str(key)).mkdir()
+            manifests.append(str(tmp_path / str(key) / "p.man"))
+            write_feasibility_manifest(manifests[-1], problem.constraints, problem.bounds, 0.25)
+        out = tmp_path / "run.rep"
+        flags = ["--seed", "9", "--p", "200", "--gamma", "1e-8", "--max-iters", "6"]
+        assert run_cli(["feastest", manifests[0], *flags, "--out", str(out)])[0] == 0
+        lines = out.read_text().splitlines()
+        assert "witness gibbs" in lines
+        kept = [line for line in lines if not line.startswith("manifest-sha256 ")]
+        out.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        assert run_cli(["entry", str(out), "1", "1", "--manifest", manifests[1]]) == (2, "")
+        assert capsys.readouterr().err == NO_DIGEST
 
     def test_undecodable_report_names_line(self, work, tmp_path, capsys):
         out = tmp_path / "wit6.rep"
@@ -584,6 +611,22 @@ class TestErrorPaths:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["feastest", "shadow", "oracle"])
+    def test_flags_are_checked_before_the_manifest(self, capsys, command):
+        code, text = run_cli([command, "/nonexistent/x.man", "--seed", "-1"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("command", ["feastest", "oracle"])
+    def test_one_by_one_problem_runs_a_round(self, tmp_path, command):
+        """ceil(16 ln 1 / eps^2) is 0; the budget still holds one round."""
+        man = str(tmp_path / "one.man")
+        write_feasibility_manifest(man, [SampledMatrix([0], [0], [0.5], 1, 1)], [1.0], 0.25)
+        code, text = run_cli([command, man, "--seed", "1"])
+        assert code == 0
+        report = parse(text)
+        assert (report.verdict, report.rounds, report.iterations) == ("feasible", 1, 1)
 
     def test_core_above_budget_exits_two(self, tmp_path, capsys, monkeypatch):
         from sdpsketch import sketch

@@ -1,7 +1,12 @@
 """Run reports: byte-exact serialization and witness reconstruction."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sdpsketch.errors import ManifestError
 from sdpsketch.instances import planted_one_update
@@ -148,6 +153,33 @@ class TestParseRejections:
         with pytest.raises(ManifestError):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "witness, after, added, message",
+        [
+            ("none", False, ["tau 3", "rank 2"], "'tau' only belongs after 'witness gibbs'"),
+            ("gibbs", False, ["beta 0.5"], "'beta' only belongs after 'witness gibbs'"),
+            ("none", True, ["tau 3"], "'tau' may not follow 'witness none'"),
+            ("uniform", True, ["rank 2"], "'rank' may not follow 'witness uniform'"),
+            ("uniform", True, ["estimate 3 0.5"], "'estimate' may not follow 'witness uniform'"),
+            ("gibbs", True, ["calls 4"], "'calls' may not follow 'witness gibbs'"),
+        ],
+        ids=["tau_before_none", "beta_before_gibbs", "tau_after_none", "rank_after_uniform",
+             "estimate_after_uniform", "calls_after_gibbs"],
+    )
+    def test_line_outside_its_block_named(self, witness, after, added, message):
+        """Witness lines are read only after `witness gibbs`; after `witness
+        none` or `witness uniform` only `end` may come."""
+        dump = {"none": None, "uniform": WitnessDump(kind="uniform")}.get(witness)
+        if witness == "gibbs":
+            _, out, chosen = planted_run()
+            dump = dump_witness(out.witness, chosen)
+        lines = render(full_report(witness=dump)).splitlines()
+        at = lines.index(f"witness {witness}") + after
+        lines[at:at] = added
+        with pytest.raises(ManifestError) as err:
+            parse("\n".join(lines) + "\n")
+        assert str(err.value) == f"report line {at + 1}: {message}"
+
     def test_truncated_witness_block(self):
         problem, out, chosen = planted_run()
         r = full_report(witness=dump_witness(out.witness, chosen))
@@ -232,6 +264,13 @@ class TestWitnessRebuild:
         with pytest.raises(ManifestError):
             rebuild_witness(WitnessDump(kind="gibbs", beta=0.1), [], 6)
 
+    def test_constraints_of_another_dimension_rejected(self):
+        problem, out, chosen = planted_run()
+        dump = dump_witness(out.witness, chosen)
+        with pytest.raises(ManifestError) as err:
+            rebuild_witness(dump, problem.constraints, 32)
+        assert str(err.value) == "manifest dimension 16 does not match the report's dimension 32"
+
 
 class TestFileRoundTrip:
     def test_save_and_load(self, tmp_path):
@@ -241,3 +280,77 @@ class TestFileRoundTrip:
         save_report(path, r)
         again = load_report(path)
         assert render(again) == render(r)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+complex_entries = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e300)
+
+
+@st.composite
+def gibbs_dumps(draw, dimension: int) -> WitnessDump:
+    """A gibbs dump of rank 1-4 on 1-6 distinct rows of ``dimension``."""
+    r = draw(st.integers(1, 4))
+    d = draw(st.integers(1, min(6, dimension)))
+    rows = draw(st.lists(st.integers(0, dimension - 1), min_size=d, max_size=d, unique=True))
+    return WitnessDump(
+        kind="gibbs",
+        beta=draw(st.floats(min_value=0.0, max_value=1e300)),
+        exponent=draw(st.lists(st.integers(0, 99), min_size=1, max_size=8)),
+        rows=np.array(sorted(rows), dtype=np.int64),
+        row_probs=draw(arrays(np.float64, d, elements=positive)),
+        counts=draw(arrays(np.int64, d, elements=st.integers(1, 10**6))),
+        sigma=draw(arrays(np.float64, r, elements=positive)),
+        left=draw(arrays(np.complex128, (d, r), elements=complex_entries)),
+        core_d=draw(arrays(np.float64, r, elements=finite)),
+        core_u=draw(arrays(np.complex128, (r, r), elements=complex_entries)),
+    )
+
+
+@st.composite
+def run_reports(draw) -> RunReport:
+    """A report with any witness, optional lines set or not, and values parse accepts."""
+    dimension = draw(st.integers(1, 40))
+    optional = lambda values: draw(st.none() | values)  # noqa: E731
+    return RunReport(
+        command=draw(st.sampled_from(["feastest", "shadow", "oracle", "optimize"])),
+        dimension=dimension,
+        seed=draw(st.integers(0, 2**63)),
+        epsilon=draw(finite),
+        rounds=draw(st.integers(1, 10**6)),
+        verdict=draw(st.sampled_from(["feasible", "infeasible"])),
+        iterations=draw(st.integers(1, 10**6)),
+        constraints=draw(st.integers(1, 100)),
+        beta_scale=draw(finite),
+        delta_total=draw(finite),
+        preset=draw(st.sampled_from(["scaled", "explicit"])),
+        sketch_p=optional(st.integers(1, 10**8)),
+        sketch_gamma=optional(positive),
+        violations=draw(st.lists(st.tuples(st.integers(1, 99), st.integers(0, 99), finite))),
+        manifest_sha=optional(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        value=optional(finite),
+        calls=optional(st.integers(1, 64)),
+        estimates=draw(st.lists(finite, max_size=4)),
+        timings=draw(st.lists(st.tuples(st.sampled_from(["load", "solve"]), finite), max_size=2)),
+        witness=optional(st.just(WitnessDump(kind="uniform")) | gibbs_dumps(dimension)),
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(run_reports())
+    def test_parse_inverts_render_field_for_field(self, report):
+        """Every line that `render` writes, `parse` reads back into its field."""
+        back = parse(render(report))
+        for f in fields(RunReport):
+            if f.name != "witness":
+                assert getattr(back, f.name) == getattr(report, f.name), f.name
+        if report.witness is None:
+            assert back.witness is None
+            return
+        for f in fields(WitnessDump):
+            got, want = getattr(back.witness, f.name), getattr(report.witness, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype.kind == want.dtype.kind and np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name

@@ -38,6 +38,7 @@ class TestRoundBudget:
     def test_frozen_values(self):
         assert default_round_budget(100, 0.1) == 7369
         assert default_round_budget(2, 0.5) == 45
+        assert default_round_budget(1, 0.25) == 1
 
     def test_monotone(self):
         assert default_round_budget(64, 0.1) > default_round_budget(64, 0.2)
