@@ -3,8 +3,10 @@
 
 Writes a fixed set of manifests with each writer (the instance of
 README's Python API section, a planted infeasible instance, a rank-2
-shadow instance, an optimize instance, and a feasibility and a shadow
-instance that the maximally mixed state already satisfies), runs
+shadow instance, an optimize instance, a feasibility and a shadow
+instance that the maximally mixed state already satisfies, and a
+signed pair whose run reuses its first sketch for a later round's
+witness), runs
 every pairing of a solving command (`feastest`, `shadow`, `oracle`) and
 a manifest kind with fixed flags, and reprints a few entries of every
 witness with `entry`.  The uniform runs end feasible at round 1, so
@@ -35,6 +37,7 @@ from sdpsketch.instances import (
     planted_around_state,
     planted_feasible_at_uniform,
     planted_infeasible,
+    planted_signed_pair,
     projector_store,
     random_low_rank,
     random_unit_vector,
@@ -68,6 +71,8 @@ RUNS = [
     ("oracle-infeasible", "oracle", "infeasible", ["--seed", "3", "--max-iters", "8"]),
     ("oracle-optimize", "oracle", "opt", ["--seed", "3", "--max-iters", "8"]),
     ("shadow-feasibility", "shadow", "readme", FAST),
+    ("pair-reuse", "feastest", "pair",
+     ["--p", "200", "--gamma", "1e-6", "--max-iters", "40", "--seed", "3"]),
 ]
 ENTRIES = [(1, 1), (2, 3), (5, 4), (8, 8)]
 
@@ -79,7 +84,7 @@ def digest(data: bytes) -> str:
 def write_fixtures(root: str) -> dict[str, str]:
     """Each manifest in its own directory; returns name -> manifest path."""
     paths = {}
-    for name in ("readme", "infeasible", "shadow", "opt", "uniform", "shadow-uniform"):
+    for name in ("readme", "infeasible", "shadow", "opt", "uniform", "shadow-uniform", "pair"):
         os.mkdir(os.path.join(root, name))
         paths[name] = os.path.join(root, name, f"{name}.man")
     problem, _ = planted_around_state(n=32, m=4, rank=2, eps=0.2, rng=substream(3, 5))
@@ -102,6 +107,8 @@ def write_fixtures(root: str) -> dict[str, str]:
     effects = [projector_store(random_unit_vector(12, substream(157, k))) for k in range(3)]
     values = [float(np.trace(dense_store(e)).real) / e.n for e in effects]
     write_shadow_manifest(paths["shadow-uniform"], effects, values, 0.25)
+    pair = planted_signed_pair(16, 0.3, substream(3, 1))
+    write_feasibility_manifest(paths["pair"], pair.constraints, pair.bounds, 0.3)
     return paths
 
 

@@ -65,7 +65,6 @@ def main() -> None:
         print(f"worst excess over bound: {worst:+.4f} (tolerance {args.eps})")
 
     if args.out:
-        chosen = [j for (_, j, _) in outcome.violation_log]
         report = RunReport(
             command="feastest",
             dimension=problem.n,
@@ -79,7 +78,7 @@ def main() -> None:
             sketch_p=args.p,
             sketch_gamma=args.gamma,
             violations=outcome.violation_log,
-            witness=dump_witness(outcome.witness, chosen) if outcome.feasible else None,
+            witness=dump_witness(outcome.witness, outcome.exponent) if outcome.feasible else None,
         )
         with open(args.out, "w") as fh:
             fh.write(render(report))

@@ -241,7 +241,7 @@ def _run_solve(args) -> int:
         **fields,
     )
     if found is not None:
-        report.witness = rep.dump_witness(found.witness, [j for _, j, _ in found.violation_log])
+        report.witness = rep.dump_witness(found.witness, found.exponent)
     if args.timings:
         report.timings = list(zip(("load", "solve"), seconds))
     text = rep.render(report)

@@ -123,6 +123,22 @@ def planted_infeasible(
     )
 
 
+def planted_signed_pair(n: int, eps: float, rng: np.random.Generator) -> FeasibilityProblem:
+    """One indefinite constraint Tr[(u u* - w w*) X] <= -0.5, u and w orthonormal.
+
+    The uniform state violates it (its trace is 0) and X = w w* meets it
+    with trace -1.  Every exponent of the update loop repeats the one
+    store, so each is a multiple of the first: the instance runs the
+    solver's reuse of one sketch across rounds.
+    """
+    g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    q, _ = qr(g)
+    dense = q[:, :1] @ q[:, :1].conj().T - q[:, 1:] @ q[:, 1:].conj().T
+    return FeasibilityProblem(
+        constraints=[SampledMatrix.from_dense(dense, rank_hint=2)], bounds=[-0.5], eps=eps
+    )
+
+
 def planted_around_state(
     n: int, m: int, rank: int, eps: float, rng: np.random.Generator
 ) -> tuple[FeasibilityProblem, np.ndarray]:

@@ -6,15 +6,17 @@ indices (rounds, constraints, matrix rows) are 1-based on disk and
 0-based in memory, with the conversion confined to render/parse.
 The run's scalar lines follow one table in a fixed order, which render
 and parse both read; an optional line whose field is unset is left out.
-Counts and 1-based indices (dimension, rounds, iterations, violation
-rounds and constraints, tau, p, rank) are at least 1.
+Counts and 1-based indices (dimension, constraints, rounds, iterations,
+violation rounds and constraints, sketch-p, calls, tau, p, rank) are at
+least 1, the seed at least 0, and a violation's round and constraint at
+most the run's rounds and constraints.
 
-A feasible run's witness is dumped in its succinct form: the chosen
-exponent summands (so the sampling stores can be re-joined from the
-manifest), the distinct sampled rows with their probabilities and
-counts (which sum to p, at least 1), the singular values, the left
-vectors on the distinct rows, and the compressed-matrix eigensystem;
-nothing in it grows with p.  Its lines follow a second table, and
+A feasible run's witness is dumped in its succinct form: the summands
+of the exponent its basis was sketched from (so the sampling stores can
+be re-joined from the manifest), the distinct sampled rows with their
+probabilities and counts (which sum to p, at least 1), the singular
+values, the left vectors on the distinct rows, and the compressed-matrix
+eigensystem; nothing in it grows with p.  Its lines follow a second table, and
 `parse` reads them only after `witness gibbs`; after `witness none` or
 `witness uniform` only `end` may follow.
 Rebuilding from those bytes reproduces the witness exactly, so entry
@@ -73,9 +75,9 @@ class RunReport:
     seed: int
     epsilon: float
     rounds: int
+    constraints: int
     verdict: str = "infeasible"
     iterations: int = 0
-    constraints: int = 0
     beta_scale: float = SolverConfig.beta_scale
     delta_total: float = SolverConfig.delta_total
     preset: str = "scaled"
@@ -91,7 +93,11 @@ class RunReport:
 
 
 def dump_witness(g: GibbsDescription, exponent: list[int]) -> WitnessDump:
-    """Capture a candidate's succinct description for serialization."""
+    """Capture a candidate's succinct description for serialization.
+
+    ``exponent`` lists the constraints, with repeats, that the
+    candidate's basis was sketched from (`FeasibilityOutcome.exponent`).
+    """
     if g.uniform_fallback:
         return WitnessDump(kind="uniform", beta=g.beta)
     basis = g.basis
@@ -175,12 +181,13 @@ def _int_tok(token: str, lineno: int) -> int:
         raise ManifestError(f"report line {lineno}: bad integer {token!r}") from None
 
 
-def _at_least_one(name: str):
-    """Integer parser for a count or 1-based index, which must be at least 1."""
+def _at_least(name: str, low: int = 1):
+    """Integer parser for a value that must be at least ``low``: 1 for a
+    count or 1-based index."""
 
     def tok(token: str, lineno: int) -> int:
         value = _int_tok(token, lineno)
-        _check(value >= 1, lineno, f"{name} must be at least 1")
+        _check(value >= low, lineno, f"{name} must be at least {low}")
         return value
 
     return tok
@@ -196,26 +203,26 @@ def _str_tok(token: str, lineno: int) -> str:
 # fields present.  The violation lines fall between _HEAD and _TAIL.
 _HEAD = (
     ("command", "command", _str_tok, str),
-    ("dimension", "dimension", _at_least_one("dimension"), str),
+    ("dimension", "dimension", _at_least("dimension"), str),
     ("manifest-sha256", "manifest_sha", _str_tok, str),
-    ("seed", "seed", _int_tok, str),
+    ("seed", "seed", _at_least("seed", 0), str),
     ("epsilon", "epsilon", _float_tok, fmt),
-    ("constraints", "constraints", _int_tok, str),
-    ("rounds", "rounds", _at_least_one("rounds"), str),
+    ("constraints", "constraints", _at_least("constraints"), str),
+    ("rounds", "rounds", _at_least("rounds"), str),
     ("beta-scale", "beta_scale", _float_tok, fmt),
     ("delta-total", "delta_total", _float_tok, fmt),
     ("preset", "preset", _str_tok, str),
-    ("sketch-p", "sketch_p", _int_tok, str),
+    ("sketch-p", "sketch_p", _at_least("sketch-p"), str),
     ("sketch-gamma", "sketch_gamma", _float_tok, fmt),
     ("verdict", "verdict", _str_tok, str),
-    ("iterations", "iterations", _at_least_one("iterations"), str),
+    ("iterations", "iterations", _at_least("iterations"), str),
 )
 _TAIL = (
     ("value", "value", _float_tok, fmt),
-    ("calls", "calls", _int_tok, str),
+    ("calls", "calls", _at_least("calls"), str),
 )
 _RUN = {key: (name, tok) for key, name, tok, _ in _HEAD + _TAIL}
-_VIOLATION = (_at_least_one("violation round"), _at_least_one("violation constraint"), _float_tok)
+_VIOLATION = (_at_least("violation round"), _at_least("violation constraint"), _float_tok)
 
 
 def _scalar_lines(report: RunReport, table) -> list[str]:
@@ -350,6 +357,7 @@ def parse(text: str) -> RunReport:
         raise ManifestError("truncated report: missing end line")
     scalars: dict[str, object] = {}
     violations: list[tuple[int, int, float]] = []
+    violation_lines: list[int] = []
     estimates: list[tuple[int, float]] = []
     timings: list[tuple[str, float]] = []
     kind: Optional[str] = None
@@ -379,6 +387,7 @@ def parse(text: str) -> RunReport:
             _check(len(tokens) == 4, lineno, "violation takes three fields")
             t, j, zeta = (tok(token, lineno) for tok, token in zip(_VIOLATION, tokens[1:]))
             violations.append((t, j - 1, zeta))
+            violation_lines.append(lineno)
         elif key == "estimate":
             _check(len(tokens) == 3, lineno, "estimate takes two fields")
             estimates.append((_int_tok(tokens[1], lineno), _float_tok(tokens[2], lineno)))
@@ -391,9 +400,15 @@ def parse(text: str) -> RunReport:
             scalars[key] = _RUN[key][1](tokens[1], lineno)
         else:
             raise ManifestError(f"report line {lineno}: unknown key {key!r}")
-    for required in ("command", "dimension", "seed", "epsilon", "rounds", "verdict", "iterations"):
+    for required in (
+        "command", "dimension", "seed", "epsilon", "constraints", "rounds", "verdict", "iterations"
+    ):
         if required not in scalars:
             raise ManifestError(f"report is missing {required!r}")
+    rounds, m = scalars["rounds"], scalars["constraints"]
+    for lineno, (t, j, _) in zip(violation_lines, violations):
+        _check(t <= rounds, lineno, f"violation round {t} exceeds rounds {rounds}")
+        _check(j < m, lineno, f"violation constraint {j + 1} exceeds constraints {m}")
     if scalars["verdict"] not in ("feasible", "infeasible"):
         raise ManifestError(f"unknown verdict {scalars['verdict']!r}")
     if [k for k, _ in estimates] != list(range(1, len(estimates) + 1)):

@@ -221,16 +221,22 @@ class BasisSketch:
     and a last, zero row that every row off the support reads; row k is
     the basis row of ``support()[k]`` once `fill` has built it, and
     `gram` sums V^dagger V over it.  A sketch keeps at least one
-    direction: with none it raises `EmptySketch`.
+    direction: with none it raises `EmptySketch`.  `kept_scales`, set by
+    `build_sketch`, is the interval [lo, hi) of multiples c at which the
+    filter, on the same draws of c times the sum, keeps exactly these
+    directions; a sketch rebuilt from a report has none.
     """
 
-    def __init__(self, ms, rows, row_probs, counts, singular_values, left_vectors):
+    def __init__(
+        self, ms, rows, row_probs, counts, singular_values, left_vectors, kept_scales=None
+    ):
         self.ms = ms
         self.rows = np.asarray(rows, dtype=np.int64)
         self.row_probs = np.asarray(row_probs, dtype=np.float64)
         self.counts = np.asarray(counts, dtype=np.int64)
         self.singular_values = np.asarray(singular_values, dtype=np.float64)
         self.left_vectors = np.asarray(left_vectors, dtype=np.complex128)
+        self.kept_scales = kept_scales
         self.p = int(self.counts.sum())
         self.r_tilde = int(self.singular_values.shape[0])
         if self.r_tilde == 0:
@@ -399,9 +405,19 @@ def build_sketch(
     # rank(sum of coef A over stores) is at most rank per store with coef != 0.
     signed = sum(1 for _, _, coef in ms.terms if coef != 0)
     sigma = sigma[: min(p, signed * ms.rank)]
-    keep = sigma**2 >= params.gamma * core_mass
+    floor = params.gamma * core_mass
+    keep = sigma**2 >= floor
     if not bool(keep.any()):
         raise EmptySketch(
             f"all {sigma.shape[0]} leading directions fell below gamma={params.gamma}"
         )
-    return BasisSketch(ms, urows, row_probs, m_r, sigma[keep], u[:, : keep.shape[0]][:, keep])
+    # Scaling every count and coef by c leaves the draw laws and the left
+    # vectors alone but scales sigma by c and the summand mass by c only,
+    # so these draws keep the same directions while c sigma^2 >= floor
+    # for the least kept sigma and not for the largest dropped one.
+    kept, dropped = sigma[keep], sigma[~keep]
+    hi = floor / dropped[0] ** 2 if dropped.size and dropped[0] > 0.0 else math.inf
+    return BasisSketch(
+        ms, urows, row_probs, m_r, kept, u[:, : keep.shape[0]][:, keep],
+        kept_scales=(float(floor / kept[-1] ** 2), float(hi)),
+    )

@@ -2,10 +2,14 @@
 
 Each round estimates every constraint trace against the current candidate
 and stops at the first violation beyond the declared margin; the violated
-constraints accumulate into an exponent whose Gibbs weighting, rebuilt
-from scratch through the sketch pipeline, becomes the next candidate.
-Surviving all constraints ends the run feasible; exhausting the round
-budget certifies infeasibility at the configured precision.
+constraints accumulate into an exponent E whose Gibbs weighting
+exp(-beta E) / Tr becomes the next candidate.  A candidate is sketched
+through the pipeline (basis, compressed matrix, eigensystem) unless E is
+a positive multiple c of the last sketched exponent, under the same
+sketch parameters: the candidate is then the last one's at c beta, and
+nothing is drawn.  Surviving all constraints ends the run feasible;
+exhausting the round budget certifies infeasibility at the configured
+precision.
 """
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ from typing import Callable, Optional
 from . import rng as rngmod
 from .errors import ConfigError, EmptySketch, ShapeError
 from .gibbs import GibbsDescription, estimate_constraint_trace, make_gibbs
-from .sketch import MatrixSum, SketchParams, build_sketch
-from .spectral import decompose, estimate_vav
+from .sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
+from .spectral import SpectralSurrogate, check_spectrum, decompose, estimate_vav
 from .store import NegatedView
 
 
@@ -153,6 +157,11 @@ class FeasibilityOutcome:
     rounds counted from 1 and constraints 0-based.  witness is the
     candidate that passed every check (feasible verdicts only);
     dense_witness is set by the dense reference solver instead.
+    exponent lists the 0-based constraints, with repeats, of the exponent
+    the witness's basis was sketched from: a prefix of the violated
+    constraints, of which the whole list is a multiple c, and the
+    witness's beta is c times the round's (empty for a witness without
+    a basis).
     """
 
     verdict: str
@@ -160,10 +169,40 @@ class FeasibilityOutcome:
     iterations_used: int
     violation_log: list = field(default_factory=list)
     dense_witness: Optional[object] = None
+    exponent: list = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
         return self.verdict == "feasible"
+
+
+@dataclass(frozen=True)
+class _Sketched:
+    """One sketched candidate: its exponent, parameters, basis and eigensystem."""
+
+    exponent: list[int]
+    params: SketchParams
+    basis: BasisSketch
+    surrogate: SpectralSurrogate
+
+    def multiple(self, ms: MatrixSum, params: SketchParams) -> Optional[float]:
+        """c if ``ms`` is c times this sketch's sum and its draws serve it, else None.
+
+        Tested exactly in integers: the same stores in the same order,
+        each count and coef c = tau / tau_0 times this sketch's, and equal
+        parameters.  The draws serve c when the filter keeps the same
+        directions there (`BasisSketch.kept_scales`).
+        """
+        base = self.basis.ms
+        if params != self.params or len(ms.terms) != len(base.terms):
+            return None
+        tau, tau0 = ms.tau, base.tau
+        for (store, count, coef), (store0, count0, coef0) in zip(ms.terms, base.terms):
+            if store is not store0 or count * tau0 != count0 * tau or coef * tau0 != coef0 * tau:
+                return None
+        c = tau / tau0
+        lo, hi = self.basis.kept_scales
+        return c if lo <= c < hi else None
 
 
 def _rebuild_candidate(
@@ -171,16 +210,32 @@ def _rebuild_candidate(
     config: SolverConfig,
     chosen: list[int],
     round_index: int,
-) -> GibbsDescription:
-    """Sketch the accumulated exponent and wrap it in Gibbs weights."""
+    last: Optional[_Sketched],
+) -> tuple[GibbsDescription, Optional[_Sketched]]:
+    """The Gibbs candidate of the exponent ``chosen`` and the sketch it reads.
+
+    When the exponent is a multiple c of the last sketch's
+    (`_Sketched.multiple`), the candidate is that sketch's at c beta: a
+    build on the same draws would keep the same basis and scale the
+    compressed matrix by c, so nothing is drawn, estimated or
+    decomposed, and only the spectrum's bound is checked at c.
+    Otherwise the exponent is sketched on ``round_index``'s streams; a
+    sketch that keeps no direction gives the maximally mixed candidate
+    and no sketch.
+    """
     ms = MatrixSum([problem.constraints[j] for j in chosen], rank=problem.rank)
     params = config.sketch_params(ms.tau, problem.rank, problem.eps)
+    beta = config.beta_scale * problem.eps
+    c = None if last is None else last.multiple(ms, params)
+    if c is not None:
+        check_spectrum(c * last.surrogate.d, ms.tau)
+        return make_gibbs(last.basis, last.surrogate, c * beta), last
     try:
         basis = build_sketch(
             ms, params, rngmod.substream(config.seed, rngmod.SKETCH, round_index)
         )
     except EmptySketch:
-        return GibbsDescription.uniform(problem.n)
+        return GibbsDescription.uniform(problem.n), None
     eps_s = VAV_ENTRY_PRECISION * basis.r_tilde * ms.tau
     core = estimate_vav(
         basis,
@@ -190,7 +245,8 @@ def _rebuild_candidate(
         rngmod.LazyStream(config.seed, rngmod.CORE, round_index),
     )
     surrogate = decompose(core, basis=basis)
-    return make_gibbs(basis, surrogate, config.beta_scale * problem.eps)
+    sketched = _Sketched(list(chosen), params, basis, surrogate)
+    return make_gibbs(basis, surrogate, beta), sketched
 
 
 def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> FeasibilityOutcome:
@@ -202,12 +258,14 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
     the run infeasible, so no candidate is built after it.  All
     randomness derives from config.seed through keyed substreams, so
     outcomes are reproducible regardless of scheduling; the trace and
-    compression streams are built only if a sampled trace reads them.
+    compression streams are built only if a sampled trace reads them,
+    and a round whose candidate reuses the last sketch builds none.
     """
     eps_est, margin = config.resolved(problem.eps)
     rounds = config.round_budget(problem.n, problem.eps)
     delta_call = config.delta_total / (rounds * problem.m)
     candidate = GibbsDescription.uniform(problem.n)
+    sketched = None
     violations: list[tuple[int, int, float]] = []
     chosen: list[int] = []
     for t in range(1, rounds + 1):
@@ -229,12 +287,13 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
                 witness=candidate,
                 iterations_used=t,
                 violation_log=violations,
+                exponent=[] if sketched is None else sketched.exponent,
             )
         j, zeta = hit
         violations.append((t, j, zeta))
         chosen.append(j)
         if t < rounds:
-            candidate = _rebuild_candidate(problem, config, chosen, t)
+            candidate, sketched = _rebuild_candidate(problem, config, chosen, t, sketched)
     return FeasibilityOutcome(
         verdict="infeasible",
         witness=None,

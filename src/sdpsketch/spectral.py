@@ -43,17 +43,21 @@ class SpectralSurrogate:
                 f"eigenvector block has shape {self.u.shape}, expected {(r, r)}"
             )
         if self.basis is not None:
-            bound = self.basis.ms.tau + SPECTRUM_SLACK
-            top = float(np.abs(self.d).max(initial=0.0))
-            if top > bound:
-                raise NumericalError(
-                    f"compressed spectrum reaches {top:.6g}, beyond the "
-                    f"summand bound {bound:.6g}"
-                )
+            check_spectrum(self.d, self.basis.ms.tau)
 
     @property
     def r_tilde(self) -> int:
         return int(self.d.shape[0])
+
+
+def check_spectrum(d: np.ndarray, tau: int) -> None:
+    """Raise `NumericalError` if an eigenvalue in d reaches past tau + `SPECTRUM_SLACK`."""
+    bound = tau + SPECTRUM_SLACK
+    top = float(np.abs(d).max(initial=0.0))
+    if top > bound:
+        raise NumericalError(
+            f"compressed spectrum reaches {top:.6g}, beyond the summand bound {bound:.6g}"
+        )
 
 
 def estimate_vav(

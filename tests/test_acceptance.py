@@ -616,7 +616,6 @@ def test_criterion_10_witness_round_trip(capsys):
     for problem, cfg in cases:
         outcome = run_feasibility(problem, cfg)
         assert outcome.feasible
-        chosen = [j for (_, j, _) in outcome.violation_log]
         report = RunReport(
             command="feastest",
             dimension=problem.n,
@@ -630,7 +629,7 @@ def test_criterion_10_witness_round_trip(capsys):
             sketch_gamma=small.gamma,
             preset="explicit",
             violations=outcome.violation_log,
-            witness=dump_witness(outcome.witness, chosen),
+            witness=dump_witness(outcome.witness, outcome.exponent),
         )
         parsed = parse(render(report))
         rebuilt = rebuild_witness(parsed.witness, problem.constraints, problem.n)

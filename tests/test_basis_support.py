@@ -262,7 +262,7 @@ class TestRebuiltWitnessQuery:
                             rng=substream(95, 3))
         g = make_gibbs(v, decompose(core, basis=v), beta=1.0)
         text = render(RunReport(
-            command="feastest", dimension=300, seed=0, epsilon=0.2, rounds=1,
+            command="feastest", dimension=300, seed=0, epsilon=0.2, rounds=1, constraints=2,
             verdict="feasible", iterations=1, witness=dump_witness(g, [0, 1, 0]),
         ))
         dump = parse(text).witness
@@ -301,7 +301,7 @@ class TestRebuiltWitnessBits:
                             rng=substream(95, 3))
         g = make_gibbs(v, decompose(core, basis=v), beta=1.0)
         text = render(RunReport(
-            command="feastest", dimension=300, seed=0, epsilon=0.2, rounds=1,
+            command="feastest", dimension=300, seed=0, epsilon=0.2, rounds=1, constraints=2,
             verdict="feasible", iterations=1, witness=dump_witness(g, [0, 1, 0]),
         ))
         w = rebuild_witness(parse(text).witness, [a, b], 300)

@@ -18,6 +18,7 @@ from sdpsketch.instances import (
     planted_around_state,
     planted_infeasible,
     planted_one_update,
+    planted_signed_pair,
     projector_store,
     random_low_rank,
     random_unit_vector,
@@ -28,8 +29,17 @@ from sdpsketch.manifest import (
     write_optimize_manifest,
     write_shadow_manifest,
 )
-from sdpsketch.report import fmt, load_report, parse, rebuild_witness
+from sdpsketch.report import (
+    RunReport,
+    dump_witness,
+    fmt,
+    load_report,
+    parse,
+    rebuild_witness,
+    render,
+)
 from sdpsketch.rng import substream
+from sdpsketch.sketch import SketchParams
 from sdpsketch.store import SampledMatrix
 
 CHECKOUT = Path(__file__).resolve().parents[1]
@@ -254,6 +264,53 @@ class TestEntry:
             assert code == 0
             z = rebuilt.query(row - 1, col - 1)
             assert text.strip() == f"{fmt(z.real)} {fmt(z.imag)}"
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_reused_sketch_witness_round_trips_bit_exactly(self, tmp_path, monkeypatch, seed):
+        """A witness whose round reused the first sketch names that sketch's
+        exponent and the scaled beta, and rebuilds to the run's bits."""
+        from sdpsketch import solver
+
+        builds = []
+        real = solver.build_sketch
+
+        def counting(ms, params, rng):
+            builds.append(ms.tau)
+            return real(ms, params, rng)
+
+        monkeypatch.setattr(solver, "build_sketch", counting)
+        problem = planted_signed_pair(16, 0.3, substream(seed, 1))
+        config = solver.SolverConfig(
+            seed=seed, t_override=40, sketch=SketchParams(p=200, gamma=1e-6)
+        )
+        out = solver.test_feasibility(problem, config)
+        violated = [j for _, j, _ in out.violation_log]
+        assert out.feasible and len(violated) >= 2 and set(violated) == {0}
+        assert builds == [1]
+        assert out.exponent == [0]
+        assert out.witness.beta == len(violated) * (config.beta_scale * problem.eps)
+
+        pairs = [(0, 0), (0, 5), (3, 3), (7, 12), (15, 15)]
+        dump = parse(render(RunReport(
+            command="feastest", dimension=16, seed=seed, epsilon=0.3, rounds=40,
+            constraints=1, verdict="feasible", iterations=out.iterations_used,
+            violations=out.violation_log, witness=dump_witness(out.witness, out.exponent),
+        ))).witness
+        rebuilt = rebuild_witness(dump, problem.constraints, 16)
+        for i, j in pairs:
+            assert rebuilt.query(i, j) == out.witness.query(i, j)
+
+        manifest = str(tmp_path / "pair.man")
+        write_feasibility_manifest(manifest, problem.constraints, problem.bounds, 0.3)
+        report = str(tmp_path / "pair.rep")
+        flags = ["--p", "200", "--gamma", "1e-6", "--max-iters", "40", "--seed", str(seed)]
+        assert run_cli(["feastest", manifest, *flags, "--out", report])[0] == 0
+        loaded = load_report(report).witness
+        assert (loaded.exponent, loaded.beta) == ([0], out.witness.beta)
+        for i, j in pairs:
+            code, text = run_cli(["entry", report, str(i + 1), str(j + 1), "--manifest", manifest])
+            z = out.witness.query(i, j)
+            assert (code, text) == (0, f"{fmt(z.real)} {fmt(z.imag)}\n")
 
     def test_gibbs_entry_requires_manifest(self, work, tmp_path):
         out = str(tmp_path / "wit2.rep")

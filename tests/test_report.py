@@ -34,7 +34,7 @@ def planted_run():
     problem, _ = planted_one_update(16, eps=0.25, rng=substream(140, 1))
     out = run_feasibility(problem, CFG)
     assert out.feasible and not out.witness.uniform_fallback
-    chosen = [j for _, j, _ in out.violation_log]
+    chosen = out.exponent
     return problem, out, chosen
 
 
@@ -80,7 +80,7 @@ class TestRenderParse:
         text = render(r)
         assert text.startswith(HEADER + "\n")
         assert text.endswith("end\n")
-        defaults = RunReport(command="", dimension=0, seed=0, epsilon=0.0, rounds=0)
+        defaults = RunReport(command="", dimension=0, seed=0, epsilon=0.0, rounds=0, constraints=0)
         for name, value in vars(r).items():
             if name != "witness":
                 assert value != getattr(defaults, name), name
@@ -198,6 +198,37 @@ def reparsed_line(text: str, prefix: str, new: str) -> tuple[str, int]:
     return "\n".join(lines) + "\n", at + 1
 
 
+class TestRunValueRejections:
+    """A run value that no producer writes is rejected naming its line."""
+
+    @pytest.mark.parametrize(
+        "prefix, new, message",
+        [
+            ("seed ", "seed -1", "seed must be at least 0"),
+            ("constraints ", "constraints 0", "constraints must be at least 1"),
+            ("sketch-p ", "sketch-p 0", "sketch-p must be at least 1"),
+            ("calls ", "calls 0", "calls must be at least 1"),
+            ("violation 2 ", "violation 2 4 0.5", "violation constraint 4 exceeds constraints 3"),
+            ("violation 2 ", "violation 9 3 0.5", "violation round 9 exceeds rounds 8"),
+        ],
+        ids=["seed_negative", "constraints_zero", "sketch_p_zero", "calls_zero",
+             "violation_constraint_past", "violation_round_past"],
+    )
+    def test_value_named(self, prefix, new, message):
+        text, lineno = reparsed_line(render(full_report()), prefix, new)
+        with pytest.raises(ManifestError) as err:
+            parse(text)
+        assert str(err.value) == f"report line {lineno}: {message}"
+
+    def test_missing_constraints_line(self):
+        text = "\n".join(
+            line for line in render(full_report()).splitlines()
+            if not line.startswith("constraints ")
+        )
+        with pytest.raises(ManifestError, match="missing 'constraints'"):
+            parse(text + "\n")
+
+
 class TestShortLines:
     """A line with too few fields is rejected naming it, not indexed past
     its end."""
@@ -311,22 +342,25 @@ def gibbs_dumps(draw, dimension: int) -> WitnessDump:
 def run_reports(draw) -> RunReport:
     """A report with any witness, optional lines set or not, and values parse accepts."""
     dimension = draw(st.integers(1, 40))
+    rounds = draw(st.integers(1, 10**6))
+    constraints = draw(st.integers(1, 100))
     optional = lambda values: draw(st.none() | values)  # noqa: E731
+    violation = st.tuples(st.integers(1, min(rounds, 99)), st.integers(0, constraints - 1), finite)
     return RunReport(
         command=draw(st.sampled_from(["feastest", "shadow", "oracle", "optimize"])),
         dimension=dimension,
         seed=draw(st.integers(0, 2**63)),
         epsilon=draw(finite),
-        rounds=draw(st.integers(1, 10**6)),
+        rounds=rounds,
         verdict=draw(st.sampled_from(["feasible", "infeasible"])),
         iterations=draw(st.integers(1, 10**6)),
-        constraints=draw(st.integers(1, 100)),
+        constraints=constraints,
         beta_scale=draw(finite),
         delta_total=draw(finite),
         preset=draw(st.sampled_from(["scaled", "explicit"])),
         sketch_p=optional(st.integers(1, 10**8)),
         sketch_gamma=optional(positive),
-        violations=draw(st.lists(st.tuples(st.integers(1, 99), st.integers(0, 99), finite))),
+        violations=draw(st.lists(violation)),
         manifest_sha=optional(st.text("0123456789abcdef", min_size=64, max_size=64)),
         value=optional(finite),
         calls=optional(st.integers(1, 64)),

@@ -597,3 +597,26 @@ class TestDistinctCore:
         build_sketch(ms, SketchParams(p=5000, gamma=1e-6), substream(36, 2))
         assert shapes == [(np.unique(rows).shape[0], np.unique(cols).shape[0])]
         assert max(shapes[0]) <= 32
+
+
+class TestKeptScales:
+    def test_filter_keeps_more_at_a_larger_multiple(self):
+        """Scaling every count by c scales sigma by c but the summand mass the
+        filter compares sigma^2 to only by c, so a direction dropped at c = 1
+        can be kept at c = 2; `kept_scales` says where the choice holds."""
+        a = random_low_rank(16, 2, substream(96, 1))
+        probe = build_sketch(MatrixSum([a], rank=2), SketchParams(p=300, gamma=1e-12),
+                             substream(96, 2))
+        assert probe.r_tilde == 2
+        floor = probe.kept_scales[0] * probe.singular_values[-1] ** 2
+        # A filter floor of 1.5 sigma_2^2: dropped at c = 1, kept at c = 2.
+        gamma = 1e-12 * 1.5 * probe.singular_values[-1] ** 2 / floor
+        params = SketchParams(p=300, gamma=gamma)
+        one = build_sketch(MatrixSum([a], rank=2), params, substream(96, 2))
+        two = build_sketch(MatrixSum([a, a], rank=2), params, substream(96, 2))
+        assert (one.r_tilde, two.r_tilde) == (1, 2)
+        lo, hi = one.kept_scales
+        assert lo <= 1.0 < hi < 2.0
+        assert hi == pytest.approx(1.5)
+        np.testing.assert_allclose(two.singular_values[:1], 2 * one.singular_values)
+        np.testing.assert_array_equal(two.rows, one.rows)

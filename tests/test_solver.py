@@ -17,7 +17,7 @@ from sdpsketch.instances import (
     shadow_instance,
 )
 from sdpsketch.rng import substream
-from sdpsketch.sketch import SketchParams
+from sdpsketch.sketch import MatrixSum, SketchParams
 from sdpsketch.solver import (
     FeasibilityOutcome,
     FeasibilityProblem,
@@ -32,6 +32,21 @@ from sdpsketch.store import NegatedView
 from sdpsketch.trace import EstimatorConfig, estimate_trace_product
 
 FAST = SolverConfig(seed=5, t_override=8, sketch=SketchParams(p=200, gamma=1e-8))
+
+
+def count_builds(monkeypatch) -> list:
+    """The summand count of every `build_sketch` call the solver makes."""
+    from sdpsketch import solver
+
+    calls = []
+    real = solver.build_sketch
+
+    def counting(ms, params, rng):
+        calls.append(ms.tau)
+        return real(ms, params, rng)
+
+    monkeypatch.setattr(solver, "build_sketch", counting)
+    return calls
 
 
 class TestRoundBudget:
@@ -197,24 +212,16 @@ class TestUpdateLoop:
         assert out.iterations_used == 3
 
     def test_no_candidate_built_after_last_violation(self, monkeypatch):
-        from sdpsketch import solver
-
-        calls = []
-        real = solver.build_sketch
-
-        def counting(ms, params, rng):
-            calls.append(ms.tau)
-            return real(ms, params, rng)
-
-        monkeypatch.setattr(solver, "build_sketch", counting)
+        calls = count_builds(monkeypatch)
         problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
         cfg = SolverConfig(seed=1, t_override=3,
                            sketch=SketchParams(p=150, gamma=1e-8))
         out = run_feasibility(problem, cfg)
         assert out.verdict == "infeasible"
         assert len(out.violation_log) == 3
-        # One rebuild per violation except the last, whose candidate is never used.
-        assert calls == [1, 2]
+        # The second violation doubles the first exponent, so its candidate
+        # reuses the first sketch; the last violation's is never built.
+        assert calls == [1]
 
     def test_unread_streams_are_not_built(self, monkeypatch):
         from sdpsketch import rng
@@ -233,9 +240,10 @@ class TestUpdateLoop:
         out = run_feasibility(problem, cfg)
         assert out.verdict == "infeasible"
         # Every trace on these small stores is exact, so of the 3 trace
-        # streams per round and the compression stream per rebuild, none
-        # is read; only the two rebuilds' sketch streams are built.
-        assert built == [rng.SKETCH, rng.SKETCH]
+        # streams per round and the compression stream per sketch, none is
+        # read; only the one sketch's stream is built, since round 2's
+        # exponent is twice round 1's.
+        assert built == [rng.SKETCH]
 
     def test_each_candidate_forms_vk_once(self, monkeypatch):
         """A candidate checked against several constraints forms V K over its table once."""
@@ -278,6 +286,59 @@ class TestUpdateLoop:
         assert a.iterations_used == b.iterations_used
         assert a.witness.query(0, 0) == b.witness.query(0, 0)
         assert a.witness.query(3, 7) == b.witness.query(3, 7)
+
+
+class TestSketchReuse:
+    """A candidate whose exponent is a multiple of the last sketched one draws nothing."""
+
+    @pytest.mark.parametrize(
+        "steps, builds",
+        [
+            ([[0], [0, 0], [0, 0, 0]], [1]),
+            ([[0, 1], [0, 1, 0, 1]], [2]),
+            ([[0], [0, 0], [0, 0, 2]], [1, 3]),
+            ([[0], [0, 2], [0, 2, 0]], [1, 2, 3]),
+            ([[0], [0, 1]], [1, 2]),
+        ],
+        ids=["one_store", "two_stores", "sign_turns", "shadow_pair", "store_enters"],
+    )
+    def test_builds_only_off_a_multiple(self, monkeypatch, steps, builds):
+        """Terms (store, count, coef) go (1, 1), (2, 2), (3, 3) for one store;
+        (2, 2) then (3, 1) when -E follows E twice; (1, 1), (2, 0) then
+        (3, 1) for the shadow pair E, -E, whose (2, 0) sketch keeps nothing."""
+        from sdpsketch import solver
+
+        calls = count_builds(monkeypatch)
+        effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
+        problem = shadow_to_feasibility(effects, values, 0.25)
+        last = None
+        for t, chosen in enumerate(steps, start=1):
+            candidate, last = solver._rebuild_candidate(problem, FAST, chosen, t, last)
+            if last is not None:
+                tau0 = len(last.exponent)
+                assert candidate.beta == len(chosen) / tau0 * (FAST.beta_scale * problem.eps)
+        assert calls == builds
+
+    def test_default_preset_builds_every_round(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
+        out = run_feasibility(problem, SolverConfig(seed=1, t_override=4))
+        assert out.verdict == "infeasible"
+        assert calls == [1, 2, 3]
+
+    def test_filter_change_rebuilds(self, monkeypatch):
+        """At a multiple where the filter would keep another direction, the
+        round draws afresh instead of reusing the sketch."""
+        from sdpsketch import solver
+
+        calls = count_builds(monkeypatch)
+        problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
+        _, last = solver._rebuild_candidate(problem, FAST, [0], 1, None)
+        assert last.multiple(MatrixSum([problem.constraints[0]] * 2, rank=1), FAST.sketch) == 2.0
+        lo, _ = last.basis.kept_scales
+        last.basis.kept_scales = (lo, 1.5)
+        solver._rebuild_candidate(problem, FAST, [0, 0], 2, last)
+        assert calls == [1, 2]
 
 
 class TestOptimize:
