@@ -9,7 +9,12 @@ violation log of a feasibility run, or the estimates of `gibbs_kernel`.
 For `sparse_wide` a second line, `sparse_wide-witness <seed> <sha256>`,
 hashes the bits of every feasible witness's `frobenius_norm()` and of
 its `bulk_entries` over support x support (the norm alone for the
-maximally mixed witness, which has no basis to read).  Every line is
+maximally mixed witness, which has no basis to read).  Last, the
+`vav-sampled <seed> <sha256>` lines hash the bits of
+`spectral.estimate_vav` on a sampled case, seeds 1-20: a two-summand
+`random_matrix_sum` at n = 128 and rank 2 (r_tilde 4), sketched at
+p = 400, at a budget of 0.5 r_tilde tau, loose enough that every store
+is sampled, not summed.  Every line is
 `<name> <seed> <sha256>`, in a fixed order, so two checkouts compare by
 diffing this script's output:
 
@@ -28,6 +33,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+from sdpsketch.instances import random_matrix_sum  # noqa: E402
+from sdpsketch.rng import substream  # noqa: E402
+from sdpsketch.sketch import SketchParams, build_sketch  # noqa: E402
+from sdpsketch.spectral import estimate_vav  # noqa: E402
 
 WORKLOADS = ("sparse_wide", "infeasible_long", "gibbs_kernel")
 SEEDS = range(1, 21)
@@ -59,12 +68,22 @@ def digests(workload, seed: int) -> list[tuple[str, str]]:
     return [(name, digest.hexdigest()) for name, digest in out]
 
 
+def vav_sampled_digest(seed: int) -> str:
+    """sha256 of the bits of a sampled V^dagger A V estimate."""
+    ms = random_matrix_sum(128, tau=2, rank=2, rng=substream(seed, 1))
+    v = build_sketch(ms, SketchParams(p=400, gamma=1e-6), substream(seed, 2))
+    core = estimate_vav(v, ms, 0.5 * v.r_tilde * ms.tau, 0.1, substream(seed, 3))
+    return hashlib.sha256(core.tobytes()).hexdigest()
+
+
 def main() -> None:
     for name in WORKLOADS:
         workload = workloads.WORKLOADS[name]()
         for seed in SEEDS:
             for line, digest in digests(workload, seed):
                 print(f"{line} {seed} {digest}", flush=True)
+    for seed in SEEDS:
+        print(f"vav-sampled {seed} {vav_sampled_digest(seed)}", flush=True)
 
 
 if __name__ == "__main__":

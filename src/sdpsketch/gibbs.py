@@ -42,6 +42,9 @@ class GibbsDescription:
     diagonal entry is real.
     """
 
+    # One matrix, not a stack: the trace estimator's ``stack`` read.
+    stack = ()
+
     def __init__(
         self,
         n: int,

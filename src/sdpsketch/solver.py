@@ -219,9 +219,10 @@ def _rebuild_candidate(
     build on the same draws would keep the same basis and scale the
     compressed matrix by c, so nothing is drawn, estimated or
     decomposed, and only the spectrum's bound is checked at c.
-    Otherwise the exponent is sketched on ``round_index``'s streams; a
-    sketch that keeps no direction gives the maximally mixed candidate
-    and no sketch.
+    Otherwise the exponent is sketched on ``round_index``'s streams and
+    compressed at failure probability delta_total / (2 T) for the round
+    budget T; a sketch that keeps no direction gives the maximally mixed
+    candidate and no sketch.
     """
     ms = MatrixSum([problem.constraints[j] for j in chosen], rank=problem.rank)
     params = config.sketch_params(ms.tau, problem.rank, problem.eps)
@@ -237,13 +238,9 @@ def _rebuild_candidate(
     except EmptySketch:
         return GibbsDescription.uniform(problem.n), None
     eps_s = VAV_ENTRY_PRECISION * basis.r_tilde * ms.tau
-    core = estimate_vav(
-        basis,
-        ms,
-        eps_s,
-        config.delta_total,
-        rngmod.LazyStream(config.seed, rngmod.CORE, round_index),
-    )
+    delta = config.delta_total / (2 * config.round_budget(problem.n, problem.eps))
+    stream = rngmod.LazyStream(config.seed, rngmod.CORE, round_index)
+    core = estimate_vav(basis, ms, eps_s, delta, stream)
     surrogate = decompose(core, basis=basis)
     sketched = _Sketched(list(chosen), params, basis, surrogate)
     return make_gibbs(basis, surrogate, beta), sketched
@@ -263,7 +260,8 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
     """
     eps_est, margin = config.resolved(problem.eps)
     rounds = config.round_budget(problem.n, problem.eps)
-    delta_call = config.delta_total / (rounds * problem.m)
+    # Half of delta_total for the rounds x m checks, half for the < rounds builds.
+    delta_call = config.delta_total / (2 * rounds * problem.m)
     candidate = GibbsDescription.uniform(problem.n)
     sketched = None
     violations: list[tuple[int, int, float]] = []

@@ -1,12 +1,11 @@
 """Eigenstructure of the constraint sum compressed into the sketched basis.
 
 Each entry of the compressed matrix is a trace against a rank-one outer
-product of basis columns and is computed once per distinct store of the
-exponent (`MatrixSum.terms`), scaled by the store's coefficient, through
-the trace estimator, which sums a store exactly when it stores no more
-entries than its sampling plan would draw and samples it otherwise; only
-the upper triangle is computed and the mirror is filled by conjugation
-before an exact eigendecomposition.
+product of basis columns; the upper triangle's products form one stacked
+operand, traced once per distinct store of the exponent
+(`MatrixSum.terms`) and scaled by its coefficient, on one set of draws
+or, for a store no larger than its sampling plan, exactly.  The mirror is
+filled by conjugation before an exact eigendecomposition.
 Working with the compressed matrix directly, rather than squaring through
 a singular-value route, preserves eigenvalue signs.
 """
@@ -69,58 +68,46 @@ def estimate_vav(
 ) -> np.ndarray:
     """Estimate the basis-compressed constraint sum to Frobenius error eps_s.
 
-    Entry (i, j) of the result approximates column_i^dagger A column_j for
-    the summed constraint A = sum of coef_s A_s over the distinct stores
-    s with coef_s != 0 (`MatrixSum.terms`); there are k of them.  Each
-    entry takes one trace per such store, scaled by coef_s.  The budget
-    is split as in the error analysis: each trace is estimated to
-    eps_s / (r_tilde sum |coef_s|), so the scaled traces of an entry sum
-    to error eps_s / r_tilde, with failure probability
-    2 delta / (k (r_tilde^2 + r_tilde)).  Cost per trace grows with
-    (r_tilde sum |coef_s| / eps_s)^2 up to the store's entry count, where
-    it is summed exactly, so callers at desk scale pass a per-entry
-    budget scaled up accordingly.  When every coef is 0 the sum is
-    exactly zero and so is the result, with no trace made.  The traces
-    share `rng`, taken in order (upper-triangle pairs row by row, then
-    stores in term order): a sampled trace reads the next uniforms of
-    the stream and an exact one reads none.  Each oracle's Frobenius
-    bound, padded by `trace.BOUND_SLACK` as every B operand's, is the
-    product of two column norms: square roots of the diagonal of the
-    basis's Gram matrix (`v.gram`), which fills the whole support once
-    per sketch at O(|support| x distinct rows x distinct stores),
-    independent of n.  The oracles read the basis's table in place,
-    through `v.support_index`.
+    Entry (i, j) approximates column_i^dagger A column_j for the summed
+    constraint A = sum of coef_s A_s over the k distinct stores s with
+    coef_s != 0 (`MatrixSum.terms`); all coefs 0 give an exact zero and
+    no trace.  The upper entries are traces against one stack of the
+    operands column_j column_i^dagger, one trace call per store, in term
+    order on `rng`, scaled by coef_s.  Each entry's trace is estimated to
+    eps_s / (r_tilde sum |coef_s|), so an entry errs by at most
+    eps_s / r_tilde, with failure probability 2 delta / (k (r_tilde^2 +
+    r_tilde)) per entry and store: delta in all.  A call draws up to
+    (r_tilde sum |coef_s| / eps_s)^2 times a log factor, or sums the
+    store exactly when that is no fewer.  The stack's norm bound,
+    max_i G_ii of the basis's Gram matrix (`v.gram`, one fill of the
+    support) padded by `trace.BOUND_SLACK`, bounds every |col_i| |col_j|.
     """
     r = v.r_tilde
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
     if not signed:
         return np.zeros((r, r), dtype=np.complex128)
-    col_norms = np.sqrt(np.diagonal(v.gram()).real)
-    table = v.table
+    fro_bound = float(np.diagonal(v.gram()).real.max()) * (1.0 + BOUND_SLACK)
     k = len(signed)
     eps_entry = eps_s / (r * sum(abs(coef) for _, coef in signed))
     delta_entry = 2.0 * delta / (k * (r**2 + r))
     cfg = EstimatorConfig(eps=eps_entry, delta=delta_entry)
 
-    pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    out = np.zeros((r, r), dtype=np.complex128)
-    for i, j in pairs:
-        def bulk(rows, cols, _i=i, _j=j):
-            return table[v.support_index(rows), _j] * np.conj(
-                table[v.support_index(cols), _i]
-            )
+    # Pair p of the upper triangle, row by row, reads columns j and i of
+    # the filled table (`v.support_index` gives a row's position).
+    iu, ju = np.array([(i, j) for i in range(r) for j in range(i, r)]).T
+    left = np.ascontiguousarray(v.table.T[ju])
+    right = np.conj(v.table.T[iu])
 
-        oracle = QueryableOperator(
-            n=v.n,
-            bulk_entries=bulk,
-            fro_bound=float(col_norms[j] * col_norms[i]) * (1.0 + BOUND_SLACK),
-        )
-        total = 0j
-        for store, coef in signed:
-            total += coef * estimate_trace_product(store, oracle, cfg, rng)
-        out[i, j] = total
-        if i != j:
-            out[j, i] = total.conjugate()
+    def bulk(rows, cols):
+        out = left.take(v.support_index(rows), axis=1)
+        out *= right.take(v.support_index(cols), axis=1)
+        return out
+
+    pairs = QueryableOperator(n=v.n, bulk_entries=bulk, fro_bound=fro_bound, stack=iu.shape)
+    upper = sum(coef * estimate_trace_product(store, pairs, cfg, rng) for store, coef in signed)
+    out = np.zeros((r, r), dtype=np.complex128)
+    out[ju, iu] = upper.conj()
+    out[iu, ju] = upper
     return 0.5 * (out + out.conj().T)
 
 

@@ -149,24 +149,27 @@ def all_rows_vav(v, ms, eps_s, delta, rng):
     signed = [(store, coef) for store, _, coef in ms.terms if coef != 0]
     k = len(signed)
     dense_cols = v.rows_dense(range(v.n))
-    col_norms = np.sqrt((np.abs(dense_cols) ** 2).sum(axis=0))
     weight = sum(abs(coef) for _, coef in signed)
     cfg = EstimatorConfig(eps=eps_s / (r * weight), delta=2.0 * delta / (k * (r**2 + r)))
+    # One stacked operand of the upper-triangle pairs, row by row, and one
+    # trace per store on one stream, in term order.
+    pairs = [(i, j) for i in range(r) for j in range(i, r)]
+    oracle = QueryableOperator(
+        n=v.n,
+        bulk_entries=lambda a, b: np.array(
+            [dense_cols[a, j] * np.conj(dense_cols[b, i]) for i, j in pairs]
+        ),
+        fro_bound=float((np.abs(dense_cols) ** 2).sum(axis=0).max()),
+        stack=(len(pairs),),
+    )
+    upper = np.zeros(len(pairs), dtype=np.complex128)
+    for store, coef in signed:
+        upper += coef * estimate_trace_product(store, oracle, cfg, rng)
     out = np.zeros((r, r), dtype=np.complex128)
-    # One stream for every trace, read in pair-then-store order.
-    for i in range(r):
-        for j in range(i, r):
-            oracle = QueryableOperator(
-                n=v.n,
-                bulk_entries=lambda a, b, i=i, j=j: dense_cols[a, j] * np.conj(dense_cols[b, i]),
-                fro_bound=float(col_norms[j] * col_norms[i]),
-            )
-            total = 0j
-            for store, coef in signed:
-                total += coef * estimate_trace_product(store, oracle, cfg, rng)
-            out[i, j] = total
-            if i != j:
-                out[j, i] = total.conjugate()
+    for (i, j), total in zip(pairs, upper):
+        out[i, j] = total
+        if i != j:
+            out[j, i] = total.conjugate()
     return 0.5 * (out + out.conj().T)
 
 
@@ -206,6 +209,44 @@ def batch_cases():
 
 
 BATCH_CASES = batch_cases()
+
+
+class TestStackedPairs:
+    """The compression's one stacked operand answers for each pair operand."""
+
+    @pytest.mark.parametrize("name", ["sparse_sketch", "dense_sketch"])
+    def test_components_equal_their_pair_estimates(self, monkeypatch, name):
+        """Exact regime: each component of a store's stacked trace equals the
+        scalar estimate against its own operand v_j v_i^dagger, to 1e-12."""
+        from sdpsketch import spectral
+
+        v = BATCH_CASES[name]
+        r = v.r_tilde
+        calls = []
+
+        def spy(store, b, cfg, rng):
+            calls.append((store, cfg, estimate_trace_product(store, b, cfg, rng)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        # A budget this tight plans more draws than any store holds.
+        estimate_vav(v, v.ms, 0.01 * r * v.ms.tau, 0.1, rng=None)
+        assert r >= 2
+        assert len(calls) == len({id(store) for store, _, _ in v.ms.terms})
+        cols = v.rows_dense(range(v.n))
+        norms = np.sqrt((np.abs(cols) ** 2).sum(axis=0))
+        pairs = [(i, j) for i in range(r) for j in range(i, r)]
+        for store, cfg, stacked in calls:
+            assert stacked.shape == (len(pairs),)
+            for (i, j), got in zip(pairs, stacked):
+                pair = QueryableOperator(
+                    n=v.n,
+                    bulk_entries=lambda a, b, i=i, j=j: cols[a, j] * np.conj(cols[b, i]),
+                    fro_bound=float(norms[i] * norms[j]),
+                )
+                want = estimate_trace_product(store, pair, cfg, None)
+                assert isinstance(want, complex)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestBatchIndependence:

@@ -288,6 +288,39 @@ class TestUpdateLoop:
         assert a.witness.query(3, 7) == b.witness.query(3, 7)
 
 
+class TestFailureBudget:
+    """Every estimate of a solve shares one delta_total by the union bound."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["planted_infeasible", "shadow_rank2"],
+    )
+    def test_estimates_fail_with_probability_at_most_delta_total(self, monkeypatch, case):
+        """Sum each estimate's failure probability, cfg.delta per component
+        of its result, over the constraint checks and the V+AV builds."""
+        from sdpsketch import gibbs, spectral
+
+        spent = []
+
+        def spy(a, b, cfg, rng):
+            out = estimate_trace_product(a, b, cfg, rng)
+            spent.append(cfg.delta * np.size(out))
+            return out
+
+        monkeypatch.setattr(gibbs, "estimate_trace_product", spy)
+        monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        calls = count_builds(monkeypatch)
+        if case == "planted_infeasible":
+            problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
+        else:
+            effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
+            problem = shadow_to_feasibility(effects, values, 0.25)
+        config = SolverConfig(seed=1, t_override=6, delta_total=0.1)
+        run_feasibility(problem, config)
+        assert calls
+        assert 0 < sum(spent) <= config.delta_total * (1 + 1e-12)
+
+
 class TestSketchReuse:
     """A candidate whose exponent is a multiple of the last sketched one draws nothing."""
 

@@ -18,6 +18,19 @@ from sdpsketch.store import NegatedView
 from sdpsketch.trace import estimate_trace_product
 
 
+class DrawCounter:
+    """Stand-in stream exposing only `random`, counting its uniforms."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.uniforms = 0
+
+    def random(self, shape):
+        out = self._gen.random(shape)
+        self.uniforms += out.size
+        return out
+
+
 def sketched_sum(n=12, tau=1, rank=2, p=60, seed=40, traceless=False):
     ms = random_matrix_sum(
         n, tau=tau, rank=rank, rng=substream(seed, 1), traceless=traceless
@@ -115,20 +128,20 @@ class TestEstimateVav:
 
         monkeypatch.setattr(spectral, "estimate_trace_product", spy)
         est = estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(47, 3))
-        pairs = v.r_tilde * (v.r_tilde + 1) // 2
         assert v.r_tilde >= 2
-        assert len(calls) == pairs * 2
+        # One call per distinct store with coef != 0, whatever r_tilde.
+        assert len(calls) == 2
         assert calls[0] is a and calls[1] is b
         # 64-entry stores are summed exactly: A + B + A - A = A + B.
         exact = dense_vav(v, MatrixSum([a, b], rank=2))
         assert np.abs(est - exact).max() <= 1e-12
 
     def test_pair_bounds_dominate_the_summed_norms(self, monkeypatch):
-        """Each pair oracle's fro_bound is at least the norm of the entries it answers.
+        """The stack's fro_bound is at least the norm of every pair operand it answers.
 
-        The product of two column norms can round below the Frobenius
-        norm of v_j v_i^dagger summed entry by entry; the padded bound
-        may not.
+        The largest squared column norm bounds each product of two column
+        norms, which can round below the Frobenius norm of v_j v_i^dagger
+        summed entry by entry; the padded bound may not.
         """
         oracles = []
 
@@ -144,9 +157,33 @@ class TestEstimateVav:
             ms, v = sketched_sum(n=n, tau=2, rank=2, p=400, seed=seed)
             estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(seed, 3))
             assert oracles
+            r = v.r_tilde
             for b in oracles:
                 entries = b.bulk_entries(rows, cols)
-                assert b.fro_bound >= np.sqrt(np.sum(np.abs(entries) ** 2))
+                assert entries.shape == (r * (r + 1) // 2, n * n)
+                assert np.all(b.fro_bound >= np.sqrt(np.sum(np.abs(entries) ** 2, axis=-1)))
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_sampled_entries_cover_the_dense_compression(self, tau):
+        """Sampled regime at r_tilde >= 2: every upper entry lies within its
+        budget eps_s / r_tilde (eps_entry times sum |coef|, which is eps_entry
+        itself for one store) of the dense compression in at least a 1 - delta
+        share of runs, seeds 1-40."""
+        delta = 0.1
+        covered = 0
+        for seed in range(1, 41):
+            ms, v = sketched_sum(n=128, tau=tau, rank=2, p=400, seed=seed)
+            r = v.r_tilde
+            eps_s = 0.5 * r * ms.tau
+            stream = DrawCounter(substream(seed, 3))
+            est = estimate_vav(v, ms, eps_s=eps_s, delta=delta, rng=stream)
+            assert r >= 2
+            # Each store holds 16,384 entries, more than its plan draws.
+            assert 0 < stream.uniforms < 2 * 16_384 * len(ms.terms)
+            upper = np.triu_indices(r)
+            err = np.abs(est - dense_vav(v, ms))[upper]
+            covered += bool(np.all(err <= eps_s / r))
+        assert covered >= (1 - delta) * 40
 
     def test_cancelled_sum_is_exact_zero(self, monkeypatch):
         a = random_low_rank(8, 2, substream(48, 1))

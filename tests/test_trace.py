@@ -7,12 +7,13 @@ import pytest
 from sdpsketch import rng as rngmod
 from sdpsketch import trace as tracemod
 from sdpsketch.errors import ShapeError, ZeroMassError
+from sdpsketch.gibbs import make_gibbs
 from sdpsketch.instances import planted_infeasible, random_matrix_sum
 from sdpsketch.oracle import dense_store
 from sdpsketch.sketch import SketchParams, build_sketch
 from sdpsketch.solver import SolverConfig
 from sdpsketch.solver import test_feasibility as run_feasibility
-from sdpsketch.spectral import estimate_vav
+from sdpsketch.spectral import decompose, estimate_vav
 from sdpsketch.store import NegatedView, SampledMatrix
 from sdpsketch.trace import (
     EstimatorConfig,
@@ -42,6 +43,28 @@ def random_operator(n: int, key: int) -> QueryableOperator:
     rng = rngmod.substream(key, rngmod.INSTANCE, 104)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return oracle_from_dense(arr / np.linalg.norm(arr, 2))
+
+
+def random_stack(n: int, key: int, width: int) -> QueryableOperator:
+    """A stack of ``width`` random operands, the draw axis last, bounded by
+    the largest of their norms."""
+    rng = rngmod.substream(key, rngmod.INSTANCE, 105)
+    arr = rng.standard_normal((width, n, n)) + 1j * rng.standard_normal((width, n, n))
+    return QueryableOperator(
+        n=n,
+        bulk_entries=lambda rows, cols: arr[:, rows, cols],
+        fro_bound=float(np.linalg.norm(arr, axis=(1, 2)).max()),
+        stack=(width,),
+    )
+
+
+def component(stack: QueryableOperator, k: int) -> QueryableOperator:
+    """Component k of a stack as a scalar operand, under the stack's bound."""
+    return QueryableOperator(
+        n=stack.n,
+        bulk_entries=lambda rows, cols: stack.bulk_entries(rows, cols)[k],
+        fro_bound=stack.fro_bound,
+    )
 
 
 def plan(store, b: QueryableOperator, cfg: EstimatorConfig) -> tuple[int, int]:
@@ -187,21 +210,25 @@ class TestEstimator:
 
     def test_bits_independent_of_batches_per_pass(self, monkeypatch):
         store = hermitian_store(6, 13)
-        b = oracle_from_dense(dense_store(hermitian_store(6, 14)))
+        scalar = oracle_from_dense(dense_store(hermitian_store(6, 14)))
         count, size = 7, 50
-        results = []
         # One batch per pass, three (passes of 3, 3 and 1), all seven, and
         # a chunk below the batch size, so each batch spans four passes
-        # (16 + 16 + 16 + 2 draws).
-        for chunk, calls in ((size, 7), (3 * size, 3), (7 * size, 1), (16, 4 * 7)):
-            monkeypatch.setattr(tracemod, "_CHUNK", chunk)
-            counted = CountingStore(store, store.nnz)
-            results.append(
-                _sampled_trace_product(counted, b, count, size, rngmod.substream(3, 1, 4))
-            )
-            assert counted.calls == calls
-            assert counted.draws == count * size
-        assert results[0] == results[1] == results[2] == results[3]
+        # (16 + 16 + 16 + 2 draws).  A pass holds _CHUNK stacked values,
+        # so a stack of width w takes _CHUNK / w draws per pass.
+        for b, width in ((scalar, 1), (random_stack(6, 14, 3), 3)):
+            results = []
+            for chunk, calls in ((size, 7), (3 * size, 3), (7 * size, 1), (16, 4 * 7)):
+                monkeypatch.setattr(tracemod, "_CHUNK", chunk * width)
+                counted = CountingStore(store, store.nnz)
+                results.append(
+                    _sampled_trace_product(counted, b, count, size, rngmod.substream(3, 1, 4))
+                )
+                assert counted.calls == calls
+                assert counted.draws == count * size
+            for other in results[1:]:
+                assert np.array_equal(results[0], other)
+            assert np.shape(results[0]) == (() if width == 1 else (width,))
 
     def test_sampled_branch_is_the_sampled_estimate(self):
         # The sampled branch is reached in estimate_trace_product by
@@ -233,6 +260,75 @@ class TestEstimator:
         cfg = EstimatorConfig(eps=0.5, delta=0.2)
         with pytest.raises(ShapeError):
             estimate_trace_product(store, b, cfg, rngmod.substream(0, 1, 9))
+
+
+class TestStackedOperand:
+    """A stacked B: one trace per component, from one set of draws."""
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["exact", "sampled"])
+    def test_components_equal_their_scalar_estimates(self, extra):
+        """Component k has the bits of the scalar estimate against operand k
+        under the same bound, on the same stream: the components share the
+        scalar path's draws, sums and medians."""
+        base = hermitian_store(6, 30)
+        b = random_stack(6, 31, 4)
+        cfg = EstimatorConfig(eps=2.0, delta=0.2)
+        store = CountingStore(base, planned_draws(base, b, cfg) + extra)
+        stacked = estimate_trace_product(store, b, cfg, rngmod.substream(5, 1, 1))
+        assert stacked.shape == (4,)
+        assert store.draws == extra * planned_draws(base, b, cfg)
+        for k in range(4):
+            scalar = estimate_trace_product(
+                CountingStore(base, store.nnz), component(b, k), cfg, rngmod.substream(5, 1, 1)
+            )
+            assert stacked[k] == scalar
+
+    def test_exact_sum_passes_hold_at_most_chunk_values(self, monkeypatch):
+        """The exact sum reads B in passes of _CHUNK / width entries; a
+        component's sum stays within rounding of the one-pass sum."""
+        store = hermitian_store(6, 32)
+        b = random_stack(6, 33, 3)
+        cfg = EstimatorConfig(eps=0.01, delta=0.2)
+        whole = estimate_trace_product(store, b, cfg, None)
+        reads = []
+
+        def counted(rows, cols):
+            reads.append(rows.shape[0])
+            return b.bulk_entries(rows, cols)
+
+        monkeypatch.setattr(tracemod, "_CHUNK", 3 * 5)
+        split = estimate_trace_product(
+            store, QueryableOperator(b.n, counted, b.fro_bound, b.stack), cfg, None
+        )
+        assert max(reads) == 5 and sum(reads) == store.nnz
+        assert np.allclose(split, whole, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["exact", "sampled"])
+    def test_stack_of_one_keeps_the_scalar_bits(self, extra):
+        """An operand with one value per draw, the Gibbs candidate's kind,
+        gets a plain complex with the scalar formulas' bits; a (1,)-stack
+        gets the same bits in an array."""
+        ms = random_matrix_sum(8, tau=2, rank=2, rng=rngmod.substream(34, 1))
+        v = build_sketch(ms, SketchParams(p=60, gamma=1e-6), rngmod.substream(34, 2))
+        core = estimate_vav(v, ms, 0.5, 0.1, rngmod.substream(34, 3))
+        g = make_gibbs(v, decompose(core, basis=v), 2.0)
+        base = hermitian_store(8, 35)
+        cfg = EstimatorConfig(eps=0.5, delta=0.2)
+        count, size = plan(base, g, cfg)
+        store = CountingStore(base, count * size + extra)
+        got = estimate_trace_product(store, g, cfg, rngmod.substream(5, 1, 2))
+        assert isinstance(got, complex)
+        if extra:
+            want = reference_trace_product(base, g, count, size, rngmod.substream(5, 1, 2))
+        else:
+            rows, cols, vals = base.entries()
+            want = complex((vals * g.bulk_entries(cols, rows)).sum())
+        assert got == want
+        one = QueryableOperator(
+            g.n, lambda rows, cols: g.bulk_entries(rows, cols)[np.newaxis], g.fro_bound, (1,)
+        )
+        stacked = estimate_trace_product(store, one, cfg, rngmod.substream(5, 1, 2))
+        assert stacked.shape == (1,) and stacked[0] == want
 
 
 class RandomOnly:
@@ -286,13 +382,13 @@ class TestStreamOrder:
         ms = random_matrix_sum(32, tau=2, rank=2, rng=rngmod.substream(95, 1))
         v = build_sketch(ms, SketchParams(p=120, gamma=1e-6), rngmod.substream(95, 2))
         # A budget this loose plans fewer draws than a store's 1,024
-        # entries, so every trace samples, each in one pass.
+        # entries, so every store's trace samples, in one pass, and all
+        # of the triangle's pairs read the same draws.
         args = (v, ms, 4.0 * v.r_tilde * ms.tau, 0.1)
         stream = RandomOnly(rngmod.substream(95, 3))
         core = estimate_vav(*args, rng=stream)
-        r = v.r_tilde
-        assert r > 1
-        assert stream.calls == len(ms.terms) * r * (r + 1) // 2
+        assert v.r_tilde > 1
+        assert stream.calls == len(ms.terms)
         assert np.array_equal(core, estimate_vav(*args, rng=rngmod.substream(95, 3)))
 
 
