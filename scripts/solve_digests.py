@@ -14,7 +14,11 @@ maximally mixed witness, which has no basis to read).  Last, the
 `spectral.estimate_vav` on a sampled case, seeds 1-20: a two-summand
 `random_matrix_sum` at n = 128 and rank 2 (r_tilde 4), sketched at
 p = 400, at a budget of 0.5 r_tilde tau, loose enough that every store
-is sampled, not summed.  Every line is
+is sampled, not summed.  The `check-sampled <seed> <sha256>` lines hash
+the bits of `gibbs.estimate_constraint_trace` against the candidate at
+beta = 1 of that sampled estimate, on a dense rank-2 store at n = 128,
+eps = 0.9 and delta = 0.3: a store above its sampling plan (the script
+stops if it is not), so the check draws.  Every line is
 `<name> <seed> <sha256>`, in a fixed order, so two checkouts compare by
 diffing this script's output:
 
@@ -33,10 +37,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from sdpsketch.instances import random_matrix_sum  # noqa: E402
+from sdpsketch.gibbs import estimate_constraint_trace, make_gibbs  # noqa: E402
+from sdpsketch.instances import random_low_rank, random_matrix_sum  # noqa: E402
 from sdpsketch.rng import substream  # noqa: E402
 from sdpsketch.sketch import SketchParams, build_sketch  # noqa: E402
-from sdpsketch.spectral import estimate_vav  # noqa: E402
+from sdpsketch.spectral import decompose, estimate_vav  # noqa: E402
+from sdpsketch.trace import EstimatorConfig  # noqa: E402
 
 WORKLOADS = ("sparse_wide", "infeasible_long", "gibbs_kernel")
 SEEDS = range(1, 21)
@@ -68,12 +74,31 @@ def digests(workload, seed: int) -> list[tuple[str, str]]:
     return [(name, digest.hexdigest()) for name, digest in out]
 
 
-def vav_sampled_digest(seed: int) -> str:
-    """sha256 of the bits of a sampled V^dagger A V estimate."""
+def sampled_vav(seed: int):
+    """The basis and sampled V^dagger A V estimate of the `vav-sampled` case."""
     ms = random_matrix_sum(128, tau=2, rank=2, rng=substream(seed, 1))
     v = build_sketch(ms, SketchParams(p=400, gamma=1e-6), substream(seed, 2))
-    core = estimate_vav(v, ms, 0.5 * v.r_tilde * ms.tau, 0.1, substream(seed, 3))
+    return v, estimate_vav(v, ms, 0.5 * v.r_tilde * ms.tau, 0.1, substream(seed, 3))
+
+
+def vav_sampled_digest(seed: int) -> str:
+    """sha256 of the bits of a sampled V^dagger A V estimate."""
+    _, core = sampled_vav(seed)
     return hashlib.sha256(core.tobytes()).hexdigest()
+
+
+def check_sampled_digest(seed: int) -> str:
+    """sha256 of the bits of a constraint check that samples its store."""
+    v, core = sampled_vav(seed)
+    g = make_gibbs(v, decompose(core, basis=v), beta=1.0)
+    a = random_low_rank(128, 2, substream(seed, 5))
+    eps, delta = 0.9, 0.3
+    cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
+    plan = cfg.batch_count() * cfg.batch_size(a.frobenius_norm() ** 2, g.fro_bound**2)
+    if a.nnz <= plan:
+        raise SystemExit(f"check-sampled {seed}: {a.nnz} entries within a plan of {plan}")
+    est = estimate_constraint_trace(g, a, eps, delta, substream(seed, 7))
+    return hashlib.sha256(np.float64(est).tobytes()).hexdigest()
 
 
 def main() -> None:
@@ -84,6 +109,8 @@ def main() -> None:
                 print(f"{line} {seed} {digest}", flush=True)
     for seed in SEEDS:
         print(f"vav-sampled {seed} {vav_sampled_digest(seed)}", flush=True)
+    for seed in SEEDS:
+        print(f"check-sampled {seed} {check_sampled_digest(seed)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .errors import ConfigError, ManifestError, SdpSketchError
 
@@ -164,6 +165,9 @@ def _run_solve(args) -> int:
     witness is the last feasible sampled outcome's; the dense loop
     reports none.  The preset and sketch lines come from
     ``config.sketch``, the sketch the run used, not from the flags.
+    The printed delta bounds the whole run's failure probability:
+    `optimize` splits it over its calls, and `shadow` gives half to the
+    solve and shares the other half among its estimates.
     """
     from . import manifest as man
     from . import oracle
@@ -208,11 +212,14 @@ def _run_solve(args) -> int:
         fields["calls"] = len(calls)
         found = next((out for out in reversed(calls) if out.feasible), None)
     else:
-        outcome = solver.test_feasibility(problem, config)
+        share = 2 if command == "shadow" else 1
+        outcome = solver.test_feasibility(
+            problem, replace(config, delta_total=config.delta_total / share)
+        )
         found = outcome if outcome.feasible else None
     if command == "shadow" and found is not None:
         eps_est, _ = config.resolved(eps)
-        delta = config.delta_total / len(effects)
+        delta = config.delta_total / (2 * len(effects))
         fields["estimates"] = [
             estimate_constraint_trace(
                 found.witness, effect, eps_est, delta,

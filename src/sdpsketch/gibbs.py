@@ -6,10 +6,15 @@ w_k = exp(-beta (D_k - min D)): the max-subtracted form of exp(-beta D),
 whose common scale cancels in the ratio, so no weight overflows.  The
 candidate is thus V and one r_tilde x r_tilde core K = U diag(w)
 U^dagger / sum_k w_k, its norm reads V only through the basis's Gram
-matrix V^dagger V (`BasisSketch.gram`), and it is its own B operand in
-the trace estimator (`trace`).  A round whose sketch keeps no direction
-has no basis, and its candidate is the maximally mixed state I/n
-(`GibbsDescription.uniform`), whose constraint traces Tr[A I/n] =
+matrix V^dagger V (`BasisSketch.gram`), and a constraint check against
+a store no larger than its sampling plan reads V only through the
+basis's exact compression V^dagger A V (`BasisSketch.compression`):
+Tr[A rho] = Re Tr[K V^dagger A V], r_tilde x r_tilde algebra once the
+basis has compressed that store, whichever candidate on the basis
+asks.  Against a larger store the candidate is its own B operand in
+the sampled trace estimator (`trace`).  A round whose sketch keeps no
+direction has no basis, and its candidate is the maximally mixed state
+I/n (`GibbsDescription.uniform`), whose constraint traces Tr[A I/n] =
 Tr(A)/n are read off the store, not estimated.
 """
 from __future__ import annotations
@@ -22,7 +27,7 @@ from . import linalg
 from .errors import ShapeError
 from .sketch import BasisSketch
 from .spectral import SpectralSurrogate
-from .trace import BOUND_SLACK, EstimatorConfig, estimate_trace_product
+from .trace import BOUND_SLACK, EstimatorConfig, estimate_trace_product, sums_exactly
 
 
 class GibbsDescription:
@@ -150,16 +155,23 @@ def estimate_constraint_trace(
     """Estimate Tr[A rho] for the candidate rho to additive eps.
 
     For the maximally mixed candidate the trace is exact, Tr(A)/n from
-    the store's `trace`, with no draw and nothing read from `rng`.
-    Otherwise the candidate is the trace estimator's B operand, at a
-    budget of eps / 5 (a store no larger than its sampling plan is summed
-    exactly, with no error); the rest of the error allowance covers the
+    the store's `trace`, with no draw and nothing read from `rng`.  A
+    store no larger than its sampling plan at a budget of eps / 5
+    (`trace.sums_exactly`) is exact too: Tr[A V K V^dagger] is
+    Re Tr[K V^dagger A V], r_tilde x r_tilde algebra on the basis's
+    compression of A (`BasisSketch.compression`), formed once per basis
+    and store and read by every candidate on that basis, with no draw
+    and no V K.  Otherwise the candidate is the trace estimator's B
+    operand at that budget; the rest of the error allowance covers the
     gap between the candidate and the ideal Gibbs state it approximates.
     Both operands are Hermitian, so the estimate is real.
     """
     cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
+    if a.n != g.n:
+        raise ShapeError(f"operand dimensions differ: {a.n} vs {g.n}")
     if g.uniform_fallback:
-        if a.n != g.n:
-            raise ShapeError(f"operand dimensions differ: {a.n} vs {g.n}")
         return a.trace() / g.n
+    if sums_exactly(a, g.fro_bound, cfg):
+        # Tr[K M] is vdot(K, M), since K is Hermitian.
+        return float(np.vdot(g._core, g.basis.compression(a)).real)
     return float(estimate_trace_product(a, g, cfg, rng).real)

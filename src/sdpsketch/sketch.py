@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, trace
 from .errors import ConfigError, EmptySketch, InternalError, ShapeError, ZeroMassError
 from .store import NegatedView
 
@@ -220,11 +220,14 @@ class BasisSketch:
     `support()` are exactly zero.  `table` has one row per support index
     and a last, zero row that every row off the support reads; row k is
     the basis row of ``support()[k]`` once `fill` has built it, and
-    `gram` sums V^dagger V over it.  A sketch keeps at least one
-    direction: with none it raises `EmptySketch`.  `kept_scales`, set by
-    `build_sketch`, is the interval [lo, hi) of multiples c at which the
-    filter, on the same draws of c times the sum, keeps exactly these
-    directions; a sketch rebuilt from a report has none.
+    `gram` sums V^dagger V over it; beside it, `compression` keeps one
+    exact V^dagger A V per store summed against the basis, which every
+    candidate and V^dagger A V estimate on the basis reads.  A sketch
+    keeps at least one direction: with none it raises `EmptySketch`.
+    `kept_scales`, set by `build_sketch`, is the interval [lo, hi) of
+    multiples c at which the filter, on the same draws of c times the
+    sum, keeps exactly these directions; a sketch rebuilt from a report
+    has none.
     """
 
     def __init__(
@@ -266,6 +269,8 @@ class BasisSketch:
         # Only the trailing zero row is filled from the start.
         self._filled = np.arange(rows) == rows - 1
         self._gram = None
+        # id(store) -> (store, V^dagger store V); holding the store keeps its id.
+        self._compressions = {}
 
     @property
     def n(self) -> int:
@@ -324,6 +329,35 @@ class BasisSketch:
             rows = self.table[:-1]
             self._gram = rows.conj().T @ rows
         return self._gram
+
+    def compression(self, a) -> np.ndarray:
+        """The exact r_tilde x r_tilde compression V^dagger A V of a store.
+
+        Entry (k, l) sums conj(V(i, k)) A(i, j) V(j, l) over A's stored
+        entries, each read once: one gather of the two basis rows per
+        entry from the filled table, in passes of at most `trace._CHUNK`
+        gathered values, and one product per pass.  Formed on the first
+        call per store and kept; a `NegatedView` reads its store's,
+        negated, so A and -A share one.
+        """
+        sign = 1
+        while isinstance(a, NegatedView):
+            a, sign = a.base, -sign
+        held = self._compressions.get(id(a))
+        if held is None:
+            self.fill(self.support())
+            rows, cols, vals = a.entries()
+            at = self.support_index
+            step = max(1, trace._CHUNK // self.r_tilde)
+            m = np.zeros((self.r_tilde, self.r_tilde), dtype=np.complex128)
+            for k in range(0, vals.shape[0], step):
+                part = slice(k, k + step)
+                left = self.table[at(rows[part])]
+                np.conjugate(left, out=left)
+                left *= vals[part, np.newaxis]
+                m += left.T @ self.table[at(cols[part])]
+            held = self._compressions[id(a)] = (a, m)
+        return held[1] if sign == 1 else -held[1]
 
     def row(self, i: int) -> np.ndarray:
         """All r_tilde basis entries V(i, :); equal to ``rows_dense([i])[0]``."""

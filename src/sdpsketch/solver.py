@@ -14,7 +14,7 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import rng as rngmod
@@ -310,12 +310,14 @@ def optimize(
 
     Candidate values live in [-1, 1]; each call adds Tr[-C X] <= -c to
     the constraint set and moves c by a halving step, for
-    ceil(log2(1 / eps_outer)) calls.  Returns the final candidate value
-    and the outcome of the final call.
+    ceil(log2(1 / eps_outer)) calls.  Each call gets delta_total / calls,
+    so the search fails with probability at most delta_total.  Returns
+    the final candidate value and the outcome of the final call.
     """
     if not 0 < eps_outer < 1:
         raise ConfigError(f"eps_outer must lie in (0, 1), got {eps_outer}")
     calls = math.ceil(math.log2(1.0 / eps_outer))
+    config = replace(config, delta_total=config.delta_total / calls)
     c = 0.0
     step = 0.5
     outcome = None

@@ -3,9 +3,12 @@
 Each entry of the compressed matrix is a trace against a rank-one outer
 product of basis columns; the upper triangle's products form one stacked
 operand, traced once per distinct store of the exponent
-(`MatrixSum.terms`) and scaled by its coefficient, on one set of draws
-or, for a store no larger than its sampling plan, exactly.  The mirror is
-filled by conjugation before an exact eigendecomposition.
+(`MatrixSum.terms`) and scaled by its coefficient, on one set of draws.
+A store no larger than its sampling plan is not traced: its entries are
+read off the basis's exact compression V^dagger A_s V
+(`BasisSketch.compression`), which the constraint checks on the basis
+read too.  The mirror is filled by conjugation before an exact
+eigendecomposition.
 Working with the compressed matrix directly, rather than squaring through
 a singular-value route, preserves eigenvalue signs.
 """
@@ -19,7 +22,13 @@ import numpy as np
 from . import linalg
 from .errors import NumericalError
 from .sketch import BasisSketch, MatrixSum
-from .trace import BOUND_SLACK, EstimatorConfig, QueryableOperator, estimate_trace_product
+from .trace import (
+    BOUND_SLACK,
+    EstimatorConfig,
+    QueryableOperator,
+    estimate_trace_product,
+    sums_exactly,
+)
 
 # Absolute slack allowed on the compressed spectrum beyond the summand
 # count tau (the sum of the store counts): each summand has spectral norm
@@ -77,8 +86,10 @@ def estimate_vav(
     eps_s / (r_tilde sum |coef_s|), so an entry errs by at most
     eps_s / r_tilde, with failure probability 2 delta / (k (r_tilde^2 +
     r_tilde)) per entry and store: delta in all.  A call draws up to
-    (r_tilde sum |coef_s| / eps_s)^2 times a log factor, or sums the
-    store exactly when that is no fewer.  The stack's norm bound,
+    (r_tilde sum |coef_s| / eps_s)^2 times a log factor; a store with no
+    more entries than that (`trace.sums_exactly`) is read exactly from
+    the basis's compression instead (`BasisSketch.compression`), formed
+    on the first read per basis and store.  The stack's norm bound,
     max_i G_ii of the basis's Gram matrix (`v.gram`, one fill of the
     support) padded by `trace.BOUND_SLACK`, bounds every |col_i| |col_j|.
     """
@@ -92,9 +103,28 @@ def estimate_vav(
     delta_entry = 2.0 * delta / (k * (r**2 + r))
     cfg = EstimatorConfig(eps=eps_entry, delta=delta_entry)
 
-    # Pair p of the upper triangle, row by row, reads columns j and i of
-    # the filled table (`v.support_index` gives a row's position).
+    # Pair p of the upper triangle, row by row: entry (i_p, j_p).
     iu, ju = np.array([(i, j) for i in range(r) for j in range(i, r)]).T
+    exact = [sums_exactly(store, fro_bound, cfg) for store, _ in signed]
+    pairs = None if all(exact) else _pair_stack(v, iu, ju, fro_bound)
+    upper = 0
+    for (store, coef), summed in zip(signed, exact):
+        if summed:
+            upper = upper + coef * v.compression(store)[iu, ju]
+        else:
+            upper = upper + coef * estimate_trace_product(store, pairs, cfg, rng)
+    out = np.zeros((r, r), dtype=np.complex128)
+    out[ju, iu] = upper.conj()
+    out[iu, ju] = upper
+    return 0.5 * (out + out.conj().T)
+
+
+def _pair_stack(v: BasisSketch, iu, ju, fro_bound: float) -> QueryableOperator:
+    """The operands column_j column_i^dagger of the pairs (iu, ju), one stack.
+
+    Pair p reads columns j_p and i_p of the filled table
+    (`v.support_index` gives a row's position).
+    """
     left = np.ascontiguousarray(v.table.T[ju])
     right = np.conj(v.table.T[iu])
 
@@ -103,12 +133,7 @@ def estimate_vav(
         out *= right.take(v.support_index(cols), axis=1)
         return out
 
-    pairs = QueryableOperator(n=v.n, bulk_entries=bulk, fro_bound=fro_bound, stack=iu.shape)
-    upper = sum(coef * estimate_trace_product(store, pairs, cfg, rng) for store, coef in signed)
-    out = np.zeros((r, r), dtype=np.complex128)
-    out[ju, iu] = upper.conj()
-    out[iu, ju] = upper
-    return 0.5 * (out + out.conj().T)
+    return QueryableOperator(n=v.n, bulk_entries=bulk, fro_bound=fro_bound, stack=iu.shape)
 
 
 def decompose(core: np.ndarray, basis: Optional[BasisSketch] = None) -> SpectralSurrogate:

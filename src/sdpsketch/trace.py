@@ -13,10 +13,17 @@ uniform draw, one sampling call and one B-query call, and a batch
 larger than a pass spans several; a batch's draws and its left-to-right
 sum do not depend on how its draws are split into calls.
 
-When A stores no more entries than that plan would draw, the estimate is
-instead the exact sum of A(i, j) B(j, i) over the stored entries: one
-B-query per entry, zero error, and never more queries than sampling, so
-the cost of one call is min(nnz(A), planned draws).
+When A stores no more entries than that plan would draw (`sums_exactly`),
+the estimate is instead the exact sum of A(i, j) B(j, i) over the stored
+entries: one B-query per entry, zero error, and never more queries than
+sampling, so the cost of one call is min(nnz(A), planned draws).  The
+solver's two traces against a sketched basis V make the same test but
+sum such a store in V's coordinates, once per basis and store
+(`BasisSketch.compression`, V^dagger A V): the constraint check
+(`gibbs.estimate_constraint_trace`) reads Re Tr[K V^dagger A V] for the
+candidate's core K, and the compressed sum (`spectral.estimate_vav`)
+reads the compression's entries.  This exact branch serves any other
+operand, such as a stand-in.
 
 B is read through four *operand reads*, the whole contract a B operand
 meets: ``n``, ``stack`` (the shape of the matrices it answers for, () for
@@ -25,7 +32,8 @@ one), ``fro_bound`` (at least the Frobenius norm of each, padded by
 entries at paired index arrays, in one call, stacked ahead of the draw
 axis).  Each component of a stack gets its own estimate to cfg.eps and
 cfg.delta, all from one set of draws, and a pass holds at most `_CHUNK`
-stacked values, in the exact sum too.  `GibbsDescription`, one matrix,
+stacked values, in the exact sum too, as a pass of the compression holds
+at most `_CHUNK` gathered basis values.  `GibbsDescription`, one matrix,
 answers the reads itself; `QueryableOperator` carries them for
 V^dagger A V's pair stack and for stand-ins.
 """
@@ -41,8 +49,9 @@ from .errors import ShapeError, ZeroMassError
 
 # Relative headroom of a declared `fro_bound` over the norm it was computed as.
 BOUND_SLACK = 1e-9
-# Stacked values per vectorized pass; fixed so results do not depend on memory.
-_CHUNK = 1 << 18
+# Values per vectorized pass, of a sampled trace or of a compression; fixed
+# so results do not depend on memory.
+_CHUNK = 1 << 16
 # Median/mean schedule: ceil(18 ln(1/delta)) batches of
 # ceil(6 ||A||_F^2 ||B||_F^2 / eps^2) samples each.
 _COUNT_SCALE = 18.0
@@ -79,16 +88,28 @@ class EstimatorConfig:
         return max(1, math.ceil(_SIZE_SCALE * a_fro_sq * b_fro_sq / self.eps**2))
 
 
+def sums_exactly(a, fro_bound: float, cfg: EstimatorConfig) -> bool:
+    """Whether A stores no more entries than the sampling plan would draw.
+
+    The plan is cfg's batch count times the batch size for A's norm and
+    a B operand bounded by ``fro_bound``; such a store is summed, not
+    sampled, at zero error and no more entry reads than sampling.
+    """
+    a_fro = a.frobenius_norm()
+    return a.nnz <= cfg.batch_count() * cfg.batch_size(a_fro * a_fro, fro_bound**2)
+
+
 def estimate_trace_product(a, b, cfg: EstimatorConfig, rng: np.random.Generator):
     """Estimate Tr[A B] to within cfg.eps with probability 1 - cfg.delta.
 
     `a` is a sampling store (SampledMatrix or a view of one); `b`
     answers the four operand reads.  A store with at most as many
-    entries as the sampling plan draws is summed exactly, and `rng` goes
-    unused; otherwise the estimate reads the next 2 x count x size
-    uniforms of `rng` in batch-major order, so the result is a fixed
-    function of the stream's state, whatever the batches per pass.
-    Returns a complex, or one per component of a stacked `b`.
+    entries as the sampling plan draws (`sums_exactly`) is summed
+    exactly, and `rng` goes unused; otherwise the estimate reads the
+    next 2 x count x size uniforms of `rng` in batch-major order, so the
+    result is a fixed function of the stream's state, whatever the
+    batches per pass.  Returns a complex, or one per component of a
+    stacked `b`.
     """
     if a.n != b.n:
         raise ShapeError(f"operand dimensions differ: {a.n} vs {b.n}")
@@ -97,10 +118,9 @@ def estimate_trace_product(a, b, cfg: EstimatorConfig, rng: np.random.Generator)
         return np.zeros(b.stack, dtype=np.complex128) if b.stack else 0j
     if b.fro_bound == 0.0:
         raise ZeroMassError("B declares zero Frobenius norm but A has mass")
-    count = cfg.batch_count()
-    size = cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
-    if a.nnz > count * size:
-        return _sampled_trace_product(a, b, count, size, rng)
+    if not sums_exactly(a, b.fro_bound, cfg):
+        size = cfg.batch_size(a_fro * a_fro, b.fro_bound**2)
+        return _sampled_trace_product(a, b, cfg.batch_count(), size, rng)
     rows, cols, vals = a.entries()
     step = _pass_draws(b)
     total = None

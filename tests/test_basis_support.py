@@ -5,7 +5,7 @@ import pytest
 
 from sdpsketch.gibbs import estimate_constraint_trace, make_gibbs
 from sdpsketch.instances import random_low_rank, random_matrix_sum
-from sdpsketch.oracle import dense_basis
+from sdpsketch.oracle import dense_basis, dense_store
 from sdpsketch.report import RunReport, dump_witness, parse, rebuild_witness, render
 from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
@@ -212,41 +212,61 @@ BATCH_CASES = batch_cases()
 
 
 class TestStackedPairs:
-    """The compression's one stacked operand answers for each pair operand."""
+    """The compression answers for each pair operand v_j v_i^dagger."""
 
     @pytest.mark.parametrize("name", ["sparse_sketch", "dense_sketch"])
     def test_components_equal_their_pair_estimates(self, monkeypatch, name):
-        """Exact regime: each component of a store's stacked trace equals the
-        scalar estimate against its own operand v_j v_i^dagger, to 1e-12."""
+        """Exact regime: the compressed sum reads each store's compression,
+        with no trace call, and entry (i, j) of the compression equals the
+        scalar exact estimate against its own operand v_j v_i^dagger, to 1e-12."""
         from sdpsketch import spectral
 
         v = BATCH_CASES[name]
         r = v.r_tilde
         calls = []
-
-        def spy(store, b, cfg, rng):
-            calls.append((store, cfg, estimate_trace_product(store, b, cfg, rng)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        monkeypatch.setattr(spectral, "estimate_trace_product", lambda *args: calls.append(args))
         # A budget this tight plans more draws than any store holds.
         estimate_vav(v, v.ms, 0.01 * r * v.ms.tau, 0.1, rng=None)
         assert r >= 2
-        assert len(calls) == len({id(store) for store, _, _ in v.ms.terms})
+        assert not calls
         cols = v.rows_dense(range(v.n))
         norms = np.sqrt((np.abs(cols) ** 2).sum(axis=0))
-        pairs = [(i, j) for i in range(r) for j in range(i, r)]
-        for store, cfg, stacked in calls:
-            assert stacked.shape == (len(pairs),)
-            for (i, j), got in zip(pairs, stacked):
-                pair = QueryableOperator(
-                    n=v.n,
-                    bulk_entries=lambda a, b, i=i, j=j: cols[a, j] * np.conj(cols[b, i]),
-                    fro_bound=float(norms[i] * norms[j]),
-                )
-                want = estimate_trace_product(store, pair, cfg, None)
-                assert isinstance(want, complex)
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        # So tight a scalar budget sums every store exactly.
+        cfg = EstimatorConfig(eps=1e-9, delta=0.1)
+        for store, _, _ in v.ms.terms:
+            got = v.compression(store)
+            for i in range(r):
+                for j in range(i, r):
+                    pair = QueryableOperator(
+                        n=v.n,
+                        bulk_entries=lambda a, b, i=i, j=j: cols[a, j] * np.conj(cols[b, i]),
+                        fro_bound=float(norms[i] * norms[j]),
+                    )
+                    want = estimate_trace_product(store, pair, cfg, None)
+                    assert isinstance(want, complex)
+                    assert abs(got[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestCompression:
+    """V^dagger A V over a store's entries, in passes of at most `_CHUNK` values."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_passes_agree_with_the_dense_compression(self, monkeypatch, chunk):
+        from sdpsketch import trace as tracemod
+
+        rng = substream(95, 1)
+        a, b = (random_sparse_store(60, 20, rng) for _ in range(2))
+        v = random_description(MatrixSum([a, b], rank=2), p=40, r=3, rng=rng)
+        monkeypatch.setattr(tracemod, "_CHUNK", chunk)
+        got = v.compression(a)
+        vd = dense_basis(v)
+        want = vd.conj().T @ dense_store(a) @ vd
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # Kept: a second read and the negated view read no entry.
+        touched = a.touches
+        assert v.compression(a) is got
+        assert np.array_equal(v.compression(NegatedView(a)), -got)
+        assert a.touches == touched
 
 
 class TestBatchIndependence:

@@ -18,7 +18,7 @@ from sdpsketch.rng import substream
 from sdpsketch.sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
 from sdpsketch.spectral import SpectralSurrogate, decompose, estimate_vav
 from sdpsketch.store import NegatedView, SampledMatrix
-from sdpsketch.trace import EstimatorConfig
+from sdpsketch.trace import EstimatorConfig, estimate_trace_product
 
 
 def candidate(n=16, tau=1, rank=2, p=120, beta=1.0, seed=60):
@@ -374,6 +374,46 @@ class TestOneEntryFormula:
         assert np.all(g.bulk_entries(diag, diag).imag == 0)
         fresh = make_gibbs(g.basis, g.surrogate, beta=g.beta)
         assert [fresh.query(i, i).imag for i in range(g.n)] == [0.0] * g.n
+
+
+class TestExactConstraintTrace:
+    """Checks against a store no larger than its plan: Re Tr[K V^dagger A V]."""
+
+    @pytest.mark.parametrize("tau, rank", [(1, 1), (1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_equals_the_direct_sum_over_stored_entries(self, seed, tau, rank):
+        """r_tilde 1-4, with a store, a negated view and a shadow pair E, -E:
+        within 1e-14 ||A||_F ||rho||_F of sum A(i, j) rho(j, i) over the
+        stored entries, and -E reads E's compression, negated."""
+        n, eps, delta = 16, 0.05, 0.1
+        _, g = candidate(n=n, tau=tau, rank=rank, p=200, seed=80 + seed)
+        assert g.r_tilde == tau * rank
+        a = random_low_rank(n, 2, substream(80 + seed, 5))
+        e = random_low_rank(n, 1, substream(80 + seed, 6))
+        rho_fro = g.frobenius_norm()
+        for store in (a, NegatedView(a), e, NegatedView(e)):
+            rows, cols, vals = store.entries()
+            want = float(np.sum(vals * g.bulk_entries(cols, rows)).real)
+            got = estimate_constraint_trace(g, store, eps, delta, Untouchable())
+            assert abs(got - want) <= 1e-14 * store.frobenius_norm() * rho_fro
+        touched = e.touches
+        pair = [estimate_constraint_trace(g, s, eps, delta, Untouchable())
+                for s in (e, NegatedView(e))]
+        assert e.touches == touched
+        assert pair[1] == -pair[0]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_store_above_its_plan_keeps_the_sampled_value(self, seed):
+        """The check is the sampled trace against the candidate, bit for bit,
+        and forms no compression."""
+        n, eps, delta = 64, 0.9, 0.3
+        _, g = candidate(n=n, tau=2, rank=2, p=120, beta=1.0, seed=seed)
+        a = random_low_rank(n, 2, substream(seed, 5))
+        got = estimate_constraint_trace(g, a, eps, delta, substream(seed, 7))
+        cfg = EstimatorConfig(eps=eps / 5, delta=delta)
+        want = estimate_trace_product(a, g, cfg, substream(seed, 7))
+        assert isinstance(want, complex) and got == want.real
+        assert id(a) not in g.basis._compressions
 
 
 class TestSampledConstraintTrace:

@@ -245,31 +245,54 @@ class TestUpdateLoop:
         # exponent is twice round 1's.
         assert built == [rng.SKETCH]
 
-    def test_each_candidate_forms_vk_once(self, monkeypatch):
-        """A candidate checked against several constraints forms V K over its table once."""
+    def test_exact_checks_read_one_compression_per_store(self, monkeypatch):
+        """A candidate whose checks are all exact reads each store's
+        compression V^dagger A V, formed once per basis and store, and forms
+        no V K."""
         from sdpsketch import linalg, solver
+        from sdpsketch.store import SampledMatrix
 
-        checked, products = [], []
+        checked, products, read = [], [], []
         real_check, real_matmul = solver.estimate_constraint_trace, linalg.rowwise_matmul
+        real_entries = SampledMatrix.entries
 
         def check(g, a, eps, delta, rng):
             checked.append(g)
             return real_check(g, a, eps, delta, rng)
 
         def matmul(a, b):
-            products.append((a.shape[0], b))
+            products.append(b)
             return real_matmul(a, b)
+
+        def entries(store):
+            read.append(store)
+            return real_entries(store)
 
         monkeypatch.setattr(solver, "estimate_constraint_trace", check)
         monkeypatch.setattr(linalg, "rowwise_matmul", matmul)
+        monkeypatch.setattr(SampledMatrix, "entries", entries)
         effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
         out = run_feasibility(shadow_to_feasibility(effects, values, 0.25), FAST)
         w = out.witness
         assert out.feasible and out.iterations_used == 2 and not w.uniform_fallback
-        # Round 2's candidate, the witness, passed all six checks on one V K.
+        # Round 2's candidate, the witness, passed all six checks, E and -E
+        # reading one compression of E.
         assert sum(g is w for g in checked) == len(effects) * 2
-        rows = w.basis.table.shape[0]
-        assert sum(r == rows and b is w._core for r, b in products) == 1
+        assert all(any(e is s for s in read) for e in effects)
+        assert len(read) == len({id(s) for s in read}) == len(effects)
+        assert not any(b is g._core for b in products for g in checked)
+
+        # Across rounds that reuse a basis: one compression per (basis, store).
+        checked.clear(), read.clear()
+        problem = planted_infeasible(32, eps=0.3, rng=substream(88, 2))
+        config = SolverConfig(seed=3, t_override=16, sketch=SketchParams(p=200, gamma=1e-8))
+        builds = count_builds(monkeypatch)
+        run_feasibility(problem, config)
+        bases = {id(g.basis): g.basis for g in checked if not g.uniform_fallback}
+        assert len(builds) == len(bases) < len({id(g) for g in checked}) - 1
+        # Each formed compression read its store's entries once.
+        assert len(read) == sum(len(v._compressions) for v in bases.values()) > 0
+        assert not any(b is g._core for b in products for g in checked)
 
     def test_lazy_stream_draws_as_its_substream(self):
         from sdpsketch.rng import LazyStream
@@ -289,26 +312,30 @@ class TestUpdateLoop:
 
 
 class TestFailureBudget:
-    """Every estimate of a solve shares one delta_total by the union bound."""
+    """Every estimate of a run shares one delta_total by the union bound."""
 
     @pytest.mark.parametrize(
         "case",
         ["planted_infeasible", "shadow_rank2"],
     )
     def test_estimates_fail_with_probability_at_most_delta_total(self, monkeypatch, case):
-        """Sum each estimate's failure probability, cfg.delta per component
-        of its result, over the constraint checks and the V+AV builds."""
-        from sdpsketch import gibbs, spectral
+        """Sum the failure probability each constraint check and each V+AV
+        build is given, exact or sampled, over a solve."""
+        from sdpsketch import solver
 
         spent = []
+        real_check, real_vav = solver.estimate_constraint_trace, solver.estimate_vav
 
-        def spy(a, b, cfg, rng):
-            out = estimate_trace_product(a, b, cfg, rng)
-            spent.append(cfg.delta * np.size(out))
-            return out
+        def check(g, a, eps, delta, rng):
+            spent.append(delta)
+            return real_check(g, a, eps, delta, rng)
 
-        monkeypatch.setattr(gibbs, "estimate_trace_product", spy)
-        monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        def vav(v, ms, eps_s, delta, rng):
+            spent.append(delta)
+            return real_vav(v, ms, eps_s, delta, rng)
+
+        monkeypatch.setattr(solver, "estimate_constraint_trace", check)
+        monkeypatch.setattr(solver, "estimate_vav", vav)
         calls = count_builds(monkeypatch)
         if case == "planted_infeasible":
             problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
@@ -319,6 +346,57 @@ class TestFailureBudget:
         run_feasibility(problem, config)
         assert calls
         assert 0 < sum(spent) <= config.delta_total * (1 + 1e-12)
+
+    def test_optimize_splits_delta_total_over_its_calls(self):
+        given = []
+
+        def feasibility(fp, cfg):
+            given.append(cfg.delta_total)
+            return run_feasibility(fp, cfg)
+
+        problem = OptimizationProblem(
+            cost=projector_store(random_unit_vector(8, substream(92, 1))),
+            constraints=[random_low_rank(8, 1, substream(92, 2))],
+            bounds=[2.0],
+        )
+        config = SolverConfig(seed=2, t_override=8, delta_total=0.1,
+                              sketch=SketchParams(p=200, gamma=1e-8))
+        optimize(problem, 0.125, config, feasibility=feasibility)
+        assert len(given) == 3
+        assert sum(given) <= config.delta_total * (1 + 1e-12)
+        assert config.delta_total == 0.1
+
+    def test_shadow_run_spends_its_delta_once(self, monkeypatch, tmp_path):
+        """The solve's delta_total and the per-effect estimates' deltas add
+        up to at most the --delta the report prints."""
+        from sdpsketch import gibbs, solver
+        from sdpsketch.cli import main
+        from sdpsketch.manifest import write_shadow_manifest
+        from sdpsketch.report import parse
+
+        spent = []
+        real_solve, real_check = solver.test_feasibility, gibbs.estimate_constraint_trace
+
+        def solve(problem, config):
+            spent.append(config.delta_total)
+            return real_solve(problem, config)
+
+        def estimate(g, a, eps, delta, rng):
+            spent.append(delta)
+            return real_check(g, a, eps, delta, rng)
+
+        monkeypatch.setattr(solver, "test_feasibility", solve)
+        monkeypatch.setattr(gibbs, "estimate_constraint_trace", estimate)
+        effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1))
+        path = str(tmp_path / "shadow.man")
+        write_shadow_manifest(path, effects, values, 0.25)
+        out = tmp_path / "shadow.report"
+        flags = ["--p", "200", "--gamma", "1e-8", "--max-iters", "12", "--seed", "3"]
+        assert main(["shadow", path, *flags, "--delta", "0.1", "--out", str(out)]) == 0
+        report = parse(out.read_text(encoding="utf-8"))
+        assert len(report.estimates) == len(effects)
+        assert len(spent) == 1 + len(effects)
+        assert sum(spent) <= report.delta_total * (1 + 1e-12)
 
 
 class TestSketchReuse:
@@ -351,6 +429,34 @@ class TestSketchReuse:
                 tau0 = len(last.exponent)
                 assert candidate.beta == len(chosen) / tau0 * (FAST.beta_scale * problem.eps)
         assert calls == builds
+
+    def test_checks_on_a_kept_basis_read_no_entry(self, monkeypatch):
+        """With reuse, the stores' read counts stop growing once each basis
+        has checked every store: later rounds' checks are r_tilde x r_tilde
+        algebra on the kept compressions."""
+        from sdpsketch import solver
+
+        problem = planted_infeasible(32, eps=0.3, rng=substream(88, 2))
+        config = SolverConfig(seed=3, t_override=16, sketch=SketchParams(p=200, gamma=1e-8))
+        calls = count_builds(monkeypatch)
+        real_check = solver.estimate_constraint_trace
+        seen, grew = set(), []
+
+        def check(g, a, eps, delta, rng):
+            before = sum(c.touches for c in problem.constraints)
+            out = real_check(g, a, eps, delta, rng)
+            key = (None if g.uniform_fallback else id(g.basis), id(a))
+            if key in seen:
+                grew.append(sum(c.touches for c in problem.constraints) - before)
+            seen.add(key)
+            return out
+
+        monkeypatch.setattr(solver, "estimate_constraint_trace", check)
+        out = run_feasibility(problem, config)
+        assert out.verdict == "infeasible" and out.iterations_used == 16
+        # Most rounds reuse a basis, and their checks read nothing.
+        assert len(calls) < 8 and len(grew) >= 8
+        assert grew == [0] * len(grew)
 
     def test_default_preset_builds_every_round(self, monkeypatch):
         calls = count_builds(monkeypatch)

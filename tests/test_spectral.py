@@ -116,6 +116,9 @@ class TestEstimateVav:
             )
 
     def test_one_trace_per_distinct_store(self, monkeypatch):
+        """One trace per distinct store with coef != 0, whatever r_tilde: an
+        exact one reads the store's compression, formed once on the basis,
+        and a sampled one is one stacked call, in term order."""
         a = random_low_rank(8, 2, substream(47, 1))
         b = random_low_rank(8, 2, substream(47, 2))
         ms = MatrixSum([a, b, a, NegatedView(a)], rank=2)
@@ -127,21 +130,34 @@ class TestEstimateVav:
             return estimate_trace_product(store, *args)
 
         monkeypatch.setattr(spectral, "estimate_trace_product", spy)
+        v.gram()  # fills the table, which reads the stores' rows
+        touched = a.touches, b.touches
         est = estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(47, 3))
         assert v.r_tilde >= 2
-        # One call per distinct store with coef != 0, whatever r_tilde.
-        assert len(calls) == 2
-        assert calls[0] is a and calls[1] is b
-        # 64-entry stores are summed exactly: A + B + A - A = A + B.
+        # 64-entry stores are summed exactly, each read once: A + B + A - A = A + B.
+        assert not calls
+        assert (a.touches - touched[0], b.touches - touched[1]) == (a.nnz, b.nnz)
         exact = dense_vav(v, MatrixSum([a, b], rank=2))
         assert np.abs(est - exact).max() <= 1e-12
+        # A second estimate on the basis reads the kept compressions.
+        touched = a.touches, b.touches
+        again = estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(47, 3))
+        assert (a.touches, b.touches) == touched
+        assert np.array_equal(again, est)
+
+        # 1,024-entry stores at a loose budget are sampled: one call each.
+        ms, v = sketched_sum(n=32, tau=2, rank=2, p=400, seed=1)
+        estimate_vav(v, ms, eps_s=2.0 * v.r_tilde * ms.tau, delta=0.1, rng=substream(1, 3))
+        assert calls == [store for store, _, coef in ms.terms if coef != 0]
+        assert len(calls) == 2
 
     def test_pair_bounds_dominate_the_summed_norms(self, monkeypatch):
         """The stack's fro_bound is at least the norm of every pair operand it answers.
 
         The largest squared column norm bounds each product of two column
         norms, which can round below the Frobenius norm of v_j v_i^dagger
-        summed entry by entry; the padded bound may not.
+        summed entry by entry; the padded bound may not.  The budget is
+        loose enough that every store is sampled, so the stack is formed.
         """
         oracles = []
 
@@ -155,13 +171,24 @@ class TestEstimateVav:
         for seed in range(1, 21):
             oracles.clear()
             ms, v = sketched_sum(n=n, tau=2, rank=2, p=400, seed=seed)
-            estimate_vav(v, ms, eps_s=0.2 * v.r_tilde, delta=0.1, rng=substream(seed, 3))
+            estimate_vav(v, ms, eps_s=2.0 * v.r_tilde * ms.tau, delta=0.1, rng=substream(seed, 3))
             assert oracles
             r = v.r_tilde
             for b in oracles:
                 entries = b.bulk_entries(rows, cols)
                 assert entries.shape == (r * (r + 1) // 2, n * n)
                 assert np.all(b.fro_bound >= np.sqrt(np.sum(np.abs(entries) ** 2, axis=-1)))
+
+    def test_sampled_stores_form_no_compression(self, monkeypatch):
+        """Every store above its plan is traced, not compressed."""
+
+        def refuse(self, a):
+            raise AssertionError("compression formed for a sampled store")
+
+        monkeypatch.setattr(BasisSketch, "compression", refuse)
+        ms, v = sketched_sum(n=128, tau=2, rank=2, p=400, seed=1)
+        core = estimate_vav(v, ms, 0.5 * v.r_tilde * ms.tau, 0.1, substream(1, 3))
+        assert v.r_tilde == 4 and core.shape == (4, 4)
 
     @pytest.mark.parametrize("tau", [1, 2])
     def test_sampled_entries_cover_the_dense_compression(self, tau):
