@@ -18,7 +18,11 @@ is sampled, not summed.  The `check-sampled <seed> <sha256>` lines hash
 the bits of `gibbs.estimate_constraint_trace` against the candidate at
 beta = 1 of that sampled estimate, on a dense rank-2 store at n = 128,
 eps = 0.9 and delta = 0.3: a store above its sampling plan (the script
-stops if it is not), so the check draws.  Every line is
+stops if it is not), so the check draws.  The `long-reuse <seed>
+<sha256>` lines, seeds 1-5, hash the verdict, iterations and violation
+log of a 617-round run (the default budget at n = 32, eps = 0.3) of
+`planted_infeasible(32, 0.3)` at p = 200 and gamma = 1e-8, where one
+sketch serves every round.  Every line is
 `<name> <seed> <sha256>`, in a fixed order, so two checkouts compare by
 diffing this script's output:
 
@@ -38,14 +42,20 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from sdpsketch.gibbs import estimate_constraint_trace, make_gibbs  # noqa: E402
-from sdpsketch.instances import random_low_rank, random_matrix_sum  # noqa: E402
+from sdpsketch.instances import (  # noqa: E402
+    planted_infeasible,
+    random_low_rank,
+    random_matrix_sum,
+)
 from sdpsketch.rng import substream  # noqa: E402
 from sdpsketch.sketch import SketchParams, build_sketch  # noqa: E402
+from sdpsketch.solver import SolverConfig, test_feasibility  # noqa: E402
 from sdpsketch.spectral import decompose, estimate_vav  # noqa: E402
 from sdpsketch.trace import EstimatorConfig  # noqa: E402
 
 WORKLOADS = ("sparse_wide", "infeasible_long", "gibbs_kernel")
 SEEDS = range(1, 21)
+LONG_SEEDS = range(1, 6)
 
 
 def witness_bytes(witness) -> bytes:
@@ -101,6 +111,15 @@ def check_sampled_digest(seed: int) -> str:
     return hashlib.sha256(np.float64(est).tobytes()).hexdigest()
 
 
+def long_reuse_digest(seed: int) -> str:
+    """sha256 of the verdict, iterations and violation log of a 617-round run."""
+    problem = planted_infeasible(32, 0.3, substream(seed, 1))
+    config = SolverConfig(seed=seed, t_override=617, sketch=SketchParams(p=200, gamma=1e-8))
+    out = test_feasibility(problem, config)
+    signature = (out.verdict, out.iterations_used, out.violation_log)
+    return hashlib.sha256(repr(signature).encode()).hexdigest()
+
+
 def main() -> None:
     for name in WORKLOADS:
         workload = workloads.WORKLOADS[name]()
@@ -111,6 +130,8 @@ def main() -> None:
         print(f"vav-sampled {seed} {vav_sampled_digest(seed)}", flush=True)
     for seed in SEEDS:
         print(f"check-sampled {seed} {check_sampled_digest(seed)}", flush=True)
+    for seed in LONG_SEEDS:
+        print(f"long-reuse {seed} {long_reuse_digest(seed)}", flush=True)
 
 
 if __name__ == "__main__":

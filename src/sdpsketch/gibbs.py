@@ -4,15 +4,18 @@ The candidate density operator is (V U) diag(w) (V U)^dagger / sum_k w_k
 for the sketched basis V and compressed eigensystem (U, D), with weights
 w_k = exp(-beta (D_k - min D)): the max-subtracted form of exp(-beta D),
 whose common scale cancels in the ratio, so no weight overflows.  The
-candidate is thus V and one r_tilde x r_tilde core K = U diag(w)
-U^dagger / sum_k w_k, its norm reads V only through the basis's Gram
-matrix V^dagger V (`BasisSketch.gram`), and a constraint check against
-a store no larger than its sampling plan reads V only through the
-basis's exact compression V^dagger A V (`BasisSketch.compression`):
-Tr[A rho] = Re Tr[K V^dagger A V], r_tilde x r_tilde algebra once the
-basis has compressed that store, whichever candidate on the basis
-asks.  Against a larger store the candidate is its own B operand in
-the sampled trace estimator (`trace`).  A round whose sketch keeps no
+candidate is thus V, U and its normalized weights; the r_tilde x
+r_tilde core K = U diag(w) U^dagger / sum_k w_k is formed only when an
+entry is read.  Its norm reads V only through the basis's Gram matrix
+G = V^dagger V (`BasisSketch.gram`), as w^T |U^dagger G U|^2 w, and a
+constraint check against a store no larger than its sampling plan
+reads V only through the basis's exact compression M = V^dagger A V
+(`BasisSketch.compression`), as Tr[A rho] = w . Re diag(U^dagger M U).
+Both rotated reads are kept on the basis, one per eigensystem and
+store, so a candidate on a kept eigensystem costs O(r_tilde^2) for its
+norm and O(r_tilde) per such check, whichever candidate asks.  Against
+a larger store the candidate is its own B operand in the sampled trace
+estimator (`trace`).  A round whose sketch keeps no
 direction has no basis, and its candidate is the maximally mixed state
 I/n (`GibbsDescription.uniform`), whose constraint traces Tr[A I/n] =
 Tr(A)/n are read off the store, not estimated.
@@ -33,12 +36,14 @@ from .trace import BOUND_SLACK, EstimatorConfig, estimate_trace_product, sums_ex
 class GibbsDescription:
     """Queryable description of the Gibbs-weighted candidate.
 
-    The candidate is its basis V and one r_tilde x r_tilde core K, the
-    normalized Gibbs weights in the basis's coordinates: entry (i, j) is
-    V(i, :) K V(j, :)^dagger.  Basis rows are read in place from the
-    basis's table (`BasisSketch.fill`), |support| + 1 rows whatever n,
-    the last the zero row every row off the support reads; the norm
-    comes from the basis's Gram matrix (`BasisSketch.gram`).  An entry
+    The candidate is its basis V, its eigensystem (U, D) and the
+    normalized Gibbs weights ``weights`` on U.  Entry (i, j) is
+    V(i, :) K V(j, :)^dagger for the r_tilde x r_tilde core K, formed
+    on the first entry read (`_core`).  Basis rows are read in place
+    from the basis's table (`BasisSketch.fill`), |support| + 1 rows
+    whatever n, the last the zero row every row off the support reads;
+    the norm comes from the basis's Gram matrix in U's coordinates
+    (`BasisSketch.rotated_gram`).  An entry
     query builds at most its two basis rows and one row of V K; the
     first bulk read fills the table and forms V K for all of it, once
     per candidate.  Rows go through `linalg.rowwise_matmul` and every
@@ -67,14 +72,22 @@ class GibbsDescription:
         self._vk = None
         if self.uniform_fallback:
             self.r_tilde = 0
-            self._core = None
+            self.weights = None
         else:
             d = surrogate.d
             self.r_tilde = int(d.shape[0])
-            weights = np.exp(-self.beta * (d - float(d.min())))
-            core = (surrogate.u * weights[np.newaxis, :]) @ surrogate.u.conj().T
-            core /= float(weights.sum())
-            self._core = 0.5 * (core + core.conj().T)
+            self._raw = np.exp(-self.beta * (d - float(d.min())))
+            self.weights = self._raw / float(self._raw.sum())
+
+    @cached_property
+    def _core(self):
+        """K = U diag(w) U^dagger, made Hermitian; formed on the first entry read."""
+        if self.uniform_fallback:
+            return None
+        u = self.surrogate.u
+        core = (u * self._raw[np.newaxis, :]) @ u.conj().T
+        core /= float(self._raw.sum())
+        return 0.5 * (core + core.conj().T)
 
     @classmethod
     def uniform(cls, n: int) -> "GibbsDescription":
@@ -95,16 +108,16 @@ class GibbsDescription:
         return complex(_entries(vk, table[b : b + 1], np.array([i == j]))[0])
 
     def frobenius_norm(self) -> float:
-        """Exact Frobenius norm of the candidate, sqrt(Re Tr(K G K^dagger G)).
+        """Exact Frobenius norm of the candidate, sqrt(w^T |U^dagger G U|^2 w).
 
-        G is the basis's Gram matrix (`BasisSketch.gram`), built once per
-        basis from the support rows, so the norm costs O(r_tilde^3) after
-        it, independent of n.
+        That is sqrt(Re Tr(K G K^dagger G)) for K = U diag(w) U^dagger and
+        the basis's Gram matrix G, read in the eigensystem's coordinates
+        (`BasisSketch.rotated_gram`, formed once per eigensystem), so the
+        norm costs O(r_tilde^2), independent of n, and forms no K.
         """
         if self.uniform_fallback:
             return 1.0 / float(np.sqrt(self.n))
-        gram = self.basis.gram()
-        sq = float(np.real(np.trace(self._core @ gram @ self._core.conj().T @ gram)))
+        sq = float(self.weights @ self.basis.rotated_gram(self.surrogate.u) @ self.weights)
         return float(np.sqrt(max(sq, 0.0)))
 
     @cached_property
@@ -158,12 +171,14 @@ def estimate_constraint_trace(
     the store's `trace`, with no draw and nothing read from `rng`.  A
     store no larger than its sampling plan at a budget of eps / 5
     (`trace.sums_exactly`) is exact too: Tr[A V K V^dagger] is
-    Re Tr[K V^dagger A V], r_tilde x r_tilde algebra on the basis's
-    compression of A (`BasisSketch.compression`), formed once per basis
-    and store and read by every candidate on that basis, with no draw
-    and no V K.  Otherwise the candidate is the trace estimator's B
-    operand at that budget; the rest of the error allowance covers the
-    gap between the candidate and the ideal Gibbs state it approximates.
+    Re Tr[K V^dagger A V] = w . Re diag(U^dagger V^dagger A V U), a dot
+    product of the weights with the basis's compression of A read in
+    the eigensystem's coordinates (`BasisSketch.rotated_compression`),
+    formed once per eigensystem and store and read by every candidate
+    on it, with no draw, no K and no V K.  Otherwise the candidate is
+    the trace estimator's B operand at that budget; the rest of the
+    error allowance covers the gap between the candidate and the ideal
+    Gibbs state it approximates.
     Both operands are Hermitian, so the estimate is real.
     """
     cfg = EstimatorConfig(eps=eps / 5.0, delta=delta)
@@ -172,6 +187,6 @@ def estimate_constraint_trace(
     if g.uniform_fallback:
         return a.trace() / g.n
     if sums_exactly(a, g.fro_bound, cfg):
-        # Tr[K M] is vdot(K, M), since K is Hermitian.
-        return float(np.vdot(g._core, g.basis.compression(a)).real)
+        # Re Tr[K M] for K = U diag(w) U^dagger is w . Re diag(U^dagger M U).
+        return float(g.weights @ g.basis.rotated_compression(g.surrogate.u, a))
     return float(estimate_trace_product(a, g, cfg, rng).real)

@@ -66,11 +66,14 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (u, d) with `a = u @ diag(d) @ u.conj().T` and `d` real,
-    sorted descending with a stable tie order.
+    sorted descending with a stable tie order.  A non-finite entry raises
+    `NumericalError`, before the Hermitian check, which a NaN would pass.
     """
     a = _as_matrix(a, "eigh input")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"eigh input must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalError("eigh input has a non-finite entry")
     if a.size:
         defect = float(np.abs(a - a.conj().T).max())
         if defect > HERMITIAN_CHECK_TOL:

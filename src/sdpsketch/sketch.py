@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg, trace
 from .errors import ConfigError, EmptySketch, InternalError, ShapeError, ZeroMassError
-from .store import NegatedView
+from .store import unwrap
 
 # Byte budget of a sketch's two largest allocations: the p-length draw
 # arrays, checked before the first draw, and the distinct core, checked
@@ -53,21 +53,46 @@ _DRAW_BYTES_PER_STORE = 24
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
 
+class TermTally:
+    """Summands grouped by underlying store, one summand at a time.
+
+    `terms` holds one ``[store, count, coef]`` per distinct store in
+    order of first appearance, `NegatedView` unwrapped (`store.unwrap`):
+    ``count`` is how often the store occurs and ``coef`` the sum of its
+    signs.  ``tau`` is the summand count.  `add` costs O(1) however many
+    summands came before, so the solver keeps its exponent this way.
+    """
+
+    def __init__(self):
+        self.terms: list[list] = []
+        self.tau = 0
+        # id(store) -> its term; the term holds the store, which keeps its id.
+        self._at = {}
+
+    def add(self, summand) -> None:
+        store, sign = unwrap(summand)
+        term = self._at.get(id(store))
+        if term is None:
+            term = self._at[id(store)] = [store, 0, 0]
+            self.terms.append(term)
+        term[1] += 1
+        term[2] += sign
+        self.tau += 1
+
+
 class MatrixSum:
     """Implicit sum of Hermitian sampling stores sharing one dimension.
 
     Carries the declared per-summand rank bound; per-summand spectral
     norms are assumed at most 1 by the caller and not verified here.
     `terms` is the only form of the sum that sampling reads: the
-    summands grouped by underlying store, `NegatedView` unwrapped, one
+    summands grouped by underlying store (`TermTally`), one
     ``(store, count, coef)`` per distinct store in order of first
-    appearance, where ``count`` is how often the store occurs and
-    ``coef`` the sum of its signs.  Squared magnitudes scale by
-    ``count`` and values by ``coef``.  So the sketch only ever reads
-    unwrapped stores, through the summand reads of `store`, and a view
-    need answer only the constraint reads.  `summands` keeps the
-    caller's list for the dense reference.  ``tau``, the summand count,
-    is the sum of the counts.
+    appearance.  Squared magnitudes scale by ``count`` and values by
+    ``coef``.  So the sketch only ever reads unwrapped stores, through
+    the summand reads of `store`, and a view need answer only the
+    constraint reads.  `summands` keeps the caller's list for the dense
+    reference.  ``tau``, the summand count, is the sum of the counts.
     """
 
     def __init__(self, summands, rank: int):
@@ -84,14 +109,10 @@ class MatrixSum:
         self.summands = list(summands)
         self.rank = rank
         self.n = n
-        grouped = {}
+        tally = TermTally()
         for s in self.summands:
-            sign = 1
-            while isinstance(s, NegatedView):
-                s, sign = s.base, -sign
-            store, count, coef = grouped.get(id(s), (s, 0, 0))
-            grouped[id(s)] = (store, count + 1, coef + sign)
-        self.terms = list(grouped.values())
+            tally.add(s)
+        self.terms = [tuple(term) for term in tally.terms]
         self._mass_prefix = np.cumsum(
             [count * store.frobenius_norm() ** 2 for store, count, _ in self.terms]
         )
@@ -222,7 +243,11 @@ class BasisSketch:
     the basis row of ``support()[k]`` once `fill` has built it, and
     `gram` sums V^dagger V over it; beside it, `compression` keeps one
     exact V^dagger A V per store summed against the basis, which every
-    candidate and V^dagger A V estimate on the basis reads.  A sketch
+    candidate and V^dagger A V estimate on the basis reads, and
+    `rotated_gram` and `rotated_compression` keep both read in an
+    eigensystem's coordinates, one per eigensystem and store, from which
+    a candidate's norm and exact checks are products with its weights.
+    A sketch
     keeps at least one direction: with none it raises `EmptySketch`.
     `kept_scales`, set by `build_sketch`, is the interval [lo, hi) of
     multiples c at which the filter, on the same draws of c times the
@@ -271,6 +296,9 @@ class BasisSketch:
         self._gram = None
         # id(store) -> (store, V^dagger store V); holding the store keeps its id.
         self._compressions = {}
+        # (id(u), id(store) or id(None)) -> (u, store, value): `rotated_gram`
+        # and `rotated_compression`, which hold what keeps their ids.
+        self._rotations = {}
 
     @property
     def n(self) -> int:
@@ -340,9 +368,7 @@ class BasisSketch:
         call per store and kept; a `NegatedView` reads its store's,
         negated, so A and -A share one.
         """
-        sign = 1
-        while isinstance(a, NegatedView):
-            a, sign = a.base, -sign
+        a, sign = unwrap(a)
         held = self._compressions.get(id(a))
         if held is None:
             self.fill(self.support())
@@ -358,6 +384,35 @@ class BasisSketch:
                 m += left.T @ self.table[at(cols[part])]
             held = self._compressions[id(a)] = (a, m)
         return held[1] if sign == 1 else -held[1]
+
+    def rotated_gram(self, u) -> np.ndarray:
+        """Entrywise |U^dagger G U|^2 for eigenvectors U in the basis's coordinates.
+
+        A candidate with weights w on U has ||rho||_F^2 = w^T |U^dagger G U|^2 w
+        (G = `gram`).  Formed on the first call per U and kept.
+        """
+        held = self._rotations.get((id(u), id(None)))
+        if held is None:
+            value = np.abs(u.conj().T @ self.gram() @ u) ** 2
+            held = self._rotations[id(u), id(None)] = (u, None, value)
+        return held[2]
+
+    def rotated_compression(self, u, a) -> np.ndarray:
+        """Re diag(U^dagger M U) for a store's compression M (`compression`).
+
+        A candidate with weights w on U has Tr[A rho] = w . diag(U^dagger M U).
+        Formed on the first call per U and store and kept; a `NegatedView`
+        reads its store's, negated.
+        """
+        store, sign = unwrap(a)
+        held = self._rotations.get((id(u), id(store)))
+        if held is None:
+            # Summed from a real view into a fresh, contiguous array, as its
+            # negation is: a strided dot product rounds differently, and -A
+            # must read exactly minus A's value.
+            value = ((self.compression(store) @ u) * u.conj()).real.sum(axis=0)
+            held = self._rotations[id(u), id(store)] = (u, store, value)
+        return held[2] if sign == 1 else -held[2]
 
     def row(self, i: int) -> np.ndarray:
         """All r_tilde basis entries V(i, :); equal to ``rows_dense([i])[0]``."""

@@ -7,7 +7,10 @@ exp(-beta E) / Tr becomes the next candidate.  A candidate is sketched
 through the pipeline (basis, compressed matrix, eigensystem) unless E is
 a positive multiple c of the last sketched exponent, under the same
 sketch parameters: the candidate is then the last one's at c beta, and
-nothing is drawn.  Surviving all constraints ends the run feasible;
+nothing is drawn.  E is kept as a running tally of one (store, count,
+coef) per distinct store, so such a round costs O(r_tilde^2) arithmetic
+and O(distinct stores) bookkeeping however many rounds came before.
+Surviving all constraints ends the run feasible;
 exhausting the round budget certifies infeasibility at the configured
 precision.
 """
@@ -18,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import rng as rngmod
-from .errors import ConfigError, EmptySketch, ShapeError
+from .errors import ConfigError, EmptySketch, NumericalError, ShapeError
 from .gibbs import GibbsDescription, estimate_constraint_trace, make_gibbs
-from .sketch import BasisSketch, MatrixSum, SketchParams, build_sketch
+from .sketch import BasisSketch, MatrixSum, SketchParams, TermTally, build_sketch
 from .spectral import SpectralSurrogate, check_spectrum, decompose, estimate_vav
 from .store import NegatedView
 
@@ -185,19 +188,21 @@ class _Sketched:
     basis: BasisSketch
     surrogate: SpectralSurrogate
 
-    def multiple(self, ms: MatrixSum, params: SketchParams) -> Optional[float]:
-        """c if ``ms`` is c times this sketch's sum and its draws serve it, else None.
+    def multiple(self, tally, params: SketchParams) -> Optional[float]:
+        """c if ``tally`` is c times this sketch's sum and its draws serve it, else None.
 
-        Tested exactly in integers: the same stores in the same order,
-        each count and coef c = tau / tau_0 times this sketch's, and equal
-        parameters.  The draws serve c when the filter keeps the same
-        directions there (`BasisSketch.kept_scales`).
+        ``tally`` is a `TermTally` or a `MatrixSum`, read through its
+        ``terms`` and ``tau``.  Tested exactly in integers: the same
+        stores in the same order, each count and coef c = tau / tau_0
+        times this sketch's, and equal parameters.  The draws serve c when
+        the filter keeps the same directions there
+        (`BasisSketch.kept_scales`).
         """
         base = self.basis.ms
-        if params != self.params or len(ms.terms) != len(base.terms):
+        if params != self.params or len(tally.terms) != len(base.terms):
             return None
-        tau, tau0 = ms.tau, base.tau
-        for (store, count, coef), (store0, count0, coef0) in zip(ms.terms, base.terms):
+        tau, tau0 = tally.tau, base.tau
+        for (store, count, coef), (store0, count0, coef0) in zip(tally.terms, base.terms):
             if store is not store0 or count * tau0 != count0 * tau or coef * tau0 != coef0 * tau:
                 return None
         c = tau / tau0
@@ -205,45 +210,64 @@ class _Sketched:
         return c if lo <= c < hi else None
 
 
-def _rebuild_candidate(
-    problem: FeasibilityProblem,
-    config: SolverConfig,
-    chosen: list[int],
-    round_index: int,
-    last: Optional[_Sketched],
-) -> tuple[GibbsDescription, Optional[_Sketched]]:
-    """The Gibbs candidate of the exponent ``chosen`` and the sketch it reads.
+class _Exponent:
+    """The violated constraints' sum, kept as a running tally, and its candidate.
 
-    When the exponent is a multiple c of the last sketch's
-    (`_Sketched.multiple`), the candidate is that sketch's at c beta: a
+    `add` puts one violated constraint into the tally (`TermTally`) in
+    O(1), however long the run.  `candidate` gives the Gibbs candidate
+    of the sum so far: when it is a multiple c of the last sketch's
+    (`_Sketched.multiple`), that sketch's candidate at c beta, since a
     build on the same draws would keep the same basis and scale the
     compressed matrix by c, so nothing is drawn, estimated or
-    decomposed, and only the spectrum's bound is checked at c.
-    Otherwise the exponent is sketched on ``round_index``'s streams and
-    compressed at failure probability delta_total / (2 T) for the round
-    budget T; a sketch that keeps no direction gives the maximally mixed
-    candidate and no sketch.
+    decomposed, and only the spectrum's bound is checked at c;
+    otherwise a fresh sketch of the round's `MatrixSum`, the only one
+    built.  ``last`` is the sketch the current candidate reads, None
+    for the maximally mixed one.  What a run does not change is read
+    once: the problem's rank, beta and each build's failure probability.
     """
-    ms = MatrixSum([problem.constraints[j] for j in chosen], rank=problem.rank)
-    params = config.sketch_params(ms.tau, problem.rank, problem.eps)
-    beta = config.beta_scale * problem.eps
-    c = None if last is None else last.multiple(ms, params)
-    if c is not None:
-        check_spectrum(c * last.surrogate.d, ms.tau)
-        return make_gibbs(last.basis, last.surrogate, c * beta), last
-    try:
-        basis = build_sketch(
-            ms, params, rngmod.substream(config.seed, rngmod.SKETCH, round_index)
-        )
-    except EmptySketch:
-        return GibbsDescription.uniform(problem.n), None
-    eps_s = VAV_ENTRY_PRECISION * basis.r_tilde * ms.tau
-    delta = config.delta_total / (2 * config.round_budget(problem.n, problem.eps))
-    stream = rngmod.LazyStream(config.seed, rngmod.CORE, round_index)
-    core = estimate_vav(basis, ms, eps_s, delta, stream)
-    surrogate = decompose(core, basis=basis)
-    sketched = _Sketched(list(chosen), params, basis, surrogate)
-    return make_gibbs(basis, surrogate, beta), sketched
+
+    def __init__(self, problem: FeasibilityProblem, config: SolverConfig, rounds: int):
+        self.problem = problem
+        self.config = config
+        self.rank = problem.rank
+        self.beta = config.beta_scale * problem.eps
+        # Half of delta_total for the < rounds builds.
+        self.delta = config.delta_total / (2 * rounds)
+        self.chosen: list[int] = []
+        self.tally = TermTally()
+        self.last: Optional[_Sketched] = None
+
+    def add(self, j: int) -> None:
+        self.chosen.append(j)
+        self.tally.add(self.problem.constraints[j])
+
+    def candidate(self, round_index: int) -> GibbsDescription:
+        """The candidate of the sum so far, sketched on ``round_index``'s streams if at all.
+
+        A sketch is compressed at failure probability delta_total / (2 T)
+        for the round budget T; one that keeps no direction gives the
+        maximally mixed candidate and no sketch.
+        """
+        tau = self.tally.tau
+        params = self.config.sketch_params(tau, self.rank, self.problem.eps)
+        last = self.last
+        c = None if last is None else last.multiple(self.tally, params)
+        if c is not None:
+            check_spectrum(c * last.surrogate.d, tau)
+            return make_gibbs(last.basis, last.surrogate, c * self.beta)
+        self.last = None
+        seed = self.config.seed
+        constraints = self.problem.constraints
+        ms = MatrixSum([constraints[j] for j in self.chosen], rank=self.rank)
+        try:
+            basis = build_sketch(ms, params, rngmod.substream(seed, rngmod.SKETCH, round_index))
+        except EmptySketch:
+            return GibbsDescription.uniform(self.problem.n)
+        eps_s = VAV_ENTRY_PRECISION * basis.r_tilde * tau
+        stream = rngmod.LazyStream(seed, rngmod.CORE, round_index)
+        surrogate = decompose(estimate_vav(basis, ms, eps_s, self.delta, stream), basis=basis)
+        self.last = _Sketched(list(self.chosen), params, basis, surrogate)
+        return make_gibbs(basis, surrogate, self.beta)
 
 
 def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> FeasibilityOutcome:
@@ -251,21 +275,21 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
 
     Constraints are scanned in index order and the first estimate beyond
     bound + margin triggers the update; a full clean scan returns the
-    current candidate as witness.  A violation in the last round ends
-    the run infeasible, so no candidate is built after it.  All
-    randomness derives from config.seed through keyed substreams, so
-    outcomes are reproducible regardless of scheduling; the trace and
-    compression streams are built only if a sampled trace reads them,
-    and a round whose candidate reuses the last sketch builds none.
+    current candidate as witness, and a non-finite estimate raises
+    `NumericalError`.  A violation in the last round ends the run
+    infeasible, so no candidate is built after it.  All randomness
+    derives from config.seed through keyed substreams, so outcomes are
+    reproducible regardless of scheduling; the trace and compression
+    streams are built only if a sampled trace reads them, and a round
+    whose candidate reuses the last sketch builds none.
     """
     eps_est, margin = config.resolved(problem.eps)
     rounds = config.round_budget(problem.n, problem.eps)
     # Half of delta_total for the rounds x m checks, half for the < rounds builds.
     delta_call = config.delta_total / (2 * rounds * problem.m)
     candidate = GibbsDescription.uniform(problem.n)
-    sketched = None
+    exponent = _Exponent(problem, config, rounds)
     violations: list[tuple[int, int, float]] = []
-    chosen: list[int] = []
     for t in range(1, rounds + 1):
         hit = None
         for j in range(problem.m):
@@ -276,6 +300,8 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
                 delta_call,
                 rngmod.LazyStream(config.seed, rngmod.TRACE, t, j),
             )
+            if not math.isfinite(zeta):
+                raise NumericalError(f"round {t}: constraint {j} estimates {zeta}")
             if zeta > problem.bounds[j] + margin:
                 hit = (j, zeta)
                 break
@@ -285,13 +311,13 @@ def test_feasibility(problem: FeasibilityProblem, config: SolverConfig) -> Feasi
                 witness=candidate,
                 iterations_used=t,
                 violation_log=violations,
-                exponent=[] if sketched is None else sketched.exponent,
+                exponent=[] if exponent.last is None else exponent.last.exponent,
             )
         j, zeta = hit
         violations.append((t, j, zeta))
-        chosen.append(j)
+        exponent.add(j)
         if t < rounds:
-            candidate, sketched = _rebuild_candidate(problem, config, chosen, t, sketched)
+            candidate = exponent.candidate(t)
     return FeasibilityOutcome(
         verdict="infeasible",
         witness=None,

@@ -14,6 +14,7 @@ a singular-value route, preserves eigenvalue signs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,9 +60,12 @@ class SpectralSurrogate:
 
 
 def check_spectrum(d: np.ndarray, tau: int) -> None:
-    """Raise `NumericalError` if an eigenvalue in d reaches past tau + `SPECTRUM_SLACK`."""
+    """Raise `NumericalError` if an eigenvalue in d reaches past tau + `SPECTRUM_SLACK`
+    or is not finite."""
     bound = tau + SPECTRUM_SLACK
     top = float(np.abs(d).max(initial=0.0))
+    if not math.isfinite(top):
+        raise NumericalError(f"compressed spectrum holds a non-finite eigenvalue ({top})")
     if top > bound:
         raise NumericalError(
             f"compressed spectrum reaches {top:.6g}, beyond the summand bound {bound:.6g}"

@@ -122,6 +122,15 @@ def _running_sums(run: np.ndarray, bounds: np.ndarray) -> None:
         run[at] = np.cumsum(run[at], axis=1)
 
 
+def _mass_overflows(i, j, real, imag) -> np.ndarray:
+    """Mask of the listed entries from which on the squared Frobenius norm,
+    summed in listed order with each off-diagonal entry counted with its
+    mirror, is not finite: every draw law divides by that norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = real * real + imag * imag
+        return ~np.isfinite(np.cumsum(np.where(i == j, sq, 2.0 * sq)))
+
+
 def _mirrored(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
     """Validated entry arrays with each off-diagonal entry's conjugate added.
 
@@ -204,7 +213,9 @@ class SampledMatrix:
         """Store M(rows[k], cols[k]) = vals[k] and the conjugate mirror.
 
         Either triangle or both may be listed, under the rules and errors
-        of `_mirrored`.
+        of `_mirrored`.  Values whose squared Frobenius norm is not finite
+        raise ValueError naming the listed entry at which it overflows
+        (`_mass_overflows`): every draw law divides by that norm.
         """
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
@@ -213,12 +224,12 @@ class SampledMatrix:
         self.n = n
         self.rank_hint = rank_hint
         self.touches = 0
-        rows, self._cols, self._vals = _mirrored(
+        listed = (
             np.asarray(rows, dtype=np.int64),
             np.asarray(cols, dtype=np.int64),
             np.asarray(vals, dtype=np.complex128),
-            n,
         )
+        rows, self._cols, self._vals = _mirrored(*listed, n)
         # The sorted ids of the nonempty rows, and where each one's entries
         # start followed by the entry count: row _row_ids[k] spans
         # [_bounds[k], _bounds[k + 1]).  A row with no stored entries has
@@ -241,11 +252,20 @@ class SampledMatrix:
         # What `row_support` gives an empty row, made once: most rows of a
         # wide sparse store are empty.
         self._no_entries = (self._cols[:0], self._vals[:0])
-        self._run = np.abs(self._vals) ** 2
-        _running_sums(self._run, self._bounds)
-        # Over nonempty rows only: an empty row adds nothing and is never
-        # drawn.
-        self._row_prefix = np.cumsum(self._run[self._bounds[1:] - 1])
+        with np.errstate(over="ignore"):
+            self._run = np.abs(self._vals) ** 2
+            _running_sums(self._run, self._bounds)
+            # Over nonempty rows only: an empty row adds nothing and is never
+            # drawn.
+            self._row_prefix = np.cumsum(self._run[self._bounds[1:] - 1])
+        if not math.isfinite(self.total_mass()):
+            i, j, v = listed
+            bad = _mass_overflows(i, j, v.real, v.imag)
+            k = int(np.argmax(bad)) if bad.any() else bad.shape[0] - 1
+            raise ValueError(
+                f"entry ({int(i[k])}, {int(j[k])}) takes the squared Frobenius norm "
+                "past the float range"
+            )
 
     # -- construction -------------------------------------------------
 
@@ -547,8 +567,8 @@ class SampledMatrix:
             return cls(i - 1, j - 1, vals, n, rank_hint)
         except ValueError as exc:
             # With indices and values checked above, the constructor only
-            # rejects a repeated key; name its lines here rather than track
-            # keys per line.
+            # rejects a repeated key, then a squared norm that overflows;
+            # name their lines here rather than track keys or mass per line.
             first = {}
             for lineno, key in zip(lines.tolist(), zip(i.tolist(), j.tolist())):
                 if key in first:
@@ -557,6 +577,13 @@ class SampledMatrix:
                         f"first listed on line {first[key]}"
                     ) from exc
                 first[key] = lineno
+            bad = _mass_overflows(i, j, real, imag)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ManifestError(
+                    f"{path}:{lines[k]}: entry ({i[k]}, {j[k]}) takes the squared "
+                    "Frobenius norm past the float range"
+                ) from exc
             raise
 
 
@@ -653,6 +680,14 @@ class NegatedView:
     def sample_entries(self, u):
         r, c, v = self.base.sample_entries(u)
         return r, c, -v
+
+
+def unwrap(a) -> tuple:
+    """The store under any `NegatedView`s of ``a``, and the sign they apply."""
+    sign = 1
+    while isinstance(a, NegatedView):
+        a, sign = a.base, -sign
+    return a, sign
 
 
 def file_sha256(path: str) -> str:

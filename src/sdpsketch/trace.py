@@ -21,7 +21,10 @@ solver's two traces against a sketched basis V make the same test but
 sum such a store in V's coordinates, once per basis and store
 (`BasisSketch.compression`, V^dagger A V): the constraint check
 (`gibbs.estimate_constraint_trace`) reads Re Tr[K V^dagger A V] for the
-candidate's core K, and the compressed sum (`spectral.estimate_vav`)
+candidate's core K = U diag(w) U^dagger as w . Re diag(U^dagger V^dagger
+A V U), kept per eigensystem and store
+(`BasisSketch.rotated_compression`), and the compressed sum
+(`spectral.estimate_vav`)
 reads the compression's entries.  This exact branch serves any other
 operand, such as a stand-in.
 

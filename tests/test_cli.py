@@ -616,8 +616,9 @@ class TestErrorPaths:
             (b"n 4 rank 1\n1 1 1 0\n2 3 1 0\n1 1 2 0\n", 4),
             (b"n 4 rank 1\n1 1 1 0 # caf\xc3\xa9\n2 3 1 0 # \xff\n", 3),
             (b"n 4 rank 1\n1 1 1 0\n1 2 nan 0\n", 3),
+            (b"n 4 rank 1\n1 1 1e154 0\n2 2 -1e154 0\n", 3),
         ],
-        ids=["index_past_n", "duplicate_entry", "invalid_utf8", "nan_value"],
+        ids=["index_past_n", "duplicate_entry", "invalid_utf8", "nan_value", "mass_overflow"],
     )
     def test_malformed_matrix_file(self, tmp_path, capsys, body, line):
         man = tmp_path / "m.man"
@@ -630,6 +631,34 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'constraint_0.mat'}:{line}: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_store_whose_squared_norm_overflows(self, tmp_path, capsys):
+        """Squared magnitudes of 1e320 once overflowed to inf with a numpy
+        warning, and the run failed on an internal error naming no file."""
+        man = tmp_path / "m.txt"
+        write_feasibility_manifest(
+            str(man), [SampledMatrix.from_dense(np.diag([1.0, -1.0, 1.0, -1.0]), 4)],
+            [0.5], 0.3, with_hashes=False,
+        )
+        (tmp_path / "constraint_0.mat").write_text(
+            "n 4 rank 4\n1 1 1e160 0\n2 2 -1e160 0\n3 3 1e160 0\n4 4 -1e160 0\n"
+        )
+        flags = ["--p", "50", "--gamma", "1e-6", "--seed", "1", "--max-iters", "5"]
+        code, text = run_cli(["feastest", str(man), *flags])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'constraint_0.mat'}:2: entry (1, 1) takes the squared "
+            "Frobenius norm past the float range\n"
+        )
+
+    def test_non_finite_estimate_exits_two(self, work, capsys, monkeypatch):
+        from sdpsketch import solver
+
+        monkeypatch.setattr(solver, "estimate_constraint_trace", lambda *args: float("nan"))
+        code, text = run_cli(["feastest", work["plant"], *FAST])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: round 1: constraint 0 estimates nan\n"
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -416,6 +416,42 @@ class TestExactConstraintTrace:
         assert id(a) not in g.basis._compressions
 
 
+class TestClosedForms:
+    """The norm and exact checks read in the eigensystem's coordinates equal
+    the r_tilde x r_tilde formulas on the core K that they replace."""
+
+    @pytest.mark.parametrize(
+        "tau, rank, p, seed",
+        [(1, 1, 200, 70), (1, 2, 200, 70), (1, 3, 200, 71), (2, 2, 200, 70),
+         (1, 5, 200, 71), (2, 3, 200, 70), (1, 3, 8, 71), (2, 2, 8, 70), (2, 3, 8, 71)],
+        ids=["r1", "r2", "r3", "r4", "r5", "r6", "r3-small-p", "r4-small-p", "r6-small-p"],
+    )
+    def test_equal_the_core_formulas(self, tau, rank, p, seed):
+        """r_tilde 1-6; at p = 8 the basis is far from orthonormal
+        (max |G - I| above 1), so G is not the identity in either form."""
+        n = 16
+        _, g = candidate(n=n, tau=tau, rank=rank, p=p, seed=seed)
+        assert g.r_tilde == tau * rank
+        gram = g.basis.gram()
+        if p == 8:
+            assert np.abs(gram - np.eye(g.r_tilde)).max() > 1.0
+        norm = g.frobenius_norm()
+        assert "_core" not in g.__dict__
+        k = g._core
+        assert abs(norm - np.sqrt(np.trace(k @ gram @ k.conj().T @ gram).real)) <= 1e-12
+        a = random_low_rank(n, 2, substream(seed, 5))
+        e = random_low_rank(n, 1, substream(seed, 6))
+        for store in (a, NegatedView(a), e, NegatedView(e)):
+            got = estimate_constraint_trace(g, store, 0.05, 0.1, Untouchable())
+            assert abs(got - np.vdot(k, g.basis.compression(store)).real) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    def test_fro_bound_dominates_the_dense_norm(self, n):
+        for seed in range(1, 4):
+            _, g = candidate(n=n, tau=2, rank=2, p=200, seed=90 + seed)
+            assert np.linalg.norm(dense_solution(g)) <= g.fro_bound
+
+
 class TestSampledConstraintTrace:
     """Constraint checks that draw: a dense rank-2 store above its sampling plan."""
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from sdpsketch import rng as rngmod
-from sdpsketch.errors import HermiticityError
+from sdpsketch.errors import HermiticityError, NumericalError
 from sdpsketch import linalg
 from sdpsketch.linalg import eigh, qr, rowwise_matmul, svd
 
@@ -45,6 +45,14 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             eigh(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_a_non_finite_entry(self, bad):
+        """A NaN passes the Hermitian check (NaN > tol is false) and LAPACK
+        returns a NaN eigenvalue; the wrapper refuses it first."""
+        a = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NumericalError, match="non-finite"):
+            eigh(a)
 
     def test_accepts_rounding_level_asymmetry(self):
         a = np.array([[1.0, 0.5], [0.5 + 1e-14, 2.0]], dtype=complex)

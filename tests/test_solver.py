@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sdpsketch.errors import ConfigError, ShapeError
+from sdpsketch.errors import ConfigError, NumericalError, ShapeError
 from sdpsketch.gibbs import GibbsDescription
 from sdpsketch.instances import (
     planted_feasible_at_uniform,
@@ -168,6 +168,18 @@ class TestTrivialVerdicts:
         )
         out = run_feasibility(problem, FAST)
         assert out.feasible and out.iterations_used == 1
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_estimate_raises(self, monkeypatch, bad):
+        """NaN > bound + margin is false, so a NaN estimate would pass its
+        check and could end the run "feasible"; it raises instead."""
+        from sdpsketch import solver
+
+        monkeypatch.setattr(solver, "estimate_constraint_trace", lambda *args: bad)
+        problem = planted_feasible_at_uniform(16, m=3, rank=2, eps=0.2, rng=substream(85, 1))
+        with pytest.raises(NumericalError, match="round 1: constraint 0"):
+            run_feasibility(problem, FAST)
 
 
 class TestUpdateLoop:
@@ -422,9 +434,13 @@ class TestSketchReuse:
         calls = count_builds(monkeypatch)
         effects, values, _ = shadow_instance(12, 2, 0.25, substream(154, 1), rank=2)
         problem = shadow_to_feasibility(effects, values, 0.25)
-        last = None
+        exponent = solver._Exponent(problem, FAST, FAST.round_budget(problem.n, problem.eps))
         for t, chosen in enumerate(steps, start=1):
-            candidate, last = solver._rebuild_candidate(problem, FAST, chosen, t, last)
+            for j in chosen[len(exponent.chosen):]:
+                exponent.add(j)
+            assert exponent.chosen == chosen and exponent.tally.tau == len(chosen)
+            candidate = exponent.candidate(t)
+            last = exponent.last
             if last is not None:
                 tau0 = len(last.exponent)
                 assert candidate.beta == len(chosen) / tau0 * (FAST.beta_scale * problem.eps)
@@ -458,6 +474,53 @@ class TestSketchReuse:
         assert len(calls) < 8 and len(grew) >= 8
         assert grew == [0] * len(grew)
 
+    def test_round_cost_does_not_grow_with_t(self, monkeypatch):
+        """617 rounds, the default budget at n = 32 and eps = 0.3, on one
+        sketch: the one sum built is the one sketched, the checks read no
+        entry after the first compression, and no candidate forms its core
+        until an entry is read.  The verdict and every violated constraint
+        are the exact loop's."""
+        from sdpsketch import oracle, solver
+
+        problem = planted_infeasible(32, eps=0.3, rng=substream(88, 2))
+        config = SolverConfig(seed=3, t_override=617, sketch=SketchParams(p=200, gamma=1e-8))
+        builds = count_builds(monkeypatch)
+        sums, candidates, touches = [], [], []
+        real_sum, real_gibbs = solver.MatrixSum, solver.make_gibbs
+        real_check = solver.estimate_constraint_trace
+        store = problem.constraints[0]
+
+        def matrix_sum(*args, **kwargs):
+            sums.append(real_sum(*args, **kwargs))
+            return sums[-1]
+
+        def gibbs(*args, **kwargs):
+            candidates.append(real_gibbs(*args, **kwargs))
+            return candidates[-1]
+
+        def check(g, a, eps, delta, rng):
+            out = real_check(g, a, eps, delta, rng)
+            if not g.uniform_fallback:
+                touches.append(store.touches)
+            return out
+
+        monkeypatch.setattr(solver, "MatrixSum", matrix_sum)
+        monkeypatch.setattr(solver, "make_gibbs", gibbs)
+        monkeypatch.setattr(solver, "estimate_constraint_trace", check)
+        out = run_feasibility(problem, config)
+        assert len(sums) == len(builds) == 1
+        assert len(candidates) == 616 and len(touches) == 616
+        assert touches == [touches[0]] * len(touches)
+        assert not any("_core" in g.__dict__ for g in candidates)
+        candidates[-1].query(0, 1)
+        assert "_core" in candidates[-1].__dict__
+
+        dense = oracle.dense_mmw(problem, t_override=617)
+        assert (out.verdict, out.iterations_used) == (dense.verdict, dense.iterations_used)
+        assert [(t, j) for t, j, _ in out.violation_log] == [
+            (t, j) for t, j, _ in dense.violation_log
+        ]
+
     def test_default_preset_builds_every_round(self, monkeypatch):
         calls = count_builds(monkeypatch)
         problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
@@ -472,12 +535,17 @@ class TestSketchReuse:
 
         calls = count_builds(monkeypatch)
         problem = planted_infeasible(12, eps=0.4, rng=substream(88, 1))
-        _, last = solver._rebuild_candidate(problem, FAST, [0], 1, None)
+        exponent = solver._Exponent(problem, FAST, FAST.round_budget(problem.n, problem.eps))
+        exponent.add(0)
+        exponent.candidate(1)
+        last = exponent.last
         assert last.multiple(MatrixSum([problem.constraints[0]] * 2, rank=1), FAST.sketch) == 2.0
         lo, _ = last.basis.kept_scales
         last.basis.kept_scales = (lo, 1.5)
-        solver._rebuild_candidate(problem, FAST, [0, 0], 2, last)
-        assert calls == [1, 2]
+        exponent.add(0)
+        assert last.multiple(exponent.tally, FAST.sketch) is None
+        exponent.candidate(2)
+        assert calls == [1, 2] and exponent.last is not last
 
 
 class TestOptimize:

@@ -78,6 +78,12 @@ class TestSurrogateValidation:
         with pytest.raises(NumericalError):
             SpectralSurrogate(u=np.eye(v.r_tilde, dtype=complex), d=bad, basis=v)
 
+    @pytest.mark.parametrize("top", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalue_rejected(self, top):
+        """max |d| is NaN when d holds one, and NaN > bound is false."""
+        with pytest.raises(NumericalError, match="non-finite"):
+            spectral.check_spectrum(np.array([top, 0.5]), 1)
+
     def test_unanchored_surrogate_skips_bound(self):
         SpectralSurrogate(u=np.eye(1, dtype=complex), d=np.array([7.0]))
 

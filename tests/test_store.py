@@ -402,6 +402,14 @@ class TestBuildValidation:
         with pytest.raises(ValueError, match="non-finite"):
             SampledMatrix.from_dense(dense, rank_hint=1)
 
+    def test_overflowing_squared_norm_rejected(self):
+        """Each value is finite but the squared norm is not: the off-diagonal
+        entry counts twice, with its mirror, so 1e308 + 2 x 1e308 overflows."""
+        with pytest.raises(ValueError, match=r"^entry \(0, 1\) takes the squared Frobenius"):
+            build({(0, 0): 1e154, (0, 1): 1e154j}, n=2, rank_hint=1)
+        store = build({(0, 0): 1e153, (0, 1): 1e153j}, n=2, rank_hint=1)
+        assert store.total_mass() == pytest.approx(3e306)
+
     def test_from_dense_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             SampledMatrix.from_dense(np.array([[0.0, 1.0], [2.0, 0.0]]), rank_hint=1)
@@ -887,6 +895,14 @@ class TestFileFormat:
             ("# dims\nn 0 rank 1\n", ":2: dimension and rank must be positive"),
             ("n 3 rank 1\n1 2 nan 0\n", ":2: entry (1, 2) has a non-finite value"),
             ("n 3 rank 1\n1 1 1 0\n2 3 0 -inf\n", ":3: entry (2, 3) has a non-finite value"),
+            (
+                "n 3 rank 1\n1 1 1e154 0\n1 2 0 1e154\n",
+                ":3: entry (1, 2) takes the squared Frobenius norm past the float range",
+            ),
+            (
+                "n 3 rank 1\n1 1 1e160 0\n2 2 1 0\n2 2 1 0\n",
+                ":4: duplicate entry (2, 2), first listed on line 3",
+            ),
         ],
     )
     def test_load_names_file_and_line(self, tmp_path, body, where):
@@ -918,6 +934,7 @@ def reference_load(path: str) -> SampledMatrix:
     header = None
     entries = []
     lines = []
+    mass, overflow = 0.0, None
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -954,6 +971,9 @@ def reference_load(path: str) -> SampledMatrix:
             raise HermiticityError(
                 f"{path}:{lineno}: diagonal entry ({i}, {i}) has imaginary part {im!r}"
             )
+        mass += (1.0 if i == j else 2.0) * (re * re + im * im)
+        if overflow is None and not math.isfinite(mass):
+            overflow = (lineno, i, j)
         entries.append((i - 1, j - 1, complex(re, im)))
         lines.append(lineno)
     if header is None:
@@ -969,6 +989,11 @@ def reference_load(path: str) -> SampledMatrix:
                     f"first listed on line {first[i, j]}"
                 ) from exc
             first[i, j] = lineno
+        if overflow is not None:
+            raise ManifestError(
+                f"{path}:{overflow[0]}: entry ({overflow[1]}, {overflow[2]}) takes the "
+                "squared Frobenius norm past the float range"
+            ) from exc
         raise
 
 
@@ -990,7 +1015,7 @@ def load_outcome(load, path: str):
 INDEX_TOKENS = ["1", "2", "3", "4", "0", "-1", "+3", "1_0", "٢", "３", "1.0",
                 "12345678901234567890", "x"]
 VALUE_TOKENS = ["0", "1", "-0.0", "0.5", "-2.25e3", "1e-13", "2e-12", "+1_0.5", "١.٥",
-                "infinity", "-inf", "nan", "1e400", "0x1p3", "y"]
+                "infinity", "-inf", "nan", "1e400", "1e160", "0x1p3", "y"]
 
 
 @st.composite
